@@ -4,8 +4,7 @@ Spherical states carry Wigner d-functions instead of spherical
 harmonics; parabolic states factor into two confluent-hypergeometric
 profiles in xi = r + x3 and eta = r - x3.  Everything is normalized
 under the curvilinear volume element dV = (xi + eta)/4 dxi deta dphi,
-and the library verifies that claim by quadrature rather than trusting
-printed constants.
+and the overlaps below check that claim by product Gauss quadrature.
 
 Run:  python demos/02_wavefunctions.py
 """
@@ -21,7 +20,6 @@ from dyonstark import (
     parabolic_psi,
 )
 from dyonstark.states import (
-    normalization_diagnostics,
     parabolic_hamiltonian_residual,
     parabolic_overlap,
     spherical_overlap,
@@ -51,8 +49,3 @@ for xi in np.linspace(0.5, 8.0, 6):
     val = parabolic_psi(pa, ParabolicPoint(xi, 0.5, 0.0), params)
     print(f"  xi = {xi:5.2f}:  psi = {val.real:+.6e} {val.imag:+.6e}j")
 
-print("\nnormalization diagnostics recorded so far:")
-for entry in normalization_diagnostics():
-    print(f"  {entry['label']}: factor {entry['renormalization_factor']:.12f}")
-print("  (the spherical angular constant as printed integrates to 1/(2 pi);")
-print("   the library renormalizes by sqrt(2 pi) and records the fact)")

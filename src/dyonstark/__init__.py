@@ -7,7 +7,7 @@ an independent quadrature-and-diagonalization pipeline.
 """
 
 from .quadrature import QuadratureRule, gauss_laguerre, gauss_legendre, integrate_halfline
-from .specfun import HalfInteger, half, hyp1f1_poly, hyp2f1_unit, ln_gamma, wigner_d
+from .specfun import HalfInteger, half, hyp1f1_poly, wigner_d
 from .stark import (
     FieldConfig,
     StarkShiftRecord,
@@ -43,9 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "HalfInteger",
     "half",
-    "ln_gamma",
     "hyp1f1_poly",
-    "hyp2f1_unit",
     "wigner_d",
     "QuadratureRule",
     "gauss_laguerre",

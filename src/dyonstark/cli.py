@@ -55,13 +55,6 @@ def _render(rows, columns, fmt, params, field=None, ratio=None, output=None):
 
 
 def _common_options(fn):
-    fn = click.option(
-        "--quad-order",
-        type=click.IntRange(min=1, max=200),
-        default=None,
-        envvar=oracle.QUAD_ORDER_ENV,
-        help="Gauss-Laguerre order for numerical cross-checks (default 48).",
-    )(fn)
     fn = click.option("--output", "-o", default="-", help="Output path, '-' for stdout.")(fn)
     fn = click.option(
         "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
@@ -80,7 +73,7 @@ def main():
 @main.command()
 @_common_options
 @click.option("--n", "n_str", required=True, help="Principal level (e.g. 3 or 5/2).")
-def spectrum(s_str, n_str, gamma, fmt, output, quad_order):
+def spectrum(s_str, n_str, gamma, fmt, output):
     """Shell energy and spherical quantum-number table."""
     s = _parse_half(s_str, "s")
     n = _parse_half(n_str, "n")
@@ -117,7 +110,7 @@ def _stark_rows(s_str, n_str, gamma, epsilon):
 @_common_options
 @click.option("--n", "n_str", required=True, help="Principal level.")
 @click.option("--epsilon", type=float, default=1.0, show_default=True, help="Field strength.")
-def shifts(s_str, n_str, gamma, epsilon, fmt, output, quad_order):
+def shifts(s_str, n_str, gamma, epsilon, fmt, output):
     """First-order Stark shift table for one shell."""
     params, field, ratio, rows = _stark_rows(s_str, n_str, gamma, epsilon)
     _render(rows, tables.RECORD_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
@@ -127,7 +120,7 @@ def shifts(s_str, n_str, gamma, epsilon, fmt, output, quad_order):
 @_common_options
 @click.option("--n", "n_str", required=True, help="Principal level.")
 @click.option("--epsilon", type=float, default=0.0, show_default=True, help="Field strength.")
-def dipole(s_str, n_str, gamma, epsilon, fmt, output, quad_order):
+def dipole(s_str, n_str, gamma, epsilon, fmt, output):
     """Permanent dipole moments of one shell (e1 at the given field)."""
     params, field, ratio, rows = _stark_rows(s_str, n_str, gamma, epsilon)
     _render(rows, tables.RECORD_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
@@ -137,7 +130,7 @@ def dipole(s_str, n_str, gamma, epsilon, fmt, output, quad_order):
 @_common_options
 @click.option("--n", "n_str", required=True, help="Principal level.")
 @click.option("--epsilon", type=float, default=1.0, show_default=True, help="Field strength.")
-def splitting(s_str, n_str, gamma, epsilon, fmt, output, quad_order):
+def splitting(s_str, n_str, gamma, epsilon, fmt, output):
     """Distance between the extreme like-m components of a shell."""
     s = _parse_half(s_str, "s")
     n = _parse_half(n_str, "n")
@@ -164,7 +157,7 @@ def splitting(s_str, n_str, gamma, epsilon, fmt, output, quad_order):
 @click.option("--points", type=click.IntRange(min=2, max=512), default=24, show_default=True)
 @click.option("--extent", type=float, default=16.0, show_default=True, help="Grid reach in units of a.")
 @click.option("--phi", type=float, default=0.0, show_default=True, help="Azimuth of the sampling plane.")
-def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, extent, phi, fmt, output, quad_order):
+def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, extent, phi, fmt, output):
     """Wavefunction values on a coordinate grid (one azimuthal plane).
 
     Parabolic basis: coord1 = xi, coord2 = eta.  Spherical basis:
@@ -234,6 +227,10 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
     max_n = None
     if max_n_str is not None:
         max_n = float(_parse_half(max_n_str, "max-n").value)
+    try:
+        oracle.resolve_quad_order()
+    except ValueError as exc:
+        _fail_validation(exc)
     names = list(only) if only else verify.check_ids()
     unknown = [nm for nm in names if nm not in verify.CHECKS]
     if unknown:

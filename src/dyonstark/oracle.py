@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import jacobi_eigenvalues
+from .quadrature import MAX_ORDER
 from .specfun import HalfInteger, half
 from .stark import FieldConfig
 from .states import (
@@ -50,12 +51,15 @@ def resolve_quad_order(quad_order: int | None = None) -> int:
     if quad_order is not None:
         return int(quad_order)
     env = os.environ.get(QUAD_ORDER_ENV)
-    if env:
+    if not env:
+        return DEFAULT_QUAD_ORDER
+    try:
         value = int(env)
-        if value < 1:
-            raise ValueError(f"{QUAD_ORDER_ENV} must be a positive integer, got {env!r}")
-        return value
-    return DEFAULT_QUAD_ORDER
+    except ValueError:
+        value = 0
+    if not 1 <= value <= MAX_ORDER:
+        raise ValueError(f"{QUAD_ORDER_ENV} must be an integer in [1, {MAX_ORDER}], got {env!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Exact-where-possible special functions.
 
 Everything a monopole-Coulomb bound-state calculation needs and nothing
-more: log-gamma/factorials, the terminating confluent hypergeometric
-series 1F1(-p; b; x), the Gauss 2F1 at unit argument, and Wigner
-d-functions for integer and half-integer indices.
+more: log-factorials, the terminating confluent hypergeometric series
+1F1(-p; b; x), and Wigner d-functions for integer and half-integer
+indices.
 
 All factorial/Pochhammer products are evaluated in log space with
 explicit sign bookkeeping so that indices up to ~50 stay well inside
@@ -21,10 +21,8 @@ import numpy as np
 __all__ = [
     "HalfInteger",
     "half",
-    "ln_gamma",
     "ln_factorial",
     "hyp1f1_poly",
-    "hyp2f1_unit",
     "wigner_d",
 ]
 
@@ -101,6 +99,8 @@ def half(x) -> HalfInteger:
     if isinstance(x, (int, np.integer)):
         return HalfInteger(2 * int(x))
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"a half-integer must be a finite number, got {x}")
         twice = 2.0 * x
         if twice != round(twice):
             raise ValueError(f"{x} is not an exact half-integer")
@@ -114,13 +114,6 @@ def half(x) -> HalfInteger:
             return HalfInteger(int(num))
         return half(float(t))
     raise TypeError(f"cannot interpret {x!r} as a half-integer")
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def ln_factorial(k: int) -> float:
@@ -160,54 +153,6 @@ def hyp1f1_poly(p: int, b: float, x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _signed_ln_gamma(x: float) -> tuple[float, int]:
-    """(log|Gamma(x)|, sign) for non-pole real x, via reflection for x < 0."""
-    if x > 0:
-        return math.lgamma(x), 1
-    if x == int(x):
-        raise ValueError(f"Gamma pole at x = {x}")
-    # reflection: Gamma(x) = pi / (sin(pi x) * Gamma(1 - x))
-    s = math.sin(math.pi * x)
-    return math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x), (1 if s > 0 else -1)
-
-
-def hyp2f1_unit(alpha: float, beta: float, gamma_p: float) -> float:
-    """Gauss hypergeometric 2F1(alpha, beta; gamma_p; 1).
-
-    Terminating series when alpha is a non-positive integer; otherwise
-    the Gamma-ratio evaluation, done in log space with sign tracking.
-    Parameter combinations outside both regimes diverge and raise.
-    """
-    if alpha <= 0 and alpha == int(alpha):
-        p = int(-alpha)
-        term = 1.0
-        total = 1.0
-        for k in range(p):
-            denom = (gamma_p + k) * (k + 1.0)
-            if denom == 0.0:
-                raise ValueError(
-                    f"2F1(-{p}, {beta}; {gamma_p}; 1): zero denominator at term {k + 1}"
-                )
-            term *= (alpha + k) * (beta + k) / denom
-            total += term
-        return total
-    if gamma_p - alpha - beta <= 0:
-        raise ValueError(
-            f"2F1({alpha}, {beta}; {gamma_p}; 1) diverges: need gamma - alpha - beta > 0"
-        )
-    ln_num, s_num = 0.0, 1
-    ln_den, s_den = 0.0, 1
-    for arg in (gamma_p, gamma_p - alpha - beta):
-        ln, s = _signed_ln_gamma(arg)
-        ln_num += ln
-        s_num *= s
-    for arg in (gamma_p - alpha, gamma_p - beta):
-        ln, s = _signed_ln_gamma(arg)
-        ln_den += ln
-        s_den *= s
-    return s_num * s_den * math.exp(ln_num - ln_den)
 
 
 def _check_projection(j: HalfInteger, m: HalfInteger, name: str) -> None:

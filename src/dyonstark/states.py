@@ -10,17 +10,17 @@ Two complete bases are provided: spherical labels (n, j, m) built on
 Wigner d-functions, and parabolic labels (n1, n2, m) built on confluent
 hypergeometric factors in the coordinates xi = r + x3, eta = r - x3.
 
-Normalization policy: printed closed-form constants are trusted only
-after a quadrature check of the unit norm; a failing constant is
-replaced by the numerically determined one and the discrepancy factor
-is recorded in the module diagnostics (see
-``normalization_diagnostics``).
+Normalization: the parabolic constant is the closed form printed in
+``parabolic_psi``.  The spherical angular constant is measured once per
+(j, m, s) by Gauss-Legendre quadrature of d^2; it agrees with the
+monopole-harmonic value sqrt((2j+1)/(4 pi)) (Wu & Yang 1976) to a few
+ulps.  Unit norms of both bases are checked by quadrature in the
+verification suite.
 """
 
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,38 +50,8 @@ __all__ = [
     "spherical_overlap",
     "parabolic_overlap",
     "parabolic_hamiltonian_residual",
-    "normalization_diagnostics",
     "default_quad_order",
 ]
-
-logger = logging.getLogger(__name__)
-
-NORM_TOLERANCE = 1e-8
-
-_DIAGNOSTICS: list[dict] = []
-
-
-def normalization_diagnostics() -> tuple[dict, ...]:
-    """Records of printed-vs-measured normalization discrepancies."""
-    return tuple(dict(d) for d in _DIAGNOSTICS)
-
-
-def _record_renormalization(label: str, printed: float, measured_norm2: float) -> None:
-    factor = 1.0 / math.sqrt(measured_norm2)
-    entry = {
-        "label": label,
-        "printed_constant": printed,
-        "norm_square_with_printed": measured_norm2,
-        "renormalization_factor": factor,
-    }
-    _DIAGNOSTICS.append(entry)
-    logger.info(
-        "renormalizing %s: printed constant gives |psi|^2 integral %.12g, factor %.12g applied",
-        label,
-        measured_norm2,
-        factor,
-    )
-
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -327,12 +297,12 @@ def radial_R(n, j, r, params: PhysicalParams):
 
 
 @lru_cache(maxsize=None)
-def _angular_norm(j2: int, m2: int, s2: int) -> tuple[float, float]:
-    """(normalization constant, theta-integral of d^2) for d^j_{ms}.
+def _angular_norm(j2: int, m2: int, s2: int) -> float:
+    """Normalization constant of the angular factor d^j_{ms} e^{i m phi}.
 
-    The theta integral is measured by Gauss-Legendre in cos(theta); the
-    constant makes the full angular factor (constant * d * e^{i m phi})
-    a unit vector under sin(theta) dtheta dphi.
+    The theta integral of d^2 is measured by Gauss-Legendre in
+    cos(theta); the constant makes the full angular factor a unit
+    vector under sin(theta) dtheta dphi.
     """
     j, m, s = HalfInteger(j2), HalfInteger(m2), HalfInteger(s2)
     rule = gauss_legendre(j2 + 24)
@@ -340,32 +310,19 @@ def _angular_norm(j2: int, m2: int, s2: int) -> tuple[float, float]:
     def d_sq(t):
         return wigner_d(j, m, s, np.arccos(t)) ** 2
 
-    i_theta = rule.integrate(d_sq)
-    return 1.0 / math.sqrt(2.0 * math.pi * i_theta), i_theta
-
-
-def _spherical_norm_constant(state: SphericalState) -> float:
-    """Angular constant, renormalized if the printed one fails the norm check."""
-    n_num, i_theta = _angular_norm(state.j.twice, state.m.twice, state.s.twice)
-    printed = math.sqrt((state.j.value * 2.0 + 1.0) / (8.0 * math.pi**2))
-    norm2_printed = printed**2 * 2.0 * math.pi * i_theta
-    if abs(norm2_printed - 1.0) <= NORM_TOLERANCE:
-        return printed
-    key = f"spherical angular j={state.j} m={state.m} s={state.s}"
-    if not any(d["label"] == key for d in _DIAGNOSTICS):
-        _record_renormalization(key, printed, norm2_printed)
-    return n_num
+    return 1.0 / math.sqrt(2.0 * math.pi * rule.integrate(d_sq))
 
 
 def spherical_psi(state: SphericalState, r, theta, phi, params: PhysicalParams):
     """Bound-state wavefunction in spherical coordinates.
 
-    psi = N R_nj(r) d^j_{ms}(theta) e^{i m phi}; N is the numerically
-    verified angular normalization.  On the gauge string (theta = pi)
-    the value is the continuity limit and always finite.
+    psi = N R_nj(r) d^j_{ms}(theta) e^{i m phi}; N is the angular
+    normalization measured by quadrature, equal to sqrt((2j+1)/(4 pi))
+    to a few ulps.  On the gauge string (theta = pi) the value is the
+    continuity limit and always finite.
     """
     _check_state_params(state, params)
-    n_const = _spherical_norm_constant(state)
+    n_const = _angular_norm(state.j.twice, state.m.twice, state.s.twice)
     rad = radial_R(state.n, state.j, r, params)
     ang = wigner_d(state.j, state.m, state.s, theta)
     phase = np.exp(1j * state.m.value * np.asarray(phi, dtype=float))
@@ -399,29 +356,6 @@ def phi_pq(p: int, q: int, x, n, params: PhysicalParams):
     return val
 
 
-@lru_cache(maxsize=None)
-def _parabolic_norm2(n1: int, n2: int, aq1: int, aq2: int) -> float:
-    """Quadrature check of the printed parabolic constant (a-independent)."""
-    ref = PhysicalParams.atomic(0)
-    n = n1 + n2 + (aq1 + aq2) / 2.0 + 1.0
-    order = int(math.ceil(2 * n)) + aq1 + aq2 + 20
-    i0_xi = phi_pair_moment(n1, n1, aq1, 0, n, n, ref, order)
-    i1_xi = phi_pair_moment(n1, n1, aq1, 1, n, n, ref, order)
-    i0_eta = phi_pair_moment(n2, n2, aq2, 0, n, n, ref, order)
-    i1_eta = phi_pair_moment(n2, n2, aq2, 1, n, n, ref, order)
-    return (2.0 / n**4) * 0.25 * (i1_xi * i0_eta + i0_xi * i1_eta)
-
-
-def _parabolic_norm_factor(state: ParabolicState) -> float:
-    norm2 = _parabolic_norm2(state.n1, state.n2, abs(state.q1), abs(state.q2))
-    if abs(norm2 - 1.0) <= NORM_TOLERANCE:
-        return 1.0
-    key = f"parabolic (n1={state.n1}, n2={state.n2}, m={state.m}, s={state.s})"
-    if not any(d["label"] == key for d in _DIAGNOSTICS):
-        _record_renormalization(key, float("nan"), norm2)
-    return 1.0 / math.sqrt(norm2)
-
-
 def parabolic_psi(state: ParabolicState, point: ParabolicPoint, params: PhysicalParams):
     """Bound-state wavefunction in parabolic coordinates.
 
@@ -432,7 +366,7 @@ def parabolic_psi(state: ParabolicState, point: ParabolicPoint, params: Physical
     _check_state_params(state, params)
     nf = state.n.value
     a = params.a
-    pref = math.sqrt(2.0) / (nf**2 * a**1.5) * _parabolic_norm_factor(state)
+    pref = math.sqrt(2.0) / (nf**2 * a**1.5)
     f1 = phi_pq(state.n1, state.q1, point.xi, nf, params)
     f2 = phi_pq(state.n2, state.q2, point.eta, nf, params)
     phase = cmath.exp(1j * state.m.value * point.phi) / math.sqrt(2.0 * math.pi)
@@ -514,8 +448,8 @@ def spherical_overlap(
         order = default_quad_order(
             a_state.n.value + b_state.n.value, params.s
         )
-    n_a = _spherical_norm_constant(a_state)
-    n_b = _spherical_norm_constant(b_state)
+    n_a = _angular_norm(a_state.j.twice, a_state.m.twice, a_state.s.twice)
+    n_b = _angular_norm(b_state.j.twice, b_state.m.twice, b_state.s.twice)
     leg = gauss_legendre(order)
 
     def ang(t):
@@ -559,12 +493,7 @@ def parabolic_overlap(
     g1_xi = phi_pair_moment(a_state.n1, b_state.n1, q1, 1, n_a, n_b, params, order)
     g0_eta = phi_pair_moment(a_state.n2, b_state.n2, q2, 0, n_a, n_b, params, order)
     g1_eta = phi_pair_moment(a_state.n2, b_state.n2, q2, 1, n_a, n_b, params, order)
-    pref = (
-        2.0
-        / (n_a**2 * n_b**2 * params.a**3)
-        * _parabolic_norm_factor(a_state)
-        * _parabolic_norm_factor(b_state)
-    )
+    pref = 2.0 / (n_a**2 * n_b**2 * params.a**3)
     return pref * 0.25 * (g1_xi * g0_eta + g0_xi * g1_eta)
 
 

@@ -33,6 +33,10 @@ class CheckResult:
     detail: str = ""
     notes: list[str] = dc_field(default_factory=list)
 
+    def __post_init__(self):
+        # checks may compute passed as a numpy bool, which json cannot encode
+        self.passed = bool(self.passed)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.check_id}: max_err={self.max_err:.3e} tol={self.tol:.1e} {self.detail}"

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its file formats."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -65,6 +66,18 @@ class TestShiftsCommand:
     def test_bad_format_rejected(self, runner):
         result = runner.invoke(main, ["shifts", "--s", "0", "--n", "2", "--format", "xml"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args", [["spectrum", "--n", "inf"], ["spectrum", "--n", "-inf"], ["shifts", "--s", "inf", "--n", "2"]]
+    )
+    def test_non_finite_rejected(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "must be a finite number" in result.output
+
+    def test_quad_order_env_ignored_outside_verify(self, runner):
+        result = runner.invoke(main, ["spectrum", "--n", "2"], env={"DYONSTARK_QUAD_ORDER": "500"})
+        assert result.exit_code == 0
 
 
 class TestJsonOutput:
@@ -156,6 +169,16 @@ class TestOtherCommands:
         assert result.exit_code == 0
         assert len(result.stdout.splitlines()) == 1 + 16
 
+    def test_wavefunction_large_shell(self, runner):
+        result = runner.invoke(
+            main,
+            ["wavefunction", "--n", "50", "--n1", "0", "--n2", "0", "--m", "49", "--points", "3"],
+        )
+        assert result.exit_code == 0
+        rows = result.stdout.splitlines()[1:]
+        assert len(rows) == 9
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
 
 class TestVerifyCommand:
     def test_list_checks(self, runner):
@@ -186,6 +209,14 @@ class TestVerifyCommand:
         assert doc["failures"] == []
         assert doc["checks"][0]["id"] == "c08-shell-cardinality"
         assert doc["checks"][0]["passed"] is True
+
+    def test_json_format_numpy_bool_check(self, runner):
+        # specfun-invariants computes its verdict with numpy comparisons
+        result = runner.invoke(
+            main, ["verify", "--max-n", "2", "--check", "specfun-invariants", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["checks"][0]["passed"] is True
 
     def test_max_n_quick_mode(self, runner):
         result = runner.invoke(
@@ -221,3 +252,11 @@ class TestVerifyCommand:
             env={"DYONSTARK_QUAD_ORDER": "36"},
         )
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("value", ["500", "abc"])
+    def test_env_var_quad_order_rejected(self, runner, value):
+        result = runner.invoke(
+            main, ["verify", "--check", "hydrogen-regression"], env={"DYONSTARK_QUAD_ORDER": value}
+        )
+        assert result.exit_code == 2
+        assert "DYONSTARK_QUAD_ORDER" in result.output

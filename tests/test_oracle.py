@@ -150,10 +150,18 @@ class TestQuadOrderResolution:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("DYONSTARK_QUAD_ORDER", "31")
         assert resolve_quad_order() == 31
+        monkeypatch.setenv("DYONSTARK_QUAD_ORDER", "200")
+        assert resolve_quad_order() == 200
         monkeypatch.delenv("DYONSTARK_QUAD_ORDER")
         assert resolve_quad_order() == 48
 
     def test_env_rejects_nonpositive(self, monkeypatch):
         monkeypatch.setenv("DYONSTARK_QUAD_ORDER", "0")
         with pytest.raises(ValueError):
+            resolve_quad_order()
+
+    @pytest.mark.parametrize("value", ["201", "500", "abc", "4.5"])
+    def test_env_rejects_above_max_or_non_integer(self, monkeypatch, value):
+        monkeypatch.setenv("DYONSTARK_QUAD_ORDER", value)
+        with pytest.raises(ValueError, match="DYONSTARK_QUAD_ORDER"):
             resolve_quad_order()

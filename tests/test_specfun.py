@@ -14,8 +14,7 @@ from dyonstark.specfun import (
     HalfInteger,
     half,
     hyp1f1_poly,
-    hyp2f1_unit,
-    ln_gamma,
+    ln_factorial,
     wigner_d,
 )
 
@@ -31,6 +30,9 @@ class TestHalfInteger:
     def test_rejects_non_half(self):
         with pytest.raises(ValueError):
             half(0.3)
+        for bad in (math.inf, -math.inf, math.nan, "inf"):
+            with pytest.raises(ValueError, match="finite"):
+                half(bad)
         with pytest.raises(TypeError):
             half(object())
 
@@ -57,25 +59,23 @@ class TestHalfInteger:
             half(0.5).as_int()
 
 
-class TestLnGamma:
+class TestLnFactorial:
     def test_factorial_points(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
-        assert ln_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-13)
+        assert ln_factorial(0) == 0.0
+        assert ln_factorial(1) == 0.0
+        assert ln_factorial(5) == pytest.approx(math.log(120.0), rel=1e-13)
 
     def test_range_against_running_product(self):
-        # Gamma(x+k) = (x)_k Gamma(x), accumulated in exact-ish steps
-        for x0 in (0.5, 1.25, 2.0):
-            acc = ln_gamma(x0)
-            for k in range(1, 290):
-                acc += math.log(x0 + k - 1)
-                assert ln_gamma(x0 + k) == pytest.approx(acc, rel=1e-12)
+        acc = 0.0
+        for k in range(1, 290):
+            acc += math.log(k)
+            assert ln_factorial(k) == pytest.approx(acc, rel=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            ln_gamma(0.0)
+            ln_factorial(-1)
         with pytest.raises(ValueError):
-            ln_gamma(-3.2)
+            ln_factorial(2.5)
 
 
 def _hyp1f1_exact(p: int, b: Fraction, x: Fraction) -> Fraction:
@@ -129,42 +129,6 @@ class TestHyp1F1:
         x = np.linspace(0, 4, 7)
         vals = hyp1f1_poly(1, 2.0, x)
         assert np.allclose(vals, 1 - x / 2, rtol=1e-14)
-
-
-class TestHyp2F1Unit:
-    def test_examples(self):
-        assert hyp2f1_unit(0.0, 4.2, 9.9) == 1.0
-        assert hyp2f1_unit(-1, 1, 2) == pytest.approx(0.5, rel=1e-14)
-        # brute-force series: 1 - 6/5 + 24/60 = 0.2 (Chu-Vandermonde concurs)
-        assert hyp2f1_unit(-2, 3, 5) == pytest.approx(0.2, rel=1e-13)
-
-    @given(st.integers(0, 12), st.integers(1, 8), st.integers(1, 8))
-    @settings(max_examples=120, deadline=None)
-    def test_chu_vandermonde(self, p, beta, extra):
-        # 2F1(-p, b; c; 1) = (c - b)_p / (c)_p with c = b + extra + p
-        c = beta + extra + p
-        got = hyp2f1_unit(-p, beta, c)
-        want = Fraction(1)
-        for k in range(p):
-            want *= Fraction(c - beta + k, c + k)
-        assert got == pytest.approx(float(want), rel=1e-12)
-
-    def test_gamma_route_matches_terminating_route(self):
-        for p in (1, 2, 5):
-            for beta in (0.5, 2.25):
-                for c in (7.0, 11.5):
-                    series = hyp2f1_unit(-p, beta, c)
-                    # alpha = -p is not a pole of the Gamma ratio here,
-                    # so the two evaluation routes must agree
-                    lg = math.lgamma
-                    gamma_route = math.exp(
-                        lg(c) + lg(c + p - beta) - lg(c + p) - lg(c - beta)
-                    )
-                    assert series == pytest.approx(gamma_route, rel=1e-12)
-
-    def test_divergent_raises(self):
-        with pytest.raises(ValueError):
-            hyp2f1_unit(1.0, 2.0, 2.5)  # c - a - b < 0, non-terminating
 
 
 class TestWignerD:

@@ -15,12 +15,12 @@ from dyonstark.states import (
     ParabolicState,
     PhysicalParams,
     SphericalState,
+    _angular_norm,
     beta_eigenvalue,
     cartesian_to_parabolic,
     energy_level,
     enumerate_shell_parabolic,
     enumerate_shell_spherical,
-    normalization_diagnostics,
     parabolic_hamiltonian_residual,
     parabolic_overlap,
     parabolic_psi,
@@ -268,12 +268,13 @@ class TestSphericalPsi:
         val = spherical_psi(state, 1.0, math.pi, 0.0, P1)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
-    def test_angular_renormalization_recorded(self):
-        spherical_psi(SphericalState(half(1), half(0), half(0), half(0)), 1.0, 0.3, 0.0, P0)
-        entries = [d for d in normalization_diagnostics() if d["label"].startswith("spherical")]
-        assert entries
-        for d in entries:
-            assert d["renormalization_factor"] == pytest.approx(math.sqrt(2 * math.pi), rel=1e-10)
+    def test_angular_norm_matches_monopole_harmonic(self):
+        # Wu & Yang: the monopole harmonic constant is sqrt((2j+1)/(4 pi))
+        for j2 in range(13):
+            want = math.sqrt((j2 + 1) / (4.0 * math.pi))
+            for m2 in range(-j2, j2 + 1, 2):
+                for s2 in range(-j2, j2 + 1, 2):
+                    assert _angular_norm(j2, m2, s2) == pytest.approx(want, rel=1e-13)
 
 
 class TestParabolicPsi:
