@@ -243,6 +243,7 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
                 {
                     "id": r.check_id,
                     "passed": r.passed,
+                    "cases": r.cases,
                     "max_err": r.max_err,
                     "tol": r.tol,
                     "detail": r.detail,

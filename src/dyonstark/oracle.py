@@ -114,6 +114,25 @@ def matrix_element_V(
     return pref * (g2_xi * g0_eta - g0_xi * g2_eta)
 
 
+def _assemble(
+    n: HalfInteger,
+    s: HalfInteger,
+    m: HalfInteger,
+    basis: list[ParabolicState],
+    field: FieldConfig,
+    params: PhysicalParams,
+    quad_order: int | None,
+) -> SubspaceMatrix:
+    dim = len(basis)
+    entries = np.zeros((dim, dim))
+    for i in range(dim):
+        for jj in range(i, dim):
+            val = matrix_element_V(basis[i], basis[jj], field, params, quad_order)
+            entries[i, jj] = val
+            entries[jj, i] = val
+    return SubspaceMatrix(n=n, m=m, s=s, basis=tuple(basis), entries=entries)
+
+
 def build_subspace(
     n,
     s,
@@ -127,14 +146,21 @@ def build_subspace(
     basis = [st for st in enumerate_shell_parabolic(n, s) if st.m == m]
     if not basis:
         raise ValueError(f"shell n={n}, s={s} has no states with m={m}")
-    dim = len(basis)
-    entries = np.zeros((dim, dim))
-    for i in range(dim):
-        for jj in range(i, dim):
-            val = matrix_element_V(basis[i], basis[jj], field, params, quad_order)
-            entries[i, jj] = val
-            entries[jj, i] = val
-    return SubspaceMatrix(n=n, m=m, s=s, basis=tuple(basis), entries=entries)
+    return _assemble(n, s, m, basis, field, params, quad_order)
+
+
+def _all_subspaces(
+    n, s, field: FieldConfig, params: PhysicalParams, quad_order: int | None
+) -> list[SubspaceMatrix]:
+    """Every m sector of the shell, m ascending, from one enumeration."""
+    n, s = half(n), half(s)
+    by_m: dict[int, list[ParabolicState]] = {}
+    for st in enumerate_shell_parabolic(n, s):
+        by_m.setdefault(st.m.twice, []).append(st)
+    return [
+        _assemble(n, s, HalfInteger(m2), by_m[m2], field, params, quad_order)
+        for m2 in sorted(by_m)
+    ]
 
 
 def oracle_shifts(
@@ -150,13 +176,10 @@ def oracle_shifts(
     over sectors is the oracle's answer for the full shell splitting
     pattern.
     """
-    n, s = half(n), half(s)
-    sectors = sorted({st.m.twice for st in enumerate_shell_parabolic(n, s)})
-    out = []
-    for m2 in sectors:
-        sub = build_subspace(n, s, HalfInteger(m2), field, params, quad_order)
-        out.append((HalfInteger(m2), jacobi_eigenvalues(sub.entries)))
-    return out
+    return [
+        (sub.m, jacobi_eigenvalues(sub.entries))
+        for sub in _all_subspaces(n, s, field, params, quad_order)
+    ]
 
 
 def offdiagonal_report(
@@ -172,11 +195,8 @@ def offdiagonal_report(
     which is exactly why first-order shifts have a closed form; this
     reports how well the quadrature pipeline reproduces that zero.
     """
-    n, s = half(n), half(s)
     worst = 0.0
-    sectors = sorted({st.m.twice for st in enumerate_shell_parabolic(n, s)})
-    for m2 in sectors:
-        sub = build_subspace(n, s, HalfInteger(m2), field, params, quad_order)
+    for sub in _all_subspaces(n, s, field, params, quad_order):
         if sub.dimension < 2:
             continue
         off = sub.entries - np.diag(np.diag(sub.entries))

@@ -6,11 +6,18 @@ weights come from the first eigenvector components.  Two families are
 enough here: Laguerre (weight e^{-x} on [0, inf)) for the radial and
 parabolic integrals, Legendre (weight 1 on [-1, 1]) for polar-angle
 integrals.
+
+Each rule is built once per ``(kind, order)`` per process and then
+shared: every caller asking for the same rule gets the same object,
+whose arrays are read-only so no caller can change a rule another one
+holds.  Orders are capped at ``MAX_ORDER``, which bounds the cache at
+2 * MAX_ORDER rules of at most MAX_ORDER nodes each (under 2 MB).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +43,12 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
     lifted_weights: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        # one rule object is shared by every caller of its (kind, order)
+        for arr in (self.nodes, self.weights, self.lifted_weights):
+            if arr is not None:
+                arr.setflags(write=False)
+
     def integrate(self, f) -> float:
         """Sum w_i f(x_i); the weight function is implicit in the rule."""
         return float(np.sum(self.weights * np.asarray(f(self.nodes), dtype=float)))
@@ -47,26 +60,32 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
-def gauss_laguerre(order: int) -> QuadratureRule:
-    """Gauss-Laguerre rule: sum w_i f(x_i) ~ integral_0^inf e^{-x} f(x) dx."""
-    n = _check_order(order)
-    diag = 2.0 * np.arange(n) + 1.0
-    off = np.arange(1, n, dtype=float)
-    nodes, first = tridiagonal_eigen(diag, off)
-    weights = first**2  # zeroth moment of e^{-x} is 1
-    lifted = (first * np.exp(0.5 * nodes)) ** 2
-    return QuadratureRule("laguerre", n, nodes, weights, lifted)
-
-
-def gauss_legendre(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule: sum w_i f(x_i) ~ integral_{-1}^{1} f(x) dx."""
-    n = _check_order(order)
+@lru_cache(maxsize=None)
+def _rule(kind: str, n: int) -> QuadratureRule:
+    """Golub-Welsch build of a validated rule; cached, so it runs once per (kind, n)."""
+    if kind == "laguerre":
+        diag = 2.0 * np.arange(n) + 1.0
+        off = np.arange(1, n, dtype=float)
+        nodes, first = tridiagonal_eigen(diag, off)
+        weights = first**2  # zeroth moment of e^{-x} is 1
+        lifted = (first * np.exp(0.5 * nodes)) ** 2
+        return QuadratureRule(kind, n, nodes, weights, lifted)
     diag = np.zeros(n)
     k = np.arange(1, n, dtype=float)
     off = k / np.sqrt(4.0 * k * k - 1.0)
     nodes, first = tridiagonal_eigen(diag, off)
     weights = 2.0 * first**2  # zeroth moment of the unit weight is 2
-    return QuadratureRule("legendre", n, nodes, weights)
+    return QuadratureRule(kind, n, nodes, weights)
+
+
+def gauss_laguerre(order: int) -> QuadratureRule:
+    """Gauss-Laguerre rule: sum w_i f(x_i) ~ integral_0^inf e^{-x} f(x) dx."""
+    return _rule("laguerre", _check_order(order))
+
+
+def gauss_legendre(order: int) -> QuadratureRule:
+    """Gauss-Legendre rule: sum w_i f(x_i) ~ integral_{-1}^{1} f(x) dx."""
+    return _rule("legendre", _check_order(order))
 
 
 def integrate_halfline(f, rule: QuadratureRule, scale: float = 1.0) -> float:

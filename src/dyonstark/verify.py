@@ -32,14 +32,19 @@ class CheckResult:
     tol: float
     detail: str = ""
     notes: list[str] = dc_field(default_factory=list)
+    cases: int = 0
 
     def __post_init__(self):
-        # checks may compute passed as a numpy bool, which json cannot encode
-        self.passed = bool(self.passed)
+        # checks may compute passed as a numpy bool, which json cannot encode;
+        # a check that compared nothing has shown nothing, so it fails
+        self.passed = bool(self.passed) and self.cases > 0
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.check_id}: max_err={self.max_err:.3e} tol={self.tol:.1e} {self.detail}"
+        return (
+            f"[{status}] {self.check_id}: cases={self.cases} max_err={self.max_err:.3e} "
+            f"tol={self.tol:.1e} {self.detail}"
+        )
 
 
 def _shells(s_values, n_cap: float, max_n=None):
@@ -82,6 +87,7 @@ def check_hydrogen_regression(max_n=None) -> CheckResult:
         max(err_analytic, err_oracle),
         1e-6,
         f"analytic rel {err_analytic:.2e} (tol 1e-12), oracle rel {err_oracle:.2e} (tol 1e-6)",
+        cases=len(analytic) + len(numeric),
     )
 
 
@@ -90,6 +96,7 @@ def check_integral_closed_forms(max_n=None) -> CheckResult:
     params = PhysicalParams.atomic(0)
     tol = 1e-9
     worst = 0.0
+    count = 0
     n_values = [float(k) for k in range(1, 13)] + [1.5, 3.5, 5.5]
     if max_n is not None:
         n_values = [n for n in n_values if n <= float(max_n)] or [1.0]
@@ -103,12 +110,14 @@ def check_integral_closed_forms(max_n=None) -> CheckResult:
                 ii_quad = states.phi_pair_moment(p, p, q, 2, n, n, params, order)
                 ii_exact = stark.integral_II(p, q, n, params)
                 worst = max(worst, _rel(abs(ii_quad - ii_exact), abs(ii_exact)))
+                count += 2
     return CheckResult(
         "c02-integral-closed-forms",
         worst <= tol,
         worst,
         tol,
         "p <= 10, |q| <= 10, n <= 12, both moments",
+        cases=count,
     )
 
 
@@ -132,6 +141,7 @@ def check_shift_formula_identity(max_n=None) -> CheckResult:
         worst,
         tol,
         f"{count} states, n <= 8, |s| <= 3",
+        cases=count,
     )
 
 
@@ -141,6 +151,7 @@ def check_oracle_equivalence(max_n=None) -> CheckResult:
     off_tol = 1e-9
     worst = 0.0
     worst_off = 0.0
+    count = 0
     for n, s in _shells([0, 0.5, 1, 1.5], 4.0, max_n):
         params = PhysicalParams.atomic(s)
         field = FieldConfig(1.0)
@@ -159,8 +170,10 @@ def check_oracle_equivalence(max_n=None) -> CheckResult:
                 ]
             )
             worst = max(worst, _rel(float(np.max(np.abs(eigen - analytic))), scale))
+            count += len(eigen)
         off_scale = params.a * params.e_abs * field.epsilon
         worst_off = max(worst_off, oracle.offdiagonal_report(n, s, field, params) / off_scale)
+        count += 1
     passed = worst <= tol and worst_off <= off_tol
     return CheckResult(
         "c04-oracle-equivalence",
@@ -168,6 +181,7 @@ def check_oracle_equivalence(max_n=None) -> CheckResult:
         max(worst, worst_off),
         tol,
         f"eigen rel {worst:.2e} (tol 1e-6), offdiag {worst_off:.2e} a|e|eps (tol 1e-9)",
+        cases=count,
     )
 
 
@@ -198,6 +212,7 @@ def check_degeneracy_removal(max_n=None) -> CheckResult:
         0.0,
         f"{checked} (n1,n2) groups over n <= 6, exact integer comparison",
         notes,
+        cases=checked,
     )
 
 
@@ -245,6 +260,7 @@ def check_shell_splitting(max_n=None) -> CheckResult:
         0.0,
         f"{count} shells, exact twelfth-quantum integers",
         notes,
+        cases=count,
     )
 
 
@@ -253,6 +269,7 @@ def check_dipole_consistency(max_n=None) -> CheckResult:
     tol = 1e-12
     worst = 0.0
     exact_failures = 0
+    count = 0
     for n, s in _shells([0, 0.5, 1, 1.5, -0.5, -1], 4.0, max_n):
         params = PhysicalParams.atomic(s)
         f1 = FieldConfig(1.0)
@@ -265,13 +282,15 @@ def check_dipole_consistency(max_n=None) -> CheckResult:
                 exact_failures += 1
             d_op = stark.dipole_operator_expectation(st, params)
             worst = max(worst, _rel(abs(d_op - d_mean), max(abs(d_mean), scale_floor)))
+            count += 1
     passed = worst <= tol and exact_failures == 0
     return CheckResult(
         "c07-dipole-consistency",
         passed,
         worst,
         tol,
-        f"finite-difference slope exact on all states ({exact_failures} failures), operator rel {worst:.2e}",
+        f"{count} states: finite-difference slope exact ({exact_failures} failures), operator rel {worst:.2e}",
+        cases=count,
     )
 
 
@@ -299,6 +318,7 @@ def check_shell_cardinality(max_n=None) -> CheckResult:
         float(failures),
         0.0,
         f"{count} shells, |s| <= 3, n <= |s| + 8",
+        cases=count,
     )
 
 
@@ -352,6 +372,7 @@ def check_wavefunction_suites(max_n=None) -> CheckResult:
     # ground-state proportionality, angular and radial factors
     gs_tol = 1e-10
     gs_worst = 0.0
+    profiles = 0
     theta = np.linspace(0.15, math.pi - 0.15, 31)
     for s_raw in [0.5, 1, 1.5, 2, -0.5, -1, -2]:
         s = half(s_raw)
@@ -365,24 +386,28 @@ def check_wavefunction_suites(max_n=None) -> CheckResult:
             ref = _gs_angular_reference(s, m, theta)
             ratio = psi / ref
             gs_worst = max(gs_worst, float(np.max(np.abs(ratio / ratio[0] - 1.0))))
+            profiles += 1
             m = m + 1
         r = np.linspace(0.3, 8.0, 40)
         rad = states.radial_R(n0, j, r, params)
         ref_rad = r ** abs(s).value * np.exp(-r / (params.a * n0.value))
         ratio = rad / ref_rad
         gs_worst = max(gs_worst, float(np.max(np.abs(ratio / ratio[0] - 1.0))))
+        profiles += 1
     passed = worst <= tol and gs_worst <= gs_tol
     return CheckResult(
         "c09-wavefunction-suites",
         passed,
         max(worst, gs_worst),
         tol,
-        f"{pairs} overlaps abs {worst:.2e} (tol 1e-8); ground-state proportionality {gs_worst:.2e} (tol 1e-10)",
+        f"{pairs} overlaps abs {worst:.2e} (tol 1e-8); {profiles} ground-state profiles {gs_worst:.2e} (tol 1e-10)",
+        cases=pairs + profiles,
     )
 
 
 def check_numerical_kernels(max_n=None) -> CheckResult:
     """Gauss exactness, Jacobi identities, Wigner-d orthogonality."""
+    count = 0
     worst_quad = 0.0
     for order in range(1, 41):
         lag = quadrature.gauss_laguerre(order)
@@ -394,6 +419,7 @@ def check_numerical_kernels(max_n=None) -> CheckResult:
             got = float(np.sum(leg.weights * leg.nodes**k))
             exact = 0.0 if k % 2 else 2.0 / (k + 1.0)
             worst_quad = max(worst_quad, _rel(abs(got - exact), 2.0 / (k + 1.0)))
+            count += 2
 
     worst_jac = 0.0
     rng = np.random.default_rng(2024)
@@ -405,6 +431,7 @@ def check_numerical_kernels(max_n=None) -> CheckResult:
         fro2 = float(np.sum(a * a))
         worst_jac = max(worst_jac, _rel(abs(float(lam.sum()) - tr), abs(tr) + 1.0))
         worst_jac = max(worst_jac, _rel(abs(float((lam**2).sum()) - fro2), fro2))
+        count += 2
 
     worst_wig = 0.0
     rule = quadrature.gauss_legendre(40)
@@ -424,6 +451,7 @@ def check_numerical_kernels(max_n=None) -> CheckResult:
                         got = rule.integrate(prod)
                         want = 2.0 / (ja.value * 2 + 1) if ja == jb else 0.0
                         worst_wig = max(worst_wig, abs(got - want))
+                        count += 1
 
     passed = worst_quad <= 1e-10 and worst_jac <= 1e-12 and worst_wig <= 1e-10
     return CheckResult(
@@ -432,6 +460,7 @@ def check_numerical_kernels(max_n=None) -> CheckResult:
         max(worst_quad, worst_jac, worst_wig),
         1e-10,
         f"quad rel {worst_quad:.2e} (1e-10), jacobi rel {worst_jac:.2e} (1e-12), wigner abs {worst_wig:.2e} (1e-10)",
+        cases=count,
     )
 
 
@@ -444,6 +473,7 @@ def check_specfun_invariants(max_n=None) -> CheckResult:
     """1F1 contiguous relation and Wigner-d symmetries."""
     tol = 1e-10
     worst = 0.0
+    count = 0
     xs = np.linspace(0.0, 50.0, 11)
     for p in range(1, 21):
         for b in range(1, 11):
@@ -453,6 +483,7 @@ def check_specfun_invariants(max_n=None) -> CheckResult:
                 t3 = x * hyp1f1_poly(p - 1, b + 1, x)
                 scale = max(abs(t1), abs(t2), abs(t3), 1.0)
                 worst = max(worst, abs(t1 - t2 + t3) / scale)
+                count += 1
     thetas = np.linspace(0.0, math.pi, 7)
     for j2 in range(0, 8):
         for m2 in range(-j2, j2 + 1, 2):
@@ -465,48 +496,51 @@ def check_specfun_invariants(max_n=None) -> CheckResult:
                     worst = max(
                         worst, abs(wigner_d(j, m, s, th) - phase * wigner_d(j, s, m, th))
                     )
+                count += 1 + len(thetas)
     return CheckResult(
         "inv-specfun",
         worst <= tol,
         worst,
         tol,
         "1F1 contiguous relation p <= 20; d-function endpoint and index symmetry",
+        cases=count,
     )
 
 
 def check_quadrature_invariants(max_n=None) -> CheckResult:
     """Closed-form low orders, weight sums, convergence plateau."""
     tol = 1e-10
-    worst = 0.0
+    errors = []
     lag2 = quadrature.gauss_laguerre(2)
-    worst = max(worst, float(np.max(np.abs(lag2.nodes - np.array([2 - math.sqrt(2), 2 + math.sqrt(2)])))))
-    worst = max(
-        worst,
-        float(np.max(np.abs(lag2.weights - np.array([(2 + math.sqrt(2)) / 4, (2 - math.sqrt(2)) / 4])))),
+    errors.append(float(np.max(np.abs(lag2.nodes - np.array([2 - math.sqrt(2), 2 + math.sqrt(2)])))))
+    errors.append(
+        float(np.max(np.abs(lag2.weights - np.array([(2 + math.sqrt(2)) / 4, (2 - math.sqrt(2)) / 4]))))
     )
     lag3 = quadrature.gauss_laguerre(3)
     cubic_roots = np.sort(np.roots([-1.0 / 6.0, 3.0 / 2.0, -3.0, 1.0]))
-    worst = max(worst, float(np.max(np.abs(lag3.nodes - cubic_roots))))
+    errors.append(float(np.max(np.abs(lag3.nodes - cubic_roots))))
     leg2 = quadrature.gauss_legendre(2)
-    worst = max(worst, float(np.max(np.abs(leg2.nodes - np.array([-1, 1]) / math.sqrt(3)))))
+    errors.append(float(np.max(np.abs(leg2.nodes - np.array([-1, 1]) / math.sqrt(3)))))
     leg3 = quadrature.gauss_legendre(3)
-    worst = max(worst, float(np.max(np.abs(leg3.nodes - np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])))))
+    errors.append(float(np.max(np.abs(leg3.nodes - np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])))))
     for order in (1, 5, 20, 40, 80):
-        worst = max(worst, abs(quadrature.gauss_laguerre(order).weights.sum() - 1.0))
-        worst = max(worst, abs(quadrature.gauss_legendre(order).weights.sum() - 2.0) / 2.0)
+        errors.append(abs(quadrature.gauss_laguerre(order).weights.sum() - 1.0))
+        errors.append(abs(quadrature.gauss_legendre(order).weights.sum() - 2.0) / 2.0)
 
     def smooth(x):
         return np.exp(-x) / (1.0 + 0.3 * x)
 
     v1 = quadrature.integrate_halfline(smooth, quadrature.gauss_laguerre(40))
     v2 = quadrature.integrate_halfline(smooth, quadrature.gauss_laguerre(80))
-    worst = max(worst, abs(v2 - v1) / abs(v2))
+    errors.append(abs(v2 - v1) / abs(v2))
+    worst = max(errors)
     return CheckResult(
         "inv-quadrature",
         worst <= tol,
         worst,
         tol,
         "orders 1-3 closed forms, weight sums, doubling plateau",
+        cases=len(errors),
     )
 
 
@@ -514,7 +548,8 @@ def check_states_invariants(max_n=None) -> CheckResult:
     """Coordinate round trip, volume element, Schroedinger residual."""
     worst_rt = 0.0
     rng = np.random.default_rng(11)
-    for _ in range(1000):
+    roundtrips = 1000
+    for _ in range(roundtrips):
         x = rng.uniform(-3, 3, size=3)
         pt = states.cartesian_to_parabolic(*x)
         back = np.array(states.parabolic_to_cartesian(pt))
@@ -524,6 +559,7 @@ def check_states_invariants(max_n=None) -> CheckResult:
 
     res_tol = 1e-6
     worst_res = 0.0
+    residuals = 0
     samples = [
         (ParabolicState(1, 0, 0, 0), PhysicalParams.atomic(0)),
         (ParabolicState(0, 0, half("3/2"), half("1/2")), PhysicalParams.atomic(half("1/2"))),
@@ -535,13 +571,15 @@ def check_states_invariants(max_n=None) -> CheckResult:
         if max_n is not None and st.n.value > float(max_n):
             continue
         worst_res = max(worst_res, states.parabolic_hamiltonian_residual(st, params))
+        residuals += 1
     passed = worst_rt <= 1e-12 and vol_err == 0.0 and worst_res <= res_tol
     return CheckResult(
         "inv-states",
         passed,
         max(worst_rt, vol_err, worst_res),
         res_tol,
-        f"roundtrip {worst_rt:.2e} (1e-12), residual {worst_res:.2e} (1e-6)",
+        f"roundtrip {worst_rt:.2e} (1e-12), {residuals} residuals {worst_res:.2e} (1e-6)",
+        cases=roundtrips + 1 + residuals,
     )
 
 
@@ -569,6 +607,7 @@ def check_stark_invariants(max_n=None) -> CheckResult:
         float(failures),
         0.0,
         f"{count} states: exact linearity, mirror antisymmetry, hydrogen limit",
+        cases=count,
     )
 
 
@@ -576,6 +615,7 @@ def check_oracle_invariants(max_n=None) -> CheckResult:
     """Hermiticity, convergence under order doubling, trace identity."""
     tol = 1e-10
     worst = 0.0
+    count = 0
     field = FieldConfig(1.0)
     for n, s in _shells([0, 1, 0.5], 3.0, max_n):
         params = PhysicalParams.atomic(s)
@@ -588,15 +628,18 @@ def check_oracle_invariants(max_n=None) -> CheckResult:
                 worst = max(worst, abs(v1 - v2) / scale)
                 v3 = oracle.matrix_element_V(a, b, field, params, quad_order=64)
                 worst = max(worst, abs(v3 - v1) / max(abs(v3), scale))
+                count += 2
         diag_sum = sum(oracle.matrix_element_V(a, a, field, params) for a in shell)
         analytic_sum = sum(stark.shift_closed_form(a, field, params) for a in shell)
         worst = max(worst, abs(diag_sum - analytic_sum) / max(abs(analytic_sum), scale))
+        count += 1
     return CheckResult(
         "inv-oracle",
         worst <= tol,
         worst,
         tol,
         "hermiticity, order-doubling stability, first-order trace identity",
+        cases=count,
     )
 
 

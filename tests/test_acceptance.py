@@ -8,7 +8,7 @@ green run of this module are the same statement.
 
 import pytest
 
-from dyonstark.verify import CHECKS, run_check
+from dyonstark.verify import CHECKS, CheckResult, run_check
 
 CRITERIA = [
     "hydrogen-regression",
@@ -50,3 +50,10 @@ def test_invariant_suite(check_id):
 
 def test_registry_is_complete():
     assert set(CRITERIA) | set(INVARIANT_SUITES) == set(CHECKS)
+
+
+def test_check_without_cases_fails():
+    assert CheckResult("c99-stub", True, 0.0, 1e-12, cases=1).passed
+    empty = CheckResult("c99-stub", True, 0.0, 1e-12)
+    assert not empty.passed
+    assert "cases=0" in empty.line()

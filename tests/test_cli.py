@@ -209,6 +209,7 @@ class TestVerifyCommand:
         assert doc["failures"] == []
         assert doc["checks"][0]["id"] == "c08-shell-cardinality"
         assert doc["checks"][0]["passed"] is True
+        assert doc["checks"][0]["cases"] == 104
 
     def test_json_format_numpy_bool_check(self, runner):
         # specfun-invariants computes its verdict with numpy comparisons
@@ -224,12 +225,38 @@ class TestVerifyCommand:
         )
         assert result.exit_code == 0
 
+    def test_max_n_zero_checks_nothing_and_fails(self, runner):
+        result = runner.invoke(main, ["verify", "--max-n", "0"])
+        assert result.exit_code == 3
+        failures = json.loads(result.stdout.splitlines()[-1].removeprefix("failures: "))
+        assert "c03-shift-formula-identity" in failures
+        assert "c08-shell-cardinality" in failures
+        for check_id in failures:
+            assert f"[FAIL] {check_id}: cases=0 " in result.stdout
+
+    def test_max_n_one_degeneracy_check_needs_a_group(self, runner):
+        result = runner.invoke(
+            main, ["verify", "--max-n", "1", "--check", "degeneracy-removal", "--format", "json"]
+        )
+        assert result.exit_code == 3
+        doc = json.loads(result.stdout)
+        assert doc["checks"][0]["cases"] == 0
+        assert doc["failures"] == ["c05-degeneracy-removal"]
+
+    def test_max_n_two_passes_everything(self, runner):
+        result = runner.invoke(main, ["verify", "--max-n", "2", "--format", "json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert len(doc["checks"]) == 15
+        assert doc["failures"] == []
+        assert all(c["passed"] and c["cases"] > 0 for c in doc["checks"])
+
     def test_breach_exits_3_with_failure_list(self, runner, monkeypatch):
         import dyonstark.verify as verify_mod
         from dyonstark.verify import CheckResult
 
         def broken(max_n=None):
-            return CheckResult("c99-stub", False, 1.0, 1e-12, "stubbed breach")
+            return CheckResult("c99-stub", False, 1.0, 1e-12, "stubbed breach", cases=1)
 
         monkeypatch.setitem(verify_mod.CHECKS, "stub-breach", broken)
         result = runner.invoke(main, ["verify", "--check", "stub-breach"])

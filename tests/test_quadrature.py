@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_laguerre, roots_legendre
 
+from dyonstark import oracle, quadrature, states, verify
 from dyonstark.quadrature import (
     MAX_ORDER,
     gauss_laguerre,
     gauss_legendre,
     integrate_halfline,
 )
+from dyonstark.stark import FieldConfig
+from dyonstark.states import ParabolicState, PhysicalParams
 
 
 class TestLaguerreRule:
@@ -155,3 +158,86 @@ class TestHalflineDriver:
         assert np.all(np.isfinite(rule.lifted_weights))
         got = integrate_halfline(lambda x: x**2 * np.exp(-x), rule)
         assert got == pytest.approx(2.0, rel=1e-11)
+
+
+RULE_KINDS = [("laguerre", gauss_laguerre), ("legendre", gauss_legendre)]
+
+
+class TestRuleCache:
+    @pytest.mark.parametrize("kind, make", RULE_KINDS)
+    def test_one_shared_object_per_order(self, kind, make):
+        rule = make(40)
+        assert rule.kind == kind and rule.order == 40
+        assert make(40) is rule
+        assert make(np.int64(40)) is rule
+        assert make(41) is not rule
+
+    @pytest.mark.parametrize("kind, make", RULE_KINDS)
+    def test_equals_a_fresh_build(self, kind, make):
+        fresh = quadrature._rule.__wrapped__(kind, 48)
+        rule = make(48)
+        for name in ("nodes", "weights", "lifted_weights"):
+            got, want = getattr(rule, name), getattr(fresh, name)
+            if want is None:
+                assert got is None
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["nodes", "weights", "lifted_weights"])
+    def test_shared_arrays_are_read_only(self, name):
+        arr = getattr(gauss_laguerre(12), name)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+
+    def test_legendre_arrays_are_read_only(self):
+        rule = gauss_legendre(12)
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("make", [gauss_laguerre, gauss_legendre])
+    def test_bad_order_adds_no_entry(self, make):
+        before = quadrature._rule.cache_info().currsize
+        for bad in (0, MAX_ORDER + 1, 4.5):
+            with pytest.raises(ValueError):
+                make(bad)
+        assert quadrature._rule.cache_info().currsize == before
+
+    def test_cold_and_warm_cache_agree_bitwise(self):
+        params = PhysicalParams.atomic(0.5)
+        field = FieldConfig(1.0)
+        a = ParabolicState(1, 0, 0.5, 0.5)
+        b = ParabolicState(2, 0, 0.5, 0.5)  # next shell up, so the element is not zero
+
+        def values():
+            return [
+                oracle.matrix_element_V(a, b, field, params).hex(),
+                oracle.matrix_element_V(a, a, field, params, quad_order=64).hex(),
+                states.phi_pair_moment(2, 1, 3, 2, 3.0, 2.5, params, 40).hex(),
+            ]
+
+        quadrature._rule.cache_clear()
+        cold = values()
+        assert quadrature._rule.cache_info().currsize > 0
+        assert values() == cold
+
+
+class TestRuleBuildCount:
+    def test_each_rule_solved_once(self, monkeypatch):
+        solved = []
+        original = quadrature.tridiagonal_eigen
+
+        def counting(diag, offdiag):
+            # a Laguerre Jacobi matrix starts its diagonal at 1, a Legendre one at 0
+            solved.append(("laguerre" if diag[0] else "legendre", len(diag)))
+            return original(diag, offdiag)
+
+        monkeypatch.setattr(quadrature, "tridiagonal_eigen", counting)
+        quadrature._rule.cache_clear()
+        assert verify.check_integral_closed_forms(max_n=2).passed
+        oracle.oracle_shifts(2, 0, FieldConfig(1.0), PhysicalParams.atomic(0))
+        assert solved
+        assert len(solved) == len(set(solved))
+        assert len(solved) == quadrature._rule.cache_info().currsize
