@@ -175,6 +175,7 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
                 state = states.enumerate_shell_parabolic(n, s)[0]
             else:
                 m = _parse_half(m_str if m_str is not None else "0", "m")
+                states._check_shell(n, s)
                 state = ParabolicState(n1 or 0, n2 or 0, m, s)
                 if state.n != n:
                     raise ValueError(

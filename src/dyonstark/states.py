@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .quadrature import gauss_laguerre, gauss_legendre, integrate_halfline
 from .specfun import HalfInteger, half, hyp1f1_poly, ln_factorial, wigner_d
 
 __all__ = [
+    "N_MAX",
     "PhysicalParams",
     "SphericalState",
     "ParabolicState",
@@ -52,6 +53,12 @@ __all__ = [
     "parabolic_hamiltonian_residual",
     "default_quad_order",
 ]
+
+# Largest principal level any shell may have.  A size guard: a shell holds
+# n^2 - s^2 labels and every table lists them all.  It is not the domain
+# in which the special functions keep double-precision accuracy.
+N_MAX = 200
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -93,6 +100,8 @@ def _check_shell(n: HalfInteger, s: HalfInteger) -> None:
             f"n must satisfy n >= |s| + 1 with n - |s| - 1 a non-negative integer "
             f"(got n={n}, s={s})"
         )
+    if n.twice > 2 * N_MAX:
+        raise ValueError(f"n must satisfy n <= {N_MAX} (got n={n.value:g})")
 
 
 @dataclass(frozen=True)
@@ -155,17 +164,19 @@ class ParabolicState:
                 f"m - s and m + s must be integers (got m={self.m}, s={self.s})"
             )
 
-    @property
+    # Cached in the instance dict on first use; equality and hashing
+    # still see only the four fields.
+    @cached_property
     def q1(self) -> int:
         """m - s, the azimuthal index of the xi factor."""
         return (self.m - self.s).as_int()
 
-    @property
+    @cached_property
     def q2(self) -> int:
         """m + s, the azimuthal index of the eta factor."""
         return (self.m + self.s).as_int()
 
-    @property
+    @cached_property
     def n(self) -> HalfInteger:
         return HalfInteger(2 * (self.n1 + self.n2 + 1) + (abs(self.q1) + abs(self.q2)))
 
@@ -217,24 +228,25 @@ def enumerate_shell_spherical(n, s) -> list[SphericalState]:
 
 
 def enumerate_shell_parabolic(n, s) -> list[ParabolicState]:
-    """All (n1, n2, m) labels of shell n, by brute-force scan.
+    """All (n1, n2, m) labels of shell n, in ``sort_key`` order.
 
-    The scan covers n1, n2 <= n and |m| <= n and keeps labels whose
-    derived principal level equals n; the cardinality matches the
-    spherical enumeration exactly.
+    The shell is built directly from n = n1 + n2 + max(|m|, |s|) + 1:
+    for each n1 and n2 <= n - |s| - 1 - n1, k = n - 1 - n1 - n2 fixes
+    |m| = k when k > |s|, and allows every |m| <= |s| with m - s an
+    integer when k = |s|.  The cardinality is n^2 - s^2, as for the
+    spherical enumeration.
     """
     n, s = half(n), half(s)
     _check_shell(n, s)
-    n_max = (n - abs(s) - 1).as_int()
+    n_r = (n - abs(s) - 1).as_int()
+    s_abs2 = abs(s.twice)
+    low_m = range(-s_abs2, s_abs2 + 1, 2)
     states = []
-    for n1 in range(n_max + 1):
-        for n2 in range(n_max + 1):
-            # n.twice and s.twice share parity, so this scan is the m lattice
-            for m_twice in range(-n.twice, n.twice + 1, 2):
-                cand = ParabolicState(n1=n1, n2=n2, m=HalfInteger(m_twice), s=s)
-                if cand.n == n:
-                    states.append(cand)
-    states.sort(key=lambda st: st.sort_key)
+    for n1 in range(n_r + 1):
+        for n2 in range(n_r - n1 + 1):
+            k2 = n.twice - 2 * (1 + n1 + n2)
+            for m_twice in (-k2, k2) if k2 > s_abs2 else low_m:
+                states.append(ParabolicState(n1=n1, n2=n2, m=HalfInteger(m_twice), s=s))
     return states
 
 

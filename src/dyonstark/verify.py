@@ -11,6 +11,7 @@ acceptance module asserts them one by one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -99,7 +100,7 @@ def check_integral_closed_forms(max_n=None) -> CheckResult:
     count = 0
     n_values = [float(k) for k in range(1, 13)] + [1.5, 3.5, 5.5]
     if max_n is not None:
-        n_values = [n for n in n_values if n <= float(max_n)] or [1.0]
+        n_values = [n for n in n_values if n <= float(max_n)]
     for n in n_values:
         for p in range(0, 11):
             for q in list(range(0, 11)) + [-1, -4, -10]:
@@ -295,9 +296,17 @@ def check_dipole_consistency(max_n=None) -> CheckResult:
 
 
 def check_shell_cardinality(max_n=None) -> CheckResult:
-    """Both enumerations have exactly n^2 - s^2 states."""
+    """Both enumerations span the same shell, sector by sector.
+
+    Each shell must hold n^2 - s^2 labels in both bases; every parabolic
+    label must derive the shell's n, and the labels must be distinct
+    and in ``sort_key`` order; and each m sector must have as many
+    parabolic as spherical labels, which is the condition for a unitary
+    change of basis whichever way the two lists were built.
+    """
     failures = 0
-    count = 0
+    shells = 0
+    sectors = 0
     for s_twice in range(-6, 7):
         s = HalfInteger(s_twice)
         cap = abs(s).value + 8
@@ -306,19 +315,31 @@ def check_shell_cardinality(max_n=None) -> CheckResult:
         n = abs(s) + 1
         while n.value <= cap + 1e-9:
             expected = (n.twice**2 - s.twice**2) // 4
-            sph = len(states.enumerate_shell_spherical(n, s))
-            par = len(states.enumerate_shell_parabolic(n, s))
-            count += 1
-            if sph != expected or par != expected:
+            sph = states.enumerate_shell_spherical(n, s)
+            par = states.enumerate_shell_parabolic(n, s)
+            keys = [st.sort_key for st in par]
+            if (
+                len(sph) != expected
+                or len(par) != expected
+                or any(st.n != n for st in par)
+                or any(a >= b for a, b in zip(keys, keys[1:]))
+            ):
                 failures += 1
+            sph_m = Counter(st.m.twice for st in sph)
+            par_m = Counter(st.m.twice for st in par)
+            for m_twice in sph_m.keys() | par_m.keys():
+                sectors += 1
+                if sph_m[m_twice] != par_m[m_twice]:
+                    failures += 1
+            shells += 1
             n = n + 1
     return CheckResult(
         "c08-shell-cardinality",
         failures == 0,
         float(failures),
         0.0,
-        f"{count} shells, |s| <= 3, n <= |s| + 8",
-        cases=count,
+        f"{sectors} m sectors in {shells} shells, |s| <= 3, n <= |s| + 8",
+        cases=sectors,
     )
 
 

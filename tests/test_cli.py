@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its file formats."""
 
+import hashlib
 import json
 import math
 
@@ -78,6 +79,54 @@ class TestShiftsCommand:
     def test_quad_order_env_ignored_outside_verify(self, runner):
         result = runner.invoke(main, ["spectrum", "--n", "2"], env={"DYONSTARK_QUAD_ORDER": "500"})
         assert result.exit_code == 0
+
+
+class TestOutputPins:
+    """sha256 of large-shell tables: shell building and rendering must keep these bytes."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                "shifts --n 35 --s -1 --epsilon 0.5 --format csv",
+                "39139a0d5e8c876c241cb932d2418b5a0014a8fcdb4e7f2623c184f4db6eecc9",
+            ),
+            (
+                "shifts --n 73/2 --s 1/2 --epsilon 0.5 --format json",
+                "7b816b014dd87c3fb02ca05e3d8990dd812345d4f5d3e730fdcc0ad8b2453d49",
+            ),
+            (
+                "dipole --n 65/2 --s -3/2 --format json",
+                "11c2ddbfcf37e8a173fd138e9ca703875fbfca48af70ba481d9af17164a2604d",
+            ),
+        ],
+    )
+    def test_table_bytes(self, runner, args, digest):
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+class TestShellCap:
+    @pytest.mark.parametrize("n", ["201", "1e300"])
+    @pytest.mark.parametrize(
+        "command", [["spectrum"], ["shifts"], ["dipole"], ["splitting"], ["wavefunction", "--basis", "spherical"]]
+    )
+    def test_above_cap_exits_2(self, runner, command, n):
+        result = runner.invoke(main, [*command, "--n", n])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "n must satisfy n <= 200" in result.output
+
+    def test_parabolic_labels_above_cap_exit_2(self, runner):
+        result = runner.invoke(main, ["wavefunction", "--n", "201", "--n1", "200", "--n2", "0", "--m", "0"])
+        assert result.exit_code == 2
+        assert "n must satisfy n <= 200" in result.output
+
+    def test_cap_itself_allowed(self, runner):
+        result = runner.invoke(main, ["splitting", "--n", "200"])
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[1].startswith("200.0,0,1.0,")
 
 
 class TestJsonOutput:
@@ -209,7 +258,7 @@ class TestVerifyCommand:
         assert doc["failures"] == []
         assert doc["checks"][0]["id"] == "c08-shell-cardinality"
         assert doc["checks"][0]["passed"] is True
-        assert doc["checks"][0]["cases"] == 104
+        assert doc["checks"][0]["cases"] == 1168
 
     def test_json_format_numpy_bool_check(self, runner):
         # specfun-invariants computes its verdict with numpy comparisons
@@ -229,6 +278,7 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--max-n", "0"])
         assert result.exit_code == 3
         failures = json.loads(result.stdout.splitlines()[-1].removeprefix("failures: "))
+        assert "c02-integral-closed-forms" in failures
         assert "c03-shift-formula-identity" in failures
         assert "c08-shell-cardinality" in failures
         for check_id in failures:

@@ -1,6 +1,7 @@
 """Tests for quantum-number bookkeeping, wavefunctions and coordinates."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
+from dyonstark import states
 from dyonstark.quadrature import gauss_laguerre, gauss_legendre, integrate_halfline
 from dyonstark.specfun import HalfInteger, half
 from dyonstark.states import (
+    N_MAX,
     ParabolicPoint,
     ParabolicState,
     PhysicalParams,
@@ -79,6 +82,22 @@ class TestEnergy:
             energy_level(2, PHALF)  # n - |s| - 1 not an integer
 
 
+def _scan_shell_parabolic(n, s):
+    """Reference shell: every (n1, n2, m) with n1, n2 <= n - |s| - 1 and
+    |m| <= n whose principal level n1 + n2 + (|m-s| + |m+s|)/2 + 1 is n,
+    sorted by (n1, n2, m).  An O(n^3) scan over candidate labels."""
+    n_r = (n - abs(s) - 1).as_int()
+    labels = []
+    for n1 in range(n_r + 1):
+        for n2 in range(n_r + 1):
+            for m_twice in range(-n.twice, n.twice + 1, 2):
+                q_sum2 = abs(m_twice - s.twice) + abs(m_twice + s.twice)
+                if 2 * (n1 + n2 + 1) + q_sum2 // 2 == n.twice:
+                    labels.append((n1, n2, m_twice))
+    labels.sort()
+    return [ParabolicState(n1, n2, HalfInteger(m_twice), s) for n1, n2, m_twice in labels]
+
+
 class TestEnumeration:
     def test_hydrogen_ground(self):
         assert len(enumerate_shell_spherical(1, 0)) == 1
@@ -112,6 +131,49 @@ class TestEnumeration:
         expected = (n.twice**2 - s.twice**2) // 4
         assert len(enumerate_shell_spherical(n, s)) == expected
         assert len(enumerate_shell_parabolic(n, s)) == expected
+
+    @pytest.mark.parametrize("s_twice", range(-12, 13))
+    def test_direct_build_matches_scan(self, s_twice):
+        s = HalfInteger(s_twice)
+        for k in range(15):
+            n = abs(s) + 1 + k
+            assert enumerate_shell_parabolic(n, s) == _scan_shell_parabolic(n, s)
+
+    def test_builds_only_shell_labels(self, monkeypatch):
+        built = []
+
+        class Counting(ParabolicState):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(states, "ParabolicState", Counting)
+        shell = enumerate_shell_parabolic(60, 0)
+        assert len(shell) == 3600
+        assert len(built) == 3600
+
+    def test_derived_labels_cached_without_changing_identity(self):
+        st_a = ParabolicState(2, 1, half("1/2"), half("-3/2"))
+        st_b = ParabolicState(2, 1, half("1/2"), half("-3/2"))
+        hash_before = hash(st_a)
+        assert (st_a.n, st_a.q1, st_a.q2) == (half("11/2"), 2, -1)
+        assert st_a.n is st_a.n
+        assert st_a == st_b
+        assert hash(st_a) == hash_before == hash(st_b)
+        with pytest.raises(FrozenInstanceError):
+            st_a.n = half(7)
+        with pytest.raises(FrozenInstanceError):
+            st_a.q1 = 0
+
+    def test_shell_size_capped(self):
+        assert energy_level(N_MAX, P0) == pytest.approx(-0.5 / N_MAX**2)
+        for n in (N_MAX + 1, 1e300):
+            with pytest.raises(ValueError, match=f"n must satisfy n <= {N_MAX}"):
+                enumerate_shell_parabolic(n, 0)
+            with pytest.raises(ValueError, match=f"n must satisfy n <= {N_MAX}"):
+                enumerate_shell_spherical(n, 0)
+            with pytest.raises(ValueError, match=f"n must satisfy n <= {N_MAX}"):
+                SphericalState(n=half(n), j=half(0), m=half(0), s=half(0))
 
     def test_label_invariants_enforced(self):
         with pytest.raises(ValueError, match="j must satisfy"):
