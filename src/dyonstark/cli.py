@@ -18,7 +18,7 @@ import sys
 import click
 import numpy as np
 
-from . import oracle, stark, states, tables, verify
+from . import stark, states, tables, verify
 from .specfun import half
 from .stark import FieldConfig
 from .states import ParabolicPoint, ParabolicState, PhysicalParams, SphericalState
@@ -48,10 +48,15 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _render(rows, columns, fmt, params, field=None, ratio=None, output=None):
-    if fmt == "csv":
-        _emit(tables.render_csv(rows, columns), output)
-    else:
-        _emit(tables.render_json(rows, params, field=field, ratio=ratio), output)
+    try:
+        if fmt == "csv":
+            text = tables.render_csv(rows, columns)
+        else:
+            text = tables.render_json(rows, params, field=field, ratio=ratio)
+    except ValueError as exc:
+        # the renderers refuse NaN and Inf, which finite inputs reach by overflow
+        _fail_validation(ValueError(f"results must be finite, but these inputs overflow them ({exc})"))
+    _emit(text, output)
 
 
 def _common_options(fn):
@@ -165,8 +170,10 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
     """
     s = _parse_half(s_str, "s")
     n = _parse_half(n_str, "n")
-    if extent <= 0:
-        _fail_validation(ValueError("--extent must be positive"))
+    if not (math.isfinite(extent) and extent > 0):
+        _fail_validation(ValueError("--extent must be a positive finite number"))
+    if not math.isfinite(phi):
+        _fail_validation(ValueError("--phi must be a finite number"))
     try:
         params = PhysicalParams.atomic(s, gamma_c=gamma)
         rows = []
@@ -228,10 +235,6 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
     max_n = None
     if max_n_str is not None:
         max_n = float(_parse_half(max_n_str, "max-n").value)
-    try:
-        oracle.resolve_quad_order()
-    except ValueError as exc:
-        _fail_validation(exc)
     names = list(only) if only else verify.check_ids()
     unknown = [nm for nm in names if nm not in verify.CHECKS]
     if unknown:

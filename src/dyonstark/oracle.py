@@ -8,20 +8,23 @@ matrix per (shell, m) sector, and diagonalized with the in-house
 Jacobi solver.  First-order degenerate perturbation theory says the
 sorted eigenvalues must reproduce the closed-form shifts.
 
-The quadrature scale is the shell's own a*n, which turns every
-integrand into a polynomial times the rule's weight: the numbers are
-exact up to rounding, not merely converged.
+Each moment is taken at the scale 2 a n_a n_b / (n_a + n_b), which
+turns its integrand into e^{-t} times a polynomial of degree
+d = n1_a + n1_b + |m -+ s| + 2 (or the same with n2).  An N-node Gauss
+rule is exact up to degree 2N - 1, so ``phi_pair_moment`` picks
+N = d // 2 + 1 from the labels alone, and the numbers are exact up to
+rounding, not merely converged.  The order passes the rule cap of 200,
+and the element raises ValueError, only when both states lie in the
+n = 200 shell, e.g. for (n1, n2, m) = (199, 0, 0) at s = 0.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigen import jacobi_eigenvalues
-from .quadrature import MAX_ORDER
 from .specfun import HalfInteger, half
 from .stark import FieldConfig
 from .states import (
@@ -34,32 +37,12 @@ from .states import (
 
 __all__ = [
     "SubspaceMatrix",
-    "resolve_quad_order",
     "matrix_element_V",
     "build_subspace",
     "jacobi_eigenvalues",
     "oracle_shifts",
     "offdiagonal_report",
 ]
-
-DEFAULT_QUAD_ORDER = 48
-QUAD_ORDER_ENV = "DYONSTARK_QUAD_ORDER"
-
-
-def resolve_quad_order(quad_order: int | None = None) -> int:
-    """Explicit argument, else the DYONSTARK_QUAD_ORDER env var, else 48."""
-    if quad_order is not None:
-        return int(quad_order)
-    env = os.environ.get(QUAD_ORDER_ENV)
-    if not env:
-        return DEFAULT_QUAD_ORDER
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if not 1 <= value <= MAX_ORDER:
-        raise ValueError(f"{QUAD_ORDER_ENV} must be an integer in [1, {MAX_ORDER}], got {env!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -77,11 +60,6 @@ class SubspaceMatrix:
         return len(self.basis)
 
 
-def _auto_order(a: ParabolicState, b: ParabolicState, quad_order: int | None) -> int:
-    floor = a.n1 + a.n2 + b.n1 + b.n2 + abs(a.s.twice) + 10
-    return max(resolve_quad_order(quad_order), floor)
-
-
 def matrix_element_V(
     a: ParabolicState,
     b: ParabolicState,
@@ -93,7 +71,9 @@ def matrix_element_V(
 
     States with different m are orthogonal through the phi integral and
     short-circuit to exactly zero.  Different s is a caller error: the
-    two states then live in different Hamiltonians.
+    two states then live in different Hamiltonians.  Without
+    ``quad_order`` each moment is taken at the order that makes it exact;
+    an explicit order is used as given for all four moments.
     """
     if a.s != b.s:
         raise ValueError(f"states carry different monopole numbers: {a.s} vs {b.s}")
@@ -103,13 +83,12 @@ def matrix_element_V(
         return 0.0
     if field.epsilon == 0.0:
         return 0.0
-    order = _auto_order(a, b, quad_order)
     n_a, n_b = a.n.value, b.n.value
     q1, q2 = a.q1, a.q2
-    g0_xi = phi_pair_moment(a.n1, b.n1, q1, 0, n_a, n_b, params, order)
-    g2_xi = phi_pair_moment(a.n1, b.n1, q1, 2, n_a, n_b, params, order)
-    g0_eta = phi_pair_moment(a.n2, b.n2, q2, 0, n_a, n_b, params, order)
-    g2_eta = phi_pair_moment(a.n2, b.n2, q2, 2, n_a, n_b, params, order)
+    g0_xi = phi_pair_moment(a.n1, b.n1, q1, 0, n_a, n_b, params, quad_order)
+    g2_xi = phi_pair_moment(a.n1, b.n1, q1, 2, n_a, n_b, params, quad_order)
+    g0_eta = phi_pair_moment(a.n2, b.n2, q2, 0, n_a, n_b, params, quad_order)
+    g2_eta = phi_pair_moment(a.n2, b.n2, q2, 2, n_a, n_b, params, quad_order)
     pref = 2.0 / (n_a**2 * n_b**2 * params.a**3) * params.e_abs * field.epsilon / 8.0
     return pref * (g2_xi * g0_eta - g0_xi * g2_eta)
 
@@ -121,13 +100,12 @@ def _assemble(
     basis: list[ParabolicState],
     field: FieldConfig,
     params: PhysicalParams,
-    quad_order: int | None,
 ) -> SubspaceMatrix:
     dim = len(basis)
     entries = np.zeros((dim, dim))
     for i in range(dim):
         for jj in range(i, dim):
-            val = matrix_element_V(basis[i], basis[jj], field, params, quad_order)
+            val = matrix_element_V(basis[i], basis[jj], field, params)
             entries[i, jj] = val
             entries[jj, i] = val
     return SubspaceMatrix(n=n, m=m, s=s, basis=tuple(basis), entries=entries)
@@ -139,26 +117,23 @@ def build_subspace(
     m,
     field: FieldConfig,
     params: PhysicalParams,
-    quad_order: int | None = None,
 ) -> SubspaceMatrix:
     """Assemble the symmetric V matrix over all shell states with this m."""
     n, s, m = half(n), half(s), half(m)
     basis = [st for st in enumerate_shell_parabolic(n, s) if st.m == m]
     if not basis:
         raise ValueError(f"shell n={n}, s={s} has no states with m={m}")
-    return _assemble(n, s, m, basis, field, params, quad_order)
+    return _assemble(n, s, m, basis, field, params)
 
 
-def _all_subspaces(
-    n, s, field: FieldConfig, params: PhysicalParams, quad_order: int | None
-) -> list[SubspaceMatrix]:
+def _all_subspaces(n, s, field: FieldConfig, params: PhysicalParams) -> list[SubspaceMatrix]:
     """Every m sector of the shell, m ascending, from one enumeration."""
     n, s = half(n), half(s)
     by_m: dict[int, list[ParabolicState]] = {}
     for st in enumerate_shell_parabolic(n, s):
         by_m.setdefault(st.m.twice, []).append(st)
     return [
-        _assemble(n, s, HalfInteger(m2), by_m[m2], field, params, quad_order)
+        _assemble(n, s, HalfInteger(m2), by_m[m2], field, params)
         for m2 in sorted(by_m)
     ]
 
@@ -168,7 +143,6 @@ def oracle_shifts(
     s,
     field: FieldConfig,
     params: PhysicalParams,
-    quad_order: int | None = None,
 ) -> list[tuple[HalfInteger, np.ndarray]]:
     """Per-m-sector eigenvalues of the numerically assembled perturbation.
 
@@ -178,7 +152,7 @@ def oracle_shifts(
     """
     return [
         (sub.m, jacobi_eigenvalues(sub.entries))
-        for sub in _all_subspaces(n, s, field, params, quad_order)
+        for sub in _all_subspaces(n, s, field, params)
     ]
 
 
@@ -187,7 +161,6 @@ def offdiagonal_report(
     s,
     field: FieldConfig,
     params: PhysicalParams,
-    quad_order: int | None = None,
 ) -> float:
     """Largest |off-diagonal| of V over all m sectors of the shell.
 
@@ -196,7 +169,7 @@ def offdiagonal_report(
     reports how well the quadrature pipeline reproduces that zero.
     """
     worst = 0.0
-    for sub in _all_subspaces(n, s, field, params, quad_order):
+    for sub in _all_subspaces(n, s, field, params):
         if sub.dimension < 2:
             continue
         off = sub.entries - np.diag(np.diag(sub.entries))

@@ -51,7 +51,6 @@ __all__ = [
     "spherical_overlap",
     "parabolic_overlap",
     "parabolic_hamiltonian_residual",
-    "default_quad_order",
 ]
 
 # Largest principal level any shell may have.  A size guard: a shell holds
@@ -197,11 +196,6 @@ class ParabolicPoint:
         if self.xi < 0 or self.eta < 0:
             raise ValueError(f"xi and eta must be >= 0, got ({self.xi}, {self.eta})")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
-
-
-def default_quad_order(n, s) -> int:
-    """Order at which polynomial-times-exponential integrands are exact."""
-    return int(math.ceil(2.0 * float(n))) + abs(half(s).twice) + 20
 
 
 def energy_level(n, params: PhysicalParams) -> float:
@@ -418,6 +412,16 @@ def volume_element(xi, eta):
     return (np.asarray(xi, dtype=float) + np.asarray(eta, dtype=float)) / 4.0
 
 
+def _exact_order(degree: int) -> int:
+    """Fewest Gauss nodes that integrate a polynomial of this degree exactly.
+
+    An N-node Gauss rule is exact up to degree 2N - 1 (Golub & Welsch
+    1969).  A degree above 399 needs more nodes than the largest rule
+    holds, and the rule build raises ValueError.
+    """
+    return degree // 2 + 1
+
+
 def phi_pair_moment(
     p_a: int,
     p_b: int,
@@ -426,15 +430,18 @@ def phi_pair_moment(
     n_a,
     n_b,
     params: PhysicalParams,
-    order: int,
+    order: int | None = None,
 ) -> float:
     """Gauss-Laguerre value of integral x^power Phi_{p_a q}(x) Phi_{p_b q}(x) dx.
 
     The two factors may belong to different principal levels; the
-    substitution scale matches the combined exponential decay so the
-    remaining integrand is polynomial and the rule is exact up to
-    rounding.
+    substitution scale matches the combined exponential decay, so the
+    remaining integrand is e^{-t} times a polynomial of degree
+    p_a + p_b + |q| + power.  The default order is the least that
+    integrates that degree exactly; an explicit order is used as given.
     """
+    if order is None:
+        order = _exact_order(p_a + p_b + abs(q) + power)
     n_a, n_b = float(n_a), float(n_b)
     scale = 2.0 * params.a * n_a * n_b / (n_a + n_b)
     rule = gauss_laguerre(order)
@@ -449,17 +456,18 @@ def spherical_overlap(
     a_state: SphericalState,
     b_state: SphericalState,
     params: PhysicalParams,
-    order: int | None = None,
 ) -> float:
-    """<psi_a | psi_b> by product Gauss quadrature (real by construction)."""
+    """<psi_a | psi_b> by product Gauss quadrature (real by construction).
+
+    The radial integrand is e^{-t} times a polynomial of degree
+    n_a + n_b, and d_a d_b is a polynomial in cos(theta) of degree
+    j_a + j_b <= n_a + n_b - 2, so one order integrates both exactly.
+    """
     _check_state_params(a_state, params)
     _check_state_params(b_state, params)
     if a_state.m != b_state.m:
         return 0.0
-    if order is None:
-        order = default_quad_order(
-            a_state.n.value + b_state.n.value, params.s
-        )
+    order = _exact_order((a_state.n + b_state.n).as_int())
     n_a = _angular_norm(a_state.j.twice, a_state.m.twice, a_state.s.twice)
     n_b = _angular_norm(b_state.j.twice, b_state.m.twice, b_state.s.twice)
     leg = gauss_legendre(order)
@@ -490,21 +498,18 @@ def parabolic_overlap(
     a_state: ParabolicState,
     b_state: ParabolicState,
     params: PhysicalParams,
-    order: int | None = None,
 ) -> float:
     """<psi_a | psi_b> under dV = (xi + eta)/4 dxi deta dphi."""
     _check_state_params(a_state, params)
     _check_state_params(b_state, params)
     if a_state.m != b_state.m:
         return 0.0
-    if order is None:
-        order = default_quad_order(a_state.n.value + b_state.n.value, params.s)
     q1, q2 = a_state.q1, a_state.q2
     n_a, n_b = a_state.n.value, b_state.n.value
-    g0_xi = phi_pair_moment(a_state.n1, b_state.n1, q1, 0, n_a, n_b, params, order)
-    g1_xi = phi_pair_moment(a_state.n1, b_state.n1, q1, 1, n_a, n_b, params, order)
-    g0_eta = phi_pair_moment(a_state.n2, b_state.n2, q2, 0, n_a, n_b, params, order)
-    g1_eta = phi_pair_moment(a_state.n2, b_state.n2, q2, 1, n_a, n_b, params, order)
+    g0_xi = phi_pair_moment(a_state.n1, b_state.n1, q1, 0, n_a, n_b, params)
+    g1_xi = phi_pair_moment(a_state.n1, b_state.n1, q1, 1, n_a, n_b, params)
+    g0_eta = phi_pair_moment(a_state.n2, b_state.n2, q2, 0, n_a, n_b, params)
+    g1_eta = phi_pair_moment(a_state.n2, b_state.n2, q2, 1, n_a, n_b, params)
     pref = 2.0 / (n_a**2 * n_b**2 * params.a**3)
     return pref * 0.25 * (g1_xi * g0_eta + g0_xi * g1_eta)
 

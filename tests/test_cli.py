@@ -82,7 +82,7 @@ class TestShiftsCommand:
 
 
 class TestOutputPins:
-    """sha256 of large-shell tables: shell building and rendering must keep these bytes."""
+    """sha256 of tables and grids: shell building and rendering must keep these bytes."""
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -98,6 +98,14 @@ class TestOutputPins:
             (
                 "dipole --n 65/2 --s -3/2 --format json",
                 "11c2ddbfcf37e8a173fd138e9ca703875fbfca48af70ba481d9af17164a2604d",
+            ),
+            (
+                "wavefunction --n 3 --n1 1 --n2 0 --m 1 --points 7 --phi 0.5 --format json",
+                "338b618a3ea68a9e509e6551dea2cd012315c5a11841935de46358628d69c41a",
+            ),
+            (
+                "wavefunction --basis spherical --n 5/2 --s 1/2 --j 3/2 --m -1/2 --points 7 --extent 9",
+                "0a40d3159029c0cca04f53e24915f7e629b708d9c26cc746d6605fa982478198",
             ),
         ],
     )
@@ -127,6 +135,27 @@ class TestShellCap:
         result = runner.invoke(main, ["splitting", "--n", "200"])
         assert result.exit_code == 0
         assert result.stdout.splitlines()[1].startswith("200.0,0,1.0,")
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ("wavefunction --n 2 --extent nan", "--extent must be a positive finite number"),
+            ("wavefunction --n 2 --extent inf", "--extent must be a positive finite number"),
+            ("wavefunction --n 2 --phi nan", "--phi must be a finite number"),
+            ("wavefunction --n 2 --phi inf", "--phi must be a finite number"),
+            ("shifts --n 2 --epsilon 1e308 --format json", "results must be finite"),
+            ("dipole --n 2 --gamma 1e-320", "results must be finite"),
+        ],
+    )
+    def test_exits_2_without_traceback(self, runner, args, message):
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.stderr
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
 
 
 class TestJsonOutput:
@@ -317,23 +346,13 @@ class TestVerifyCommand:
         assert result.exit_code == 3
         assert json.loads(result.stdout)["failures"] == ["c99-stub"]
 
-    def test_env_var_quad_order(self, runner, monkeypatch):
-        # the env override must reach the oracle defaults
-        monkeypatch.setenv("DYONSTARK_QUAD_ORDER", "36")
-        from dyonstark.oracle import resolve_quad_order
-
-        assert resolve_quad_order() == 36
-        result = runner.invoke(
-            main,
-            ["verify", "--check", "hydrogen-regression"],
-            env={"DYONSTARK_QUAD_ORDER": "36"},
-        )
+    @pytest.mark.parametrize("value", ["abc", "500"])
+    def test_quad_order_env_ignored(self, runner, monkeypatch, value):
+        # orders follow from the labels; no environment setting reaches them
+        monkeypatch.delenv("DYONSTARK_QUAD_ORDER", raising=False)
+        args = ["verify", "--max-n", "2", "--format", "json"]
+        unset = runner.invoke(main, args)
+        assert unset.exit_code == 0
+        result = runner.invoke(main, args, env={"DYONSTARK_QUAD_ORDER": value})
         assert result.exit_code == 0
-
-    @pytest.mark.parametrize("value", ["500", "abc"])
-    def test_env_var_quad_order_rejected(self, runner, value):
-        result = runner.invoke(
-            main, ["verify", "--check", "hydrogen-regression"], env={"DYONSTARK_QUAD_ORDER": value}
-        )
-        assert result.exit_code == 2
-        assert "DYONSTARK_QUAD_ORDER" in result.output
+        assert result.stdout_bytes == unset.stdout_bytes

@@ -8,7 +8,6 @@ from dyonstark.oracle import (
     matrix_element_V,
     offdiagonal_report,
     oracle_shifts,
-    resolve_quad_order,
 )
 from dyonstark.specfun import half
 from dyonstark.stark import FieldConfig, shift_closed_form, shift_quantum
@@ -145,23 +144,24 @@ class TestOracleShifts:
 
 class TestQuadOrderResolution:
     def test_explicit_wins(self):
-        assert resolve_quad_order(17) == 17
+        # an explicit order is used as given: two nodes cannot integrate the
+        # degree-6 xi moment of (2, 1, 0), and no floor lifts the order
+        a = ParabolicState(2, 1, 0, 0)
+        want = shift_closed_form(a, F1, P0)
+        assert matrix_element_V(a, a, F1, P0) == pytest.approx(want, rel=1e-12)
+        assert abs(matrix_element_V(a, a, F1, P0, quad_order=2) - want) > 1e-3 * abs(want)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("DYONSTARK_QUAD_ORDER", "31")
-        assert resolve_quad_order() == 31
-        monkeypatch.setenv("DYONSTARK_QUAD_ORDER", "200")
-        assert resolve_quad_order() == 200
-        monkeypatch.delenv("DYONSTARK_QUAD_ORDER")
-        assert resolve_quad_order() == 48
+    @pytest.mark.parametrize("n1, n2, m, s", [(0, 0, 149, 1), (0, 0, 199, 1), (96, 0, 0, 0)])
+    def test_large_shell_diagonals_match_closed_form(self, n1, n2, m, s):
+        params = PhysicalParams.atomic(s)
+        a = ParabolicState(n1, n2, m, s)
+        want = shift_closed_form(a, F1, params)
+        got = matrix_element_V(a, a, F1, params)
+        assert abs(got - want) <= 1e-10 * max(abs(want), shift_quantum(F1, params))
 
-    def test_env_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("DYONSTARK_QUAD_ORDER", "0")
-        with pytest.raises(ValueError):
-            resolve_quad_order()
-
-    @pytest.mark.parametrize("value", ["201", "500", "abc", "4.5"])
-    def test_env_rejects_above_max_or_non_integer(self, monkeypatch, value):
-        monkeypatch.setenv("DYONSTARK_QUAD_ORDER", value)
-        with pytest.raises(ValueError, match="DYONSTARK_QUAD_ORDER"):
-            resolve_quad_order()
+    def test_order_past_the_rule_cap_raises(self):
+        # (199, 0, 0) at n = 200: the xi moment x^2 Phi^2 has degree 400, so
+        # exactness needs 201 nodes, one more than the largest rule
+        a = ParabolicState(199, 0, 0, 0)
+        with pytest.raises(ValueError, match="got 201"):
+            matrix_element_V(a, a, F1, P0)

@@ -12,6 +12,7 @@ from scipy.special import sph_harm_y
 from dyonstark import states
 from dyonstark.quadrature import gauss_laguerre, gauss_legendre, integrate_halfline
 from dyonstark.specfun import HalfInteger, half
+from dyonstark.stark import integral_I, integral_II
 from dyonstark.states import (
     N_MAX,
     ParabolicPoint,
@@ -267,6 +268,16 @@ class TestPhiFactor:
     def test_orthogonality_in_p(self):
         got = phi_pair_moment(0, 2, 1, 0, 3.0, 3.0, P0, order=40)
         assert got == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("power", [0, 2])
+    @pytest.mark.parametrize("q", [0, -7, 60, 149])
+    @pytest.mark.parametrize("p", [0, 3, 10])
+    def test_default_order_reproduces_closed_forms(self, p, q, power):
+        # the order derived from the degree alone must already be exact
+        n = float(p + abs(q) + 1)
+        closed = integral_I if power == 0 else integral_II
+        got = phi_pair_moment(p, p, q, power, n, n, P0)
+        assert got == pytest.approx(closed(p, q, n, P0), rel=1e-12)
 
 
 def _textbook_hydrogen_radial(n, l, r):
