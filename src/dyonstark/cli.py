@@ -235,7 +235,7 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
     max_n = None
     if max_n_str is not None:
         max_n = float(_parse_half(max_n_str, "max-n").value)
-    names = list(only) if only else verify.check_ids()
+    names = list(dict.fromkeys(only or verify.check_ids()))  # each check once, first-seen order
     unknown = [nm for nm in names if nm not in verify.CHECKS]
     if unknown:
         _fail_validation(ValueError(f"unknown check ids: {', '.join(unknown)}"))

@@ -79,6 +79,19 @@ class PhysicalParams:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        # energies go as gamma^2 and wavefunction norms as a^-3/2, so these
+        # scales must be representable for any result to be
+        try:
+            a3 = self.a**3
+            in_range = all(0.0 < x < math.inf for x in (self.a, a3, 1.0 / a3, self.gamma_c**2))
+        except (OverflowError, ZeroDivisionError):
+            in_range = False
+        if not in_range:
+            raise ValueError(
+                "results must be finite, so a = hbar^2 / (mu gamma_c), a^3, a^-3 and gamma_c^2 "
+                "must be finite and nonzero "
+                f"(got hbar={self.hbar!r}, mu={self.mu!r}, gamma_c={self.gamma_c!r})"
+            )
         object.__setattr__(self, "s", half(self.s))
 
     @property

@@ -6,8 +6,11 @@ the CLI ``verify`` command, so an exit-0 ``dyonstark verify`` and a
 green run of this module are the same statement.
 """
 
+import math
+
 import pytest
 
+from dyonstark import verify
 from dyonstark.verify import CHECKS, CheckResult, run_check
 
 CRITERIA = [
@@ -32,6 +35,27 @@ INVARIANT_SUITES = [
 ]
 
 
+# cases of every check at full ranges and at --max-n 2; a change to what a
+# check compares shows up here
+CASES = {
+    "hydrogen-regression": (8, 8),
+    "integral-closed-forms": (4620, 924),
+    "shift-formula-identity": (1639, 12),
+    "oracle-equivalence": (102, 14),
+    "degeneracy-removal": (220, 4),
+    "shell-splitting": (34, 6),
+    "dipole-consistency": (136, 15),
+    "shell-cardinality": (1168, 14),
+    "wavefunction-suites": (571, 57),
+    "numerical-kernels": (4339, 4339),
+    "specfun-invariants": (3832, 3832),
+    "quadrature-invariants": (16, 16),
+    "states-invariants": (1006, 1003),
+    "stark-invariants": (187, 11),
+    "oracle-invariants": (251, 44),
+}
+
+
 @pytest.mark.parametrize("check_id", CRITERIA)
 def test_acceptance_criterion(check_id):
     result = run_check(check_id)
@@ -39,6 +63,7 @@ def test_acceptance_criterion(check_id):
     for note in result.notes:
         print(f"    note: {note}")
     assert result.passed, result.line()
+    assert result.cases == CASES[check_id][0]
 
 
 @pytest.mark.parametrize("check_id", INVARIANT_SUITES)
@@ -46,10 +71,18 @@ def test_invariant_suite(check_id):
     result = run_check(check_id)
     print(result.line())
     assert result.passed, result.line()
+    assert result.cases == CASES[check_id][0]
+
+
+@pytest.mark.parametrize("check_id", list(CASES))
+def test_quick_mode_cases(check_id):
+    result = run_check(check_id, max_n=2)
+    assert result.passed, result.line()
+    assert result.cases == CASES[check_id][1]
 
 
 def test_registry_is_complete():
-    assert set(CRITERIA) | set(INVARIANT_SUITES) == set(CHECKS)
+    assert set(CRITERIA) | set(INVARIANT_SUITES) == set(CHECKS) == set(CASES)
 
 
 def test_check_without_cases_fails():
@@ -57,3 +90,60 @@ def test_check_without_cases_fails():
     empty = CheckResult("c99-stub", True, 0.0, 1e-12)
     assert not empty.passed
     assert "cases=0" in empty.line()
+
+
+class TestBounds:
+    """The accumulator behind every check: verdict and report from one set of numbers."""
+
+    def test_breaching_only_the_tighter_bound_fails_and_reports_it(self):
+        bounds = verify._Bounds(tight=1e-12, loose=1e-6)
+        bounds.add("tight", 5e-12, cases=4)
+        bounds.add("loose", 1e-7, cases=4)
+        result = bounds.result("c99-stub", "stub")
+        assert not result.passed
+        assert (result.max_err, result.tol, result.cases) == (5e-12, 1e-12, 8)
+        assert result.line().startswith("[FAIL] c99-stub: cases=8 max_err=5.000e-12 tol=1.0e-12 stub; ")
+        assert "tight 5.00e-12 (tol 1e-12), loose 1.00e-07 (tol 1e-06)" in result.detail
+
+    def test_one_exact_failure_fails(self):
+        bounds = verify._Bounds(rel=1e-6, exact=0.0)
+        for _ in range(10):
+            bounds.add("rel", 1e-9)
+        bounds.add("exact", 1, cases=0)
+        result = bounds.result("c99-stub", "stub")
+        assert not result.passed
+        assert (result.max_err, result.tol, result.cases) == (1.0, 0.0, 10)
+        assert "exact 1 (exact)" in result.detail
+
+    def test_zero_cases_fails(self):
+        result = verify._Bounds(rel=1e-6, exact=0.0).result("c99-stub", "stub")
+        assert not result.passed
+        assert (result.max_err, result.tol, result.cases) == (0.0, 1e-6, 0)
+
+    def test_passing_reports_the_bound_closest_to_its_tolerance(self):
+        bounds = verify._Bounds(loose=1e-8, tight=1e-10, exact=0.0)
+        bounds.add("loose", 6e-15)
+        bounds.add("tight", 4e-16)
+        bounds.add("exact", 0)
+        result = bounds.result("c99-stub", "stub")
+        assert result.passed
+        assert (result.max_err, result.tol) == (4e-16, 1e-10)
+
+    def test_nan_sticks_and_fails(self):
+        bounds = verify._Bounds(rel=1e-6)
+        bounds.add("rel", math.nan)
+        bounds.add("rel", 1e-9)
+        result = bounds.result("c99-stub", "stub")
+        assert not result.passed
+        assert math.isnan(result.max_err)
+
+    def test_check_reports_its_binding_bound(self, monkeypatch):
+        # an analytic error of 5e-12 breaches c01's 1e-12 bound, not its 1e-6 one
+        closed_form = verify.stark.shift_closed_form
+        monkeypatch.setattr(
+            verify.stark, "shift_closed_form", lambda *args: closed_form(*args) + 1.5e-11
+        )
+        result = run_check("hydrogen-regression")
+        assert not result.passed
+        assert result.tol == 1e-12
+        assert result.max_err == pytest.approx(5e-12, rel=1e-3)

@@ -158,6 +158,45 @@ class TestNonFinite:
         assert result.stdout == ""
 
 
+class TestCouplingRange:
+    """Couplings whose derived scales leave floating range exit 2, never with a traceback."""
+
+    COMMANDS = [
+        ["spectrum"],
+        ["shifts"],
+        ["dipole"],
+        ["splitting"],
+        ["wavefunction", "--points", "2"],
+        ["wavefunction", "--points", "2", "--basis", "spherical"],
+    ]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "spectrum --n 2 --gamma 1e308",
+            "shifts --n 2 --gamma 1e-200",
+            "dipole --n 2 --gamma 1e-200",
+            "splitting --n 2 --gamma 1e-200",
+            "wavefunction --n 2 --gamma 1e300 --points 2",
+            "wavefunction --n 2 --gamma 1e300 --points 2 --basis spherical",
+        ],
+    )
+    def test_out_of_range_exits_2(self, runner, args):
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "a^3, a^-3 and gamma_c^2 must be finite and nonzero" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("exponent", range(-300, 301, 25))
+    def test_log_sweep_exits_0_or_2(self, runner, exponent):
+        for command in self.COMMANDS:
+            result = runner.invoke(main, [*command, "--n", "2", "--gamma", f"1e{exponent}"])
+            assert result.exit_code in (0, 2), (command, result.exception)
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert "Traceback" not in result.output
+
+
 class TestJsonOutput:
     def test_schema(self, runner):
         result = runner.invoke(
@@ -274,6 +313,14 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert result.output.count("[PASS]") == 2
         assert "2/2 checks passed" in result.output
+
+    def test_repeated_check_runs_once(self, runner):
+        args = ["verify", "--check", "shell-cardinality", "--check", "quadrature-invariants"]
+        result = runner.invoke(main, [*args, "--check", "shell-cardinality"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == ["c08-shell-cardinality:", "inv-quadrature:"]
+        assert lines[-1] == "2/2 checks passed"
 
     def test_unknown_check_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "--check", "no-such-check"])

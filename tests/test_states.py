@@ -53,6 +53,18 @@ class TestPhysicalParams:
         with pytest.raises(ValueError):
             PhysicalParams(gamma_c=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"gamma_c": 1e103}, {"gamma_c": 1e-103}, {"gamma_c": 1e-320}, {"hbar": 1e200}, {"mu": 1e-300}]
+    )
+    def test_derived_scales_must_be_representable(self, kwargs):
+        with pytest.raises(ValueError, match="a\\^3, a\\^-3 and gamma_c\\^2 must be finite and nonzero"):
+            PhysicalParams(**kwargs)
+
+    @pytest.mark.parametrize("gamma_c", [1e-102, 1e102])
+    def test_edge_of_the_coupling_range(self, gamma_c):
+        p = PhysicalParams.atomic(0, gamma_c=gamma_c)
+        assert math.isfinite(energy_level(2, p)) and p.a**3 > 0
+
     def test_dirac_quantization_via_halfinteger(self):
         with pytest.raises(ValueError):
             PhysicalParams.atomic(s=0.3)
