@@ -33,6 +33,7 @@ from .states import (
     parabolic_psi,
     parabolic_to_cartesian,
     phi_pq,
+    psi_grid,
     radial_R,
     spherical_psi,
     volume_element,
@@ -61,6 +62,7 @@ __all__ = [
     "spherical_psi",
     "phi_pq",
     "parabolic_psi",
+    "psi_grid",
     "parabolic_to_cartesian",
     "cartesian_to_parabolic",
     "volume_element",

@@ -21,7 +21,7 @@ import numpy as np
 from . import stark, states, tables, verify
 from .specfun import half
 from .stark import FieldConfig
-from .states import ParabolicPoint, ParabolicState, PhysicalParams, SphericalState
+from .states import ParabolicState, PhysicalParams, SphericalState
 
 WAVEFUNCTION_COLUMNS = ["coord1", "coord2", "phi", "psi_re", "psi_im", "abs2"]
 SPLITTING_COLUMNS = ["n", "s2", "epsilon", "delta_e"]
@@ -176,7 +176,6 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
         _fail_validation(ValueError("--phi must be a finite number"))
     try:
         params = PhysicalParams.atomic(s, gamma_c=gamma)
-        rows = []
         if basis == "parabolic":
             if n1 is None and n2 is None and m_str is None:
                 state = states.enumerate_shell_parabolic(n, s)[0]
@@ -189,32 +188,29 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
                         f"(n1={state.n1}, n2={state.n2}, m={state.m}) belongs to shell "
                         f"n={state.n}, not n={n}"
                     )
-            grid = np.linspace(0.0, extent * params.a, points)
-            for xi in grid:
-                for eta in grid:
-                    psi = states.parabolic_psi(state, ParabolicPoint(xi, eta, phi), params)
-                    rows.append(_wf_row(xi, eta, phi, psi))
+            c1 = c2 = np.linspace(0.0, extent * params.a, points)
         else:
             j = _parse_half(j_str if j_str is not None else str(abs(s).value), "j")
             m = _parse_half(m_str if m_str is not None else "0", "m")
             state = SphericalState(n=n, j=j, m=m, s=s)
-            r_grid = np.linspace(0.0, extent * params.a, points)
-            th_grid = np.linspace(0.0, math.pi, points)
-            for r in r_grid:
-                for th in th_grid:
-                    psi = states.spherical_psi(state, r, th, phi, params)
-                    rows.append(_wf_row(r, th, phi, psi))
+            c1 = np.linspace(0.0, extent * params.a, points)
+            c2 = np.linspace(0.0, math.pi, points)
+        psi = states.psi_grid(state, c1, c2, phi, params)
     except ValueError as exc:
         _fail_validation(exc)
+    rows = [
+        _wf_row(x, y, phi, value)
+        for x, psi_x in zip(c1.tolist(), psi.tolist())
+        for y, value in zip(c2.tolist(), psi_x)
+    ]
     _render(rows, WAVEFUNCTION_COLUMNS, fmt, params, output=output)
 
 
-def _wf_row(c1, c2, phi, psi) -> dict:
-    psi = complex(psi)
+def _wf_row(c1: float, c2: float, phi: float, psi: complex) -> dict:
     return {
-        "coord1": float(c1),
-        "coord2": float(c2),
-        "phi": float(phi),
+        "coord1": c1,
+        "coord2": c2,
+        "phi": phi,
         "psi_re": psi.real,
         "psi_im": psi.imag,
         "abs2": abs(psi) ** 2,
@@ -223,7 +219,9 @@ def _wf_row(c1, c2, phi, psi) -> dict:
 
 @main.command(name="verify")
 @click.option("--max-n", "max_n_str", default=None, help="Cap shell ranges (quick mode).")
-@click.option("--check", "only", multiple=True, help="Run only the named checks (repeatable).")
+@click.option(
+    "--check", "only", multiple=True, help="Run only these checks, by key or report id (repeatable)."
+)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @click.option("--output", "-o", default="-", help="Output path, '-' for stdout.")
 @click.option("--list", "list_only", is_flag=True, help="List check IDs and exit.")
@@ -235,7 +233,8 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
     max_n = None
     if max_n_str is not None:
         max_n = float(_parse_half(max_n_str, "max-n").value)
-    names = list(dict.fromkeys(only or verify.check_ids()))  # each check once, first-seen order
+    # by key or report id, each check once, in first-seen order
+    names = list(dict.fromkeys(verify.check_key(nm) for nm in only or verify.check_ids()))
     unknown = [nm for nm in names if nm not in verify.CHECKS]
     if unknown:
         _fail_validation(ValueError(f"unknown check ids: {', '.join(unknown)}"))

@@ -44,6 +44,7 @@ __all__ = [
     "spherical_psi",
     "phi_pq",
     "parabolic_psi",
+    "psi_grid",
     "parabolic_to_cartesian",
     "cartesian_to_parabolic",
     "volume_element",
@@ -338,14 +339,10 @@ def spherical_psi(state: SphericalState, r, theta, phi, params: PhysicalParams):
     psi = N R_nj(r) d^j_{ms}(theta) e^{i m phi}; N is the angular
     normalization measured by quadrature, equal to sqrt((2j+1)/(4 pi))
     to a few ulps.  On the gauge string (theta = pi) the value is the
-    continuity limit and always finite.
+    continuity limit and always finite.  r, theta and phi broadcast.
     """
-    _check_state_params(state, params)
-    n_const = _angular_norm(state.j.twice, state.m.twice, state.s.twice)
-    rad = radial_R(state.n, state.j, r, params)
-    ang = wigner_d(state.j, state.m, state.s, theta)
-    phase = np.exp(1j * state.m.value * np.asarray(phi, dtype=float))
-    val = n_const * rad * ang * phase
+    const, radial, angular, phase = _product_form(state, params)
+    val = const * radial(r) * angular(theta) * phase(phi)
     if np.ndim(val) == 0:
         return complex(val)
     return val
@@ -380,16 +377,61 @@ def parabolic_psi(state: ParabolicState, point: ParabolicPoint, params: Physical
 
     psi = sqrt(2)/(n^2 a^{3/2}) Phi_{n1,m-s}(xi) Phi_{n2,m+s}(eta)
           e^{i m phi} / sqrt(2 pi),
-    unit-normalized under dV = (xi + eta)/4 dxi deta dphi.
+    unit-normalized under dV = (xi + eta)/4 dxi deta dphi.  This is the
+    1 x 1 case of ``psi_grid``.
+    """
+    # point.phi is reduced already, and a second reduction would map 2 pi to 0
+    return complex(_grid(state, (point.xi,), (point.eta,), point.phi, params)[0, 0])
+
+
+def _product_form(state, params: PhysicalParams):
+    """(const, f1, f2, phase) with psi = const f1(c1) f2(c2) phase(phi).
+
+    (c1, c2) is (xi, eta) in the parabolic basis and (r, theta) in the
+    spherical one; f1 and f2 are the scalar-or-array kernels of one
+    coordinate each.
     """
     _check_state_params(state, params)
-    nf = state.n.value
-    a = params.a
-    pref = math.sqrt(2.0) / (nf**2 * a**1.5)
-    f1 = phi_pq(state.n1, state.q1, point.xi, nf, params)
-    f2 = phi_pq(state.n2, state.q2, point.eta, nf, params)
-    phase = cmath.exp(1j * state.m.value * point.phi) / math.sqrt(2.0 * math.pi)
-    return pref * f1 * f2 * phase
+    if isinstance(state, ParabolicState):
+        nf = state.n.value
+        const = math.sqrt(2.0) / (nf**2 * params.a**1.5)
+        return (
+            const,
+            lambda xi: phi_pq(state.n1, state.q1, xi, nf, params),
+            lambda eta: phi_pq(state.n2, state.q2, eta, nf, params),
+            lambda phi: cmath.exp(1j * state.m.value * phi) / math.sqrt(2.0 * math.pi),
+        )
+    return (
+        _angular_norm(state.j.twice, state.m.twice, state.s.twice),
+        lambda r: radial_R(state.n, state.j, r, params),
+        lambda theta: wigner_d(state.j, state.m, state.s, theta),
+        lambda phi: np.exp(1j * state.m.value * np.asarray(phi, dtype=float)),
+    )
+
+
+def _grid(state, c1, c2, phi, params: PhysicalParams) -> np.ndarray:
+    const, f1, f2, phase = _product_form(state, params)
+    # one scalar kernel call per axis value: the array kernels round a few
+    # values differently, and every grid value must equal the scalar psi's
+    col = const * np.array([f1(x) for x in c1], dtype=float)
+    row = np.array([f2(x) for x in c2], dtype=float)
+    return col[:, None] * row[None, :] * phase(phi)
+
+
+def psi_grid(state, c1, c2, phi, params: PhysicalParams) -> np.ndarray:
+    """psi on the grid c1 x c2 of one azimuthal plane, shape (len(c1), len(c2)).
+
+    (c1, c2) is (xi, eta) for a ``ParabolicState`` and (r, theta) for a
+    ``SphericalState``.  Each 1-D factor is evaluated once per axis
+    value, so a grid costs O(len(c1) + len(c2)) kernel calls and
+    O(len(c1) len(c2)) products.  Every entry has the bits of
+    ``parabolic_psi(state, ParabolicPoint(xi, eta, phi), params)`` or
+    ``spherical_psi(state, r, theta, phi, params)``; as there, the
+    parabolic phi is reduced mod 2 pi and the spherical one is not.
+    """
+    if isinstance(state, ParabolicState):
+        phi = ParabolicPoint(0.0, 0.0, phi).phi
+    return _grid(state, c1, c2, phi, params)
 
 
 def parabolic_to_cartesian(point: ParabolicPoint) -> tuple[float, float, float]:

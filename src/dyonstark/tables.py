@@ -9,9 +9,8 @@ round-trips are exact.  JSON never contains NaN or Inf.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+from json.encoder import encode_basestring_ascii
 
 from .stark import FieldConfig, StarkShiftRecord
 from .states import PhysicalParams, SphericalState
@@ -78,37 +77,44 @@ def rows_from_spectrum(shell: list[SphericalState], e0: float) -> list[dict]:
     return rows
 
 
-def _csv_cell(key: str, value) -> str:
-    if value is None:
-        return ""
-    if key in ("s2", "n1", "n2", "m2", "j2"):
-        return str(int(value))
-    return _num(value)
+_INT_KEYS = frozenset(("s2", "n1", "n2", "m2", "j2"))
+_DECIMAL_KEYS = frozenset(("e0", "e1"))  # decimal strings in JSON: exact round trip
+
+
+def _texts(row: dict, keys, num: dict) -> list:
+    """The text of each cell, None for an empty one.
+
+    Floats go through the render's ``num`` memo, so each distinct float
+    is formatted once per render.
+    """
+    texts = []
+    for key in keys:
+        value = row.get(key)
+        if value is None:
+            texts.append(None)
+        elif key in _INT_KEYS:
+            texts.append(str(int(value)))
+        else:
+            text = num.get(value)
+            if text is None:
+                text = num[value] = _num(value)
+            texts.append(text)
+    return texts
 
 
 def render_csv(rows: list[dict], columns: list[str] | None = None) -> str:
-    """RFC-4180 text (CRLF line ends, header row first)."""
+    """RFC-4180 text (CRLF line ends, header row first).
+
+    Cells are ints, floats or empty, so none needs quoting and a row is
+    one join; a lone empty cell is written "" as ``csv.writer`` does.
+    """
     columns = columns or RECORD_COLUMNS
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(columns)
+    num: dict = {}
+    lines = [",".join(columns)]
     for row in rows:
-        writer.writerow([_csv_cell(c, row.get(c)) for c in columns])
-    return buf.getvalue()
-
-
-def _json_row(row: dict) -> dict:
-    out = {}
-    for key, value in row.items():
-        if value is None:
-            out[key] = None
-        elif key in ("s2", "n1", "n2", "m2", "j2"):
-            out[key] = int(value)
-        elif key in ("e0", "e1"):
-            out[key] = _num(value)  # decimal strings: exact round trip
-        else:
-            out[key] = _clean(value)
-    return out
+        lines.append(",".join([text or "" for text in _texts(row, columns, num)]) or '""')
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def render_json(
@@ -117,22 +123,45 @@ def render_json(
     field: FieldConfig | None = None,
     ratio: float | None = None,
 ) -> str:
-    doc = {
-        "params": {
-            "hbar": params.hbar,
-            "mu": params.mu,
-            "gamma": params.gamma_c,
-            "e_abs": params.e_abs,
-            "s2": params.s.twice,
-            "a": params.a,
+    """The rows as ``json.dumps(doc, indent=2)`` writes them, without its
+    pure-Python encoder: only the header goes through ``json.dumps``."""
+    head = json.dumps(
+        {
+            "params": {
+                "hbar": params.hbar,
+                "mu": params.mu,
+                "gamma": params.gamma_c,
+                "e_abs": params.e_abs,
+                "s2": params.s.twice,
+                "a": params.a,
+            },
+            "field": {
+                "epsilon": field.epsilon if field is not None else 0.0,
+                "perturbative_ratio": ratio,
+            },
+            "records": [],
         },
-        "field": {
-            "epsilon": field.epsilon if field is not None else 0.0,
-            "perturbative_ratio": ratio,
-        },
-        "records": [_json_row(r) for r in rows],
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        indent=2,
+        allow_nan=False,
+    )
+    if not rows:
+        return head + "\n"
+    num: dict = {}
+    labels: dict = {}
+    records = []
+    for row in rows:
+        items = []
+        for key, text in zip(row, _texts(row, row, num)):
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = f"      {encode_basestring_ascii(key)}: "
+            if text is None:
+                text = "null"
+            elif key in _DECIMAL_KEYS:
+                text = f'"{text}"'
+            items.append(label + text)
+        records.append("    {\n" + ",\n".join(items) + "\n    }" if items else "    {}")
+    return head.removesuffix("[]\n}") + "[\n" + ",\n".join(records) + "\n  ]\n}\n"
 
 
 def parse_json_records(text: str) -> list[dict]:

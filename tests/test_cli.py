@@ -107,6 +107,14 @@ class TestOutputPins:
                 "wavefunction --basis spherical --n 5/2 --s 1/2 --j 3/2 --m -1/2 --points 7 --extent 9",
                 "0a40d3159029c0cca04f53e24915f7e629b708d9c26cc746d6605fa982478198",
             ),
+            (
+                "wavefunction --basis spherical --n 8 --s -2 --j 5 --m 3 --points 100 --phi 0.5 --format json",
+                "d99e16a06d82d613791355c1741cfb4699d0cdff8017921f19344f5b1e8c49f5",
+            ),
+            (
+                "wavefunction --n 11/2 --s 1/2 --n1 1 --n2 2 --m -3/2 --points 100 --phi 1.0 --format csv",
+                "56dc2036c5279d13b15122c1b413b25566aeb31d6a28a4f58db1c3e8aaac597a",
+            ),
         ],
     )
     def test_table_bytes(self, runner, args, digest):
@@ -321,6 +329,29 @@ class TestVerifyCommand:
         lines = result.output.splitlines()
         assert [line.split()[1] for line in lines[:-1]] == ["c08-shell-cardinality:", "inv-quadrature:"]
         assert lines[-1] == "2/2 checks passed"
+
+    def test_report_ids_select_their_checks(self, runner):
+        args = ["verify", "--max-n", "2", "--format", "json"]
+        for only in (["shell-cardinality", "quadrature-invariants"], ["degeneracy-removal"]):
+            by_key = runner.invoke(main, [*args, *(a for key in only for a in ("--check", key))])
+            ids = [check["id"] for check in json.loads(by_key.stdout)["checks"]]
+            by_id = runner.invoke(main, [*args, *(a for check_id in ids for a in ("--check", check_id))])
+            assert by_id.exit_code == by_key.exit_code == 0
+            assert by_id.stdout_bytes == by_key.stdout_bytes
+        # a failure list fed back to --check reruns exactly the failed checks
+        failed = runner.invoke(main, ["verify", "--max-n", "1", "--format", "json"])
+        failures = json.loads(failed.stdout)["failures"]
+        assert failures
+        rerun = runner.invoke(main, ["verify", "--max-n", "1", "--format", "json",
+                                     *(a for check_id in failures for a in ("--check", check_id))])
+        assert rerun.exit_code == 3
+        assert [check["id"] for check in json.loads(rerun.stdout)["checks"]] == failures
+
+    def test_key_and_report_id_run_once(self, runner):
+        args = ["verify", "--check", "c08-shell-cardinality", "--check", "shell-cardinality"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output.count("c08-shell-cardinality") == 1
 
     def test_unknown_check_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "--check", "no-such-check"])

@@ -1,5 +1,6 @@
 """Tests for quantum-number bookkeeping, wavefunctions and coordinates."""
 
+import cmath
 import math
 from dataclasses import FrozenInstanceError
 
@@ -31,6 +32,7 @@ from dyonstark.states import (
     parabolic_to_cartesian,
     phi_pair_moment,
     phi_pq,
+    psi_grid,
     radial_R,
     spherical_overlap,
     spherical_psi,
@@ -441,6 +443,70 @@ class TestParabolicPsi:
     def test_state_params_mismatch_raises(self):
         with pytest.raises(ValueError, match="must agree"):
             parabolic_psi(ParabolicState(0, 0, 0, 0), ParabolicPoint(1.0, 1.0), P1)
+
+
+def _bits(z) -> tuple[str, str]:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+class TestPsiGrid:
+    """The grid evaluator against the scalar wavefunctions, bit for bit."""
+
+    PARABOLIC = [
+        (ParabolicState(1, 2, 1, 0), P0),
+        (ParabolicState(0, 1, -1, 1), P1),
+        (ParabolicState(1, 0, half("-3/2"), half("1/2")), PHALF),
+    ]
+    SPHERICAL = [
+        (SphericalState(n=3, j=2, m=-1, s=0), P0),
+        (SphericalState(n=4, j=2, m=1, s=1), P1),
+        (SphericalState(n=half("7/2"), j=half("3/2"), m=half("1/2"), s=half("1/2")), PHALF),
+    ]
+    # the 25 x 25 grid holds points where the array-evaluated kernels round
+    # differently from the scalar ones
+    AXES = [([1.3], [0.7]), ([0.0, 2.5], [0.0, 1.1, 6.0]), (np.linspace(0.0, 16.0, 25), np.linspace(0.0, 16.0, 25))]
+
+    @pytest.mark.parametrize("phi", [0.5, 7.0])
+    @pytest.mark.parametrize("c1, c2", AXES)
+    @pytest.mark.parametrize("state, params", PARABOLIC)
+    def test_parabolic(self, state, params, c1, c2, phi):
+        grid = psi_grid(state, c1, c2, phi, params)
+        assert grid.shape == (len(c1), len(c2))
+        nf = state.n.value
+        for i, xi in enumerate(c1):
+            for k, eta in enumerate(c2):
+                scalar = parabolic_psi(state, ParabolicPoint(xi, eta, phi), params)
+                assert _bits(grid[i, k]) == _bits(scalar)
+                # the per-point formula the grid replaced
+                loop = (
+                    math.sqrt(2.0) / (nf**2 * params.a**1.5)
+                    * phi_pq(state.n1, state.q1, xi, nf, params)
+                    * phi_pq(state.n2, state.q2, eta, nf, params)
+                    * (cmath.exp(1j * state.m.value * (phi % (2.0 * math.pi))) / math.sqrt(2.0 * math.pi))
+                )
+                assert _bits(scalar) == _bits(loop)
+
+    @pytest.mark.parametrize("phi", [0.5, 7.0])
+    @pytest.mark.parametrize("c1, c2", AXES)
+    @pytest.mark.parametrize("state, params", SPHERICAL)
+    def test_spherical(self, state, params, c1, c2, phi):
+        c2 = [t * math.pi / 16.0 for t in c2]  # theta in [0, pi]
+        grid = psi_grid(state, c1, c2, phi, params)
+        assert grid.shape == (len(c1), len(c2))
+        for i, r in enumerate(c1):
+            for k, theta in enumerate(c2):
+                assert _bits(grid[i, k]) == _bits(spherical_psi(state, r, theta, phi, params))
+
+    def test_spherical_phi_is_not_reduced(self):
+        state, params = self.SPHERICAL[1]
+        reduced = psi_grid(state, [1.0], [1.0], 7.0 - 2.0 * math.pi, params)[0, 0]
+        assert psi_grid(state, [1.0], [1.0], 7.0, params)[0, 0] == spherical_psi(state, 1.0, 1.0, 7.0, params)
+        assert psi_grid(state, [1.0], [1.0], 7.0, params)[0, 0] == pytest.approx(reduced, rel=1e-14)
+
+    def test_state_params_mismatch_raises(self):
+        with pytest.raises(ValueError, match="must agree"):
+            psi_grid(ParabolicState(0, 0, 0, 0), [1.0], [1.0], 0.0, P1)
 
 
 class TestCoordinates:

@@ -1,0 +1,163 @@
+"""The table renderers against the standard library's encoders.
+
+``render_json`` and ``render_csv`` build their text directly; these tests
+hold them to what ``json.dumps(doc, indent=2)`` and ``csv.writer`` write
+for the same cells.
+"""
+
+import csv
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dyonstark import stark, states, tables
+from dyonstark.cli import SPLITTING_COLUMNS, WAVEFUNCTION_COLUMNS
+from dyonstark.stark import FieldConfig
+from dyonstark.states import PhysicalParams
+
+INT_KEYS = ("s2", "n1", "n2", "m2", "j2")
+PARAMS = PhysicalParams.atomic("1/2", gamma_c=0.75)
+FIELD = FieldConfig(0.25)
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("non-finite")
+    return x + 0.0 if x == 0.0 else x
+
+
+def reference_json(rows, params, field=None, ratio=None) -> str:
+    def cell(key, value):
+        if value is None:
+            return None
+        if key in INT_KEYS:
+            return int(value)
+        if key in ("e0", "e1"):
+            return repr(_finite(value))
+        return _finite(value)
+
+    doc = {
+        "params": {
+            "hbar": params.hbar,
+            "mu": params.mu,
+            "gamma": params.gamma_c,
+            "e_abs": params.e_abs,
+            "s2": params.s.twice,
+            "a": params.a,
+        },
+        "field": {
+            "epsilon": field.epsilon if field is not None else 0.0,
+            "perturbative_ratio": ratio,
+        },
+        "records": [{key: cell(key, value) for key, value in row.items()} for row in rows],
+    }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def reference_csv(rows, columns) -> str:
+    def cell(key, value):
+        if value is None:
+            return ""
+        if key in INT_KEYS:
+            return str(int(value))
+        return repr(_finite(value))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell(key, row.get(key)) for key in columns])
+    return buf.getvalue()
+
+
+def _both(rows, columns, ratio=None):
+    assert tables.render_json(rows, PARAMS, FIELD, ratio) == reference_json(rows, PARAMS, FIELD, ratio)
+    assert tables.render_csv(rows, columns) == reference_csv(rows, columns)
+
+
+def _record(**cells) -> dict:
+    row = dict.fromkeys(tables.RECORD_COLUMNS)
+    row.update(cells)
+    return row
+
+
+EDGE_ROWS = [
+    _record(n=2.5, s2=1, n1=0, n2=1, m2=-3, e0=-0.08, e1=-0.0, dipole_z=0.0),
+    _record(n=3.0, s2=-2, m2=0, j2=4, e0=1e-300, e1=1e300, dipole_z=-1e-300),
+    _record(n=1.0, s2=0, n1=2, n2=0, m2=2, e0=5e-324, e1=-1.7976931348623157e308, dipole_z=0.1 + 0.2),
+    _record(n=4.0, s2=0, e0=1.0, e1=1e16, dipole_z=123456789.0),
+    _record(),
+]
+
+
+class TestAgainstReference:
+    def test_empty_rows(self):
+        _both([], tables.RECORD_COLUMNS, ratio=0.5)
+        _both([], WAVEFUNCTION_COLUMNS)
+        _both([{}, {}], WAVEFUNCTION_COLUMNS)
+
+    def test_none_negative_zero_and_extreme_values(self):
+        _both(EDGE_ROWS, tables.RECORD_COLUMNS, ratio=1e-300)
+        assert '"e1": "0.0"' in tables.render_json(EDGE_ROWS, PARAMS)
+        assert '"e0": "1e-300"' in tables.render_json(EDGE_ROWS, PARAMS)
+
+    def test_repeated_values_in_int_and_float_columns(self):
+        # a memo keyed by value must not carry a float column's text into an int column
+        rows = [_record(n=2.0, s2=2, n1=1, m2=2, e0=2, e1=True, dipole_z=2.0) for _ in range(3)]
+        _both(rows, tables.RECORD_COLUMNS)
+        assert tables.render_csv(rows).splitlines()[1] == "2.0,2,1,,2,,2.0,1.0,2.0"
+
+    def test_library_tables(self):
+        records = stark.stark_table("7/2", "1/2", FIELD, PARAMS)
+        _both(tables.rows_from_stark_records(records), tables.RECORD_COLUMNS, ratio=0.01)
+        shell = states.enumerate_shell_spherical("7/2", "1/2")
+        _both(tables.rows_from_spectrum(shell, states.energy_level("7/2", PARAMS)), tables.RECORD_COLUMNS)
+        _both([{"n": 3.0, "s2": 1, "epsilon": 0.25, "delta_e": -0.0}], SPLITTING_COLUMNS)
+
+    def test_wavefunction_rows(self):
+        rows = [
+            {"coord1": x, "coord2": y, "phi": 7.0, "psi_re": x * y - 1.0, "psi_im": -x / 3.0, "abs2": y * y}
+            for x in (0.0, 0.5, 1e-310) for y in (0.0, 2.0 / 3.0)
+        ]
+        _both(rows, WAVEFUNCTION_COLUMNS)
+
+    def test_lone_empty_cell_is_quoted_as_csv_writes_it(self):
+        rows = [{"e1": None}, {"e1": 1.5}]
+        assert tables.render_csv(rows, ["e1"]) == reference_csv(rows, ["e1"]) == 'e1\r\n""\r\n1.5\r\n'
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "coord1": st.floats(allow_nan=False, allow_infinity=False),
+                    "m2": st.integers(-400, 400),
+                    "e1": st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                    "abs2": st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                }
+            ),
+            max_size=12,
+        )
+    )
+    def test_any_finite_rows(self, rows):
+        _both(rows, ["coord1", "m2", "e1", "abs2"])
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["e0", "dipole_z"])
+    def test_refused_by_both_renderers(self, key, bad):
+        rows = [_record(n=2.0, s2=0, e0=-0.125), _record(n=2.0, s2=0, **{key: bad})]
+        with pytest.raises(ValueError):
+            tables.render_json(rows, PARAMS)
+        with pytest.raises(ValueError):
+            tables.render_csv(rows)
+
+    def test_non_finite_ratio_refused(self):
+        with pytest.raises(ValueError):
+            tables.render_json([], PARAMS, FIELD, math.inf)
