@@ -233,11 +233,11 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
     max_n = None
     if max_n_str is not None:
         max_n = float(_parse_half(max_n_str, "max-n").value)
-    # by key or report id, each check once, in first-seen order
-    names = list(dict.fromkeys(verify.check_key(nm) for nm in only or verify.check_ids()))
-    unknown = [nm for nm in names if nm not in verify.CHECKS]
+    unknown = [nm for nm in only if verify.check_key(nm) not in verify.CHECKS]
     if unknown:
         _fail_validation(ValueError(f"unknown check ids: {', '.join(unknown)}"))
+    # by key or report id, each check once, in first-seen order
+    names = list(dict.fromkeys(verify.check_key(nm) for nm in only or verify.check_ids()))
     results = [verify.run_check(nm, max_n=max_n) for nm in names]
     failures = [r.check_id for r in results if not r.passed]
     if fmt == "json":

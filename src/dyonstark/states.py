@@ -377,11 +377,12 @@ def parabolic_psi(state: ParabolicState, point: ParabolicPoint, params: Physical
 
     psi = sqrt(2)/(n^2 a^{3/2}) Phi_{n1,m-s}(xi) Phi_{n2,m+s}(eta)
           e^{i m phi} / sqrt(2 pi),
-    unit-normalized under dV = (xi + eta)/4 dxi deta dphi.  This is the
-    1 x 1 case of ``psi_grid``.
+    unit-normalized under dV = (xi + eta)/4 dxi deta dphi.  Equal bit
+    for bit to the 1 x 1 case of ``psi_grid``.
     """
-    # point.phi is reduced already, and a second reduction would map 2 pi to 0
-    return complex(_grid(state, (point.xi,), (point.eta,), point.phi, params)[0, 0])
+    const, f1, f2, phase = _product_form(state, params)
+    # the grid's order of products; point.phi is reduced already
+    return const * f1(point.xi) * f2(point.eta) * phase(point.phi)
 
 
 def _product_form(state, params: PhysicalParams):
@@ -409,15 +410,6 @@ def _product_form(state, params: PhysicalParams):
     )
 
 
-def _grid(state, c1, c2, phi, params: PhysicalParams) -> np.ndarray:
-    const, f1, f2, phase = _product_form(state, params)
-    # one scalar kernel call per axis value: the array kernels round a few
-    # values differently, and every grid value must equal the scalar psi's
-    col = const * np.array([f1(x) for x in c1], dtype=float)
-    row = np.array([f2(x) for x in c2], dtype=float)
-    return col[:, None] * row[None, :] * phase(phi)
-
-
 def psi_grid(state, c1, c2, phi, params: PhysicalParams) -> np.ndarray:
     """psi on the grid c1 x c2 of one azimuthal plane, shape (len(c1), len(c2)).
 
@@ -429,9 +421,14 @@ def psi_grid(state, c1, c2, phi, params: PhysicalParams) -> np.ndarray:
     ``spherical_psi(state, r, theta, phi, params)``; as there, the
     parabolic phi is reduced mod 2 pi and the spherical one is not.
     """
+    const, f1, f2, phase = _product_form(state, params)
     if isinstance(state, ParabolicState):
         phi = ParabolicPoint(0.0, 0.0, phi).phi
-    return _grid(state, c1, c2, phi, params)
+    # one scalar kernel call per axis value: the array kernels round a few
+    # values differently, and every grid value must equal the scalar psi's
+    col = const * np.array([f1(x) for x in c1], dtype=float)
+    row = np.array([f2(x) for x in c2], dtype=float)
+    return col[:, None] * row[None, :] * phase(phi)
 
 
 def parabolic_to_cartesian(point: ParabolicPoint) -> tuple[float, float, float]:

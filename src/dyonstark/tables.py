@@ -147,19 +147,15 @@ def render_json(
     if not rows:
         return head + "\n"
     num: dict = {}
-    labels: dict = {}
     records = []
     for row in rows:
         items = []
         for key, text in zip(row, _texts(row, row, num)):
-            label = labels.get(key)
-            if label is None:
-                label = labels[key] = f"      {encode_basestring_ascii(key)}: "
             if text is None:
                 text = "null"
             elif key in _DECIMAL_KEYS:
                 text = f'"{text}"'
-            items.append(label + text)
+            items.append(f"      {encode_basestring_ascii(key)}: {text}")
         records.append("    {\n" + ",\n".join(items) + "\n    }" if items else "    {}")
     return head.removesuffix("[]\n}") + "[\n" + ",\n".join(records) + "\n  ]\n}\n"
 

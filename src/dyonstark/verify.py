@@ -10,6 +10,7 @@ breached; the pytest acceptance module asserts them one by one.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
@@ -116,7 +117,7 @@ def _rel(err: float, scale: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_hydrogen_regression(max_n=None, *, check_id="c01-hydrogen-regression") -> CheckResult:
+def check_hydrogen_regression(max_n=None) -> CheckResult:
     """s=0, n=2 shifts are {-3, 0, 0, +3} a|e|eps from both routes."""
     bounds = _Bounds(analytic=1e-12, oracle=1e-6)
     params = PhysicalParams.atomic(0)
@@ -130,10 +131,10 @@ def check_hydrogen_regression(max_n=None, *, check_id="c01-hydrogen-regression")
     )
     for name, got in (("analytic", analytic), ("oracle", numeric)):
         bounds.add(name, _rel(float(np.max(np.abs(got - expected))), 3.0), cases=len(got))
-    return bounds.result(check_id, "relative to 3 a|e|eps")
+    return bounds.result("c01-hydrogen-regression", "relative to 3 a|e|eps")
 
 
-def check_integral_closed_forms(max_n=None, *, check_id="c02-integral-closed-forms") -> CheckResult:
+def check_integral_closed_forms(max_n=None) -> CheckResult:
     """Quadrature reproduces I_pq = a n and the printed x^2 moment."""
     bounds = _Bounds(moments=1e-9)
     params = PhysicalParams.atomic(0)
@@ -148,10 +149,10 @@ def check_integral_closed_forms(max_n=None, *, check_id="c02-integral-closed-for
                     want = exact(p, q, n, params)
                     got = states.phi_pair_moment(p, p, q, power, n, n, params, order)
                     bounds.add("moments", _rel(abs(got - want), abs(want)))
-    return bounds.result(check_id, "p <= 10, |q| <= 10, n <= 12, both moments")
+    return bounds.result("c02-integral-closed-forms", "p <= 10, |q| <= 10, n <= 12, both moments")
 
 
-def check_shift_formula_identity(max_n=None, *, check_id="c03-shift-formula-identity") -> CheckResult:
+def check_shift_formula_identity(max_n=None) -> CheckResult:
     """Integral-form shift equals closed-form shift on every state."""
     bounds = _Bounds(identity=1e-12)
     for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5, 2, 2.5, 3, -0.5, -1.5, -3], 8.0, max_n):
@@ -160,10 +161,10 @@ def check_shift_formula_identity(max_n=None, *, check_id="c03-shift-formula-iden
             a = stark.shift_integral_form(st, field, params)
             b = stark.shift_closed_form(st, field, params)
             bounds.add("identity", _rel(abs(a - b), max(abs(b), scale_floor)))
-    return bounds.result(check_id, "every state, n <= 8, |s| <= 3")
+    return bounds.result("c03-shift-formula-identity", "every state, n <= 8, |s| <= 3")
 
 
-def check_oracle_equivalence(max_n=None, *, check_id="c04-oracle-equivalence") -> CheckResult:
+def check_oracle_equivalence(max_n=None) -> CheckResult:
     """Per-sector Jacobi eigenvalues match closed-form shifts."""
     bounds = _Bounds(eigen=1e-6, offdiag=1e-9)
     for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5], 4.0, max_n):
@@ -180,10 +181,10 @@ def check_oracle_equivalence(max_n=None, *, check_id="c04-oracle-equivalence") -
             bounds.add("eigen", _rel(err, scale), cases=len(eigen))
         off_scale = params.a * params.e_abs * field.epsilon
         bounds.add("offdiag", oracle.offdiagonal_report(n, s, field, params) / off_scale)
-    return bounds.result(check_id, "eigenvalues relative, off-diagonals in a|e|eps")
+    return bounds.result("c04-oracle-equivalence", "eigenvalues relative, off-diagonals in a|e|eps")
 
 
-def check_degeneracy_removal(max_n=None, *, check_id="c05-degeneracy-removal") -> CheckResult:
+def check_degeneracy_removal(max_n=None) -> CheckResult:
     """For s != 0, m -> shift is injective at every fixed (n1, n2)."""
     bounds = _Bounds(collisions=0.0)
     notes = []
@@ -202,10 +203,12 @@ def check_degeneracy_removal(max_n=None, *, check_id="c05-degeneracy-removal") -
         extra = len(all_brackets) - len(set(all_brackets))
         if extra:
             notes.append(f"shell n={n}, s={s}: {extra} cross-(n1,n2) shift coincidences")
-    return bounds.result(check_id, "(n1,n2) groups over n <= 6, exact integer comparison", notes)
+    return bounds.result(
+        "c05-degeneracy-removal", "(n1,n2) groups over n <= 6, exact integer comparison", notes
+    )
 
 
-def check_shell_splitting(max_n=None, *, check_id="c06-shell-splitting") -> CheckResult:
+def check_shell_splitting(max_n=None) -> CheckResult:
     """Splitting formula equals the extreme like-m component distance.
 
     The closed-form shifts carry an extra m-linear term, so Delta E_n
@@ -236,10 +239,10 @@ def check_shell_splitting(max_n=None, *, check_id="c06-shell-splitting") -> Chec
             notes.append(
                 f"n={n}, s={s}: full-shell spread exceeds Delta E_n by {full_spread - sector_spread}/12 quanta (m-term)"
             )
-    return bounds.result(check_id, "shells, exact twelfth-quantum integers", notes)
+    return bounds.result("c06-shell-splitting", "shells, exact twelfth-quantum integers", notes)
 
 
-def check_dipole_consistency(max_n=None, *, check_id="c07-dipole-consistency") -> CheckResult:
+def check_dipole_consistency(max_n=None) -> CheckResult:
     """mean = -dE1/deps exactly; the operator route equals the mean to rounding."""
     bounds = _Bounds(operator=1e-12, slope=0.0)
     f2 = FieldConfig(2.0)
@@ -251,10 +254,10 @@ def check_dipole_consistency(max_n=None, *, check_id="c07-dipole-consistency") -
             bounds.add("slope", abs(slope - d_mean), cases=0)
             d_op = stark.dipole_operator_expectation(st, params)
             bounds.add("operator", _rel(abs(d_op - d_mean), max(abs(d_mean), scale_floor)))
-    return bounds.result(check_id, "operator and finite-difference slope against the mean")
+    return bounds.result("c07-dipole-consistency", "operator and finite-difference slope against the mean")
 
 
-def check_shell_cardinality(max_n=None, *, check_id="c08-shell-cardinality") -> CheckResult:
+def check_shell_cardinality(max_n=None) -> CheckResult:
     """Both enumerations span the same shell, sector by sector.
 
     Each shell must hold n^2 - s^2 labels in both bases; every parabolic
@@ -281,7 +284,7 @@ def check_shell_cardinality(max_n=None, *, check_id="c08-shell-cardinality") -> 
             par_m = Counter(st.m.twice for st in par)
             for m_twice in sph_m.keys() | par_m.keys():
                 bounds.add("sector", abs(sph_m[m_twice] - par_m[m_twice]))
-    return bounds.result(check_id, "m sectors, |s| <= 3, n <= |s| + 8")
+    return bounds.result("c08-shell-cardinality", "m sectors, |s| <= 3, n <= |s| + 8")
 
 
 def _gs_angular_reference(s: HalfInteger, m: HalfInteger, theta):
@@ -298,7 +301,7 @@ def _gs_angular_reference(s: HalfInteger, m: HalfInteger, theta):
     return sign * np.cos(theta / 2.0) ** cos_pow * np.sin(theta / 2.0) ** sin_pow
 
 
-def check_wavefunction_suites(max_n=None, *, check_id="c09-wavefunction-suites") -> CheckResult:
+def check_wavefunction_suites(max_n=None) -> CheckResult:
     """Norms, orthogonality and the ground-state closed form."""
     bounds = _Bounds(overlap=1e-8, profile=1e-10)
     for s_raw in [0, 0.5, 1, 1.5]:
@@ -334,10 +337,12 @@ def check_wavefunction_suites(max_n=None, *, check_id="c09-wavefunction-suites")
         profiles.append(rad / (r**j.value * np.exp(-r / (params.a * n0.value))))
         for ratio in profiles:
             bounds.add("profile", float(np.max(np.abs(ratio / ratio[0] - 1.0))))
-    return bounds.result(check_id, "overlaps abs, n <= 4; ground-state angular and radial profiles")
+    return bounds.result(
+        "c09-wavefunction-suites", "overlaps abs, n <= 4; ground-state angular and radial profiles"
+    )
 
 
-def check_numerical_kernels(max_n=None, *, check_id="c10-numerical-kernels") -> CheckResult:
+def check_numerical_kernels(max_n=None) -> CheckResult:
     """Gauss exactness, Jacobi identities, Wigner-d orthogonality."""
     bounds = _Bounds(quad=1e-10, jacobi=1e-12, wigner=1e-10)
     for order in range(1, 41):
@@ -375,7 +380,7 @@ def check_numerical_kernels(max_n=None, *, check_id="c10-numerical-kernels") -> 
 
                         want = 2.0 / (ja.value * 2 + 1) if ja == jb else 0.0
                         bounds.add("wigner", abs(rule.integrate(prod) - want))
-    return bounds.result(check_id, "quad and jacobi relative, wigner abs")
+    return bounds.result("c10-numerical-kernels", "quad and jacobi relative, wigner abs")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +388,7 @@ def check_numerical_kernels(max_n=None, *, check_id="c10-numerical-kernels") -> 
 # ---------------------------------------------------------------------------
 
 
-def check_specfun_invariants(max_n=None, *, check_id="inv-specfun") -> CheckResult:
+def check_specfun_invariants(max_n=None) -> CheckResult:
     """1F1 contiguous relation and Wigner-d symmetries."""
     bounds = _Bounds(identities=1e-10)
     xs = np.linspace(0.0, 50.0, 11)
@@ -403,10 +408,12 @@ def check_specfun_invariants(max_n=None, *, check_id="inv-specfun") -> CheckResu
                 phase = (-1.0) ** ((m2 - s2) // 2)
                 for th in thetas:
                     bounds.add("identities", abs(wigner_d(j, m, s, th) - phase * wigner_d(j, s, m, th)))
-    return bounds.result(check_id, "1F1 contiguous relation p <= 20; d-function endpoint and index symmetry")
+    return bounds.result(
+        "inv-specfun", "1F1 contiguous relation p <= 20; d-function endpoint and index symmetry"
+    )
 
 
-def check_quadrature_invariants(max_n=None, *, check_id="inv-quadrature") -> CheckResult:
+def check_quadrature_invariants(max_n=None) -> CheckResult:
     """Closed-form low orders, weight sums, convergence plateau."""
     bounds = _Bounds(rules=1e-10)
     lag2 = quadrature.gauss_laguerre(2)
@@ -431,10 +438,10 @@ def check_quadrature_invariants(max_n=None, *, check_id="inv-quadrature") -> Che
     v1 = quadrature.integrate_halfline(smooth, quadrature.gauss_laguerre(40))
     v2 = quadrature.integrate_halfline(smooth, quadrature.gauss_laguerre(80))
     bounds.add("rules", abs(v2 - v1) / abs(v2))
-    return bounds.result(check_id, "orders 1-3 closed forms, weight sums, doubling plateau")
+    return bounds.result("inv-quadrature", "orders 1-3 closed forms, weight sums, doubling plateau")
 
 
-def check_states_invariants(max_n=None, *, check_id="inv-states") -> CheckResult:
+def check_states_invariants(max_n=None) -> CheckResult:
     """Coordinate round trip, volume element, Schroedinger residual."""
     bounds = _Bounds(roundtrip=1e-12, volume=0.0, residual=1e-6)
     rng = np.random.default_rng(11)
@@ -456,10 +463,10 @@ def check_states_invariants(max_n=None, *, check_id="inv-states") -> CheckResult
     for st, params in samples:
         if max_n is None or st.n.value <= float(max_n):
             bounds.add("residual", states.parabolic_hamiltonian_residual(st, params))
-    return bounds.result(check_id, "coordinate round trips, volume element, Schroedinger residuals")
+    return bounds.result("inv-states", "coordinate round trips, volume element, Schroedinger residuals")
 
 
-def check_stark_invariants(max_n=None, *, check_id="inv-stark") -> CheckResult:
+def check_stark_invariants(max_n=None) -> CheckResult:
     """Linearity, parity, hydrogen limit of the closed-form shifts."""
     bounds = _Bounds(linearity=0.0, mirror=0.0, hydrogen=1e-12)
     f3 = FieldConfig(3.0)
@@ -472,10 +479,10 @@ def check_stark_invariants(max_n=None, *, check_id="inv-stark") -> CheckResult:
             if params.s.twice == 0:
                 hydrogen = 1.5 * params.a * params.e_abs * field.epsilon * st.n.value * (st.n1 - st.n2)
                 bounds.add("hydrogen", abs(e1 - hydrogen) / max(abs(hydrogen), 1.0), cases=0)
-    return bounds.result(check_id, "exact linearity, mirror antisymmetry, hydrogen limit")
+    return bounds.result("inv-stark", "exact linearity, mirror antisymmetry, hydrogen limit")
 
 
-def check_oracle_invariants(max_n=None, *, check_id="inv-oracle") -> CheckResult:
+def check_oracle_invariants(max_n=None) -> CheckResult:
     """Hermiticity, derived order against a 64-node rule, trace identity."""
     bounds = _Bounds(elements=1e-10)
     for params, field, shell in _parabolic_shells([0, 1, 0.5], 3.0, max_n):
@@ -490,7 +497,9 @@ def check_oracle_invariants(max_n=None, *, check_id="inv-oracle") -> CheckResult
         diag_sum = sum(oracle.matrix_element_V(a, a, field, params) for a in shell)
         analytic_sum = sum(stark.shift_closed_form(a, field, params) for a in shell)
         bounds.add("elements", abs(diag_sum - analytic_sum) / max(abs(analytic_sum), scale))
-    return bounds.result(check_id, "hermiticity, derived order against order 64, first-order trace identity")
+    return bounds.result(
+        "inv-oracle", "hermiticity, derived order against order 64, first-order trace identity"
+    )
 
 
 CHECKS = {
@@ -515,9 +524,8 @@ CHECKS = {
 }
 
 
-# the CHECKS key of each check's report id, the ``check_id`` default its
-# results carry
-_KEYS = {fn.__kwdefaults__["check_id"]: key for key, fn in CHECKS.items()}
+# a report id is ``cNN-<key>`` for a criterion, ``inv-<x>`` for ``<x>-invariants``
+_REPORT_ID = re.compile(r"c\d\d-(.+)|inv-(.+)")
 
 
 def check_ids() -> list[str]:
@@ -526,7 +534,10 @@ def check_ids() -> list[str]:
 
 def check_key(name: str) -> str:
     """The CHECKS key that ``name`` selects: a key itself or a report id."""
-    return _KEYS.get(name, name)
+    m = _REPORT_ID.fullmatch(name)
+    if m is None:
+        return name
+    return m[1] or f"{m[2]}-invariants"
 
 
 def run_check(name: str, max_n=None) -> CheckResult:

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from dyonstark import verify
-from dyonstark.verify import CHECKS, CheckResult, run_check
+from dyonstark.verify import CHECKS, CheckResult, check_key, run_check
 
 CRITERIA = [
     "hydrogen-regression",
@@ -79,6 +79,8 @@ def test_quick_mode_cases(check_id):
     result = run_check(check_id, max_n=2)
     assert result.passed, result.line()
     assert result.cases == CASES[check_id][1]
+    # the report id selects the same check
+    assert check_key(result.check_id) == check_id
 
 
 def test_registry_is_complete():

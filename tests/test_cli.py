@@ -356,6 +356,10 @@ class TestVerifyCommand:
     def test_unknown_check_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "--check", "no-such-check"])
         assert result.exit_code == 2
+        # an id of report shape names no check unless its key does
+        result = runner.invoke(main, ["verify", "--check", "inv-no-such"])
+        assert result.exit_code == 2
+        assert "unknown check ids: inv-no-such" in result.output
 
     def test_json_format(self, runner):
         result = runner.invoke(
