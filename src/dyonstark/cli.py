@@ -195,7 +195,10 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
             state = SphericalState(n=n, j=j, m=m, s=s)
             c1 = np.linspace(0.0, extent * params.a, points)
             c2 = np.linspace(0.0, math.pi, points)
-        psi = states.psi_grid(state, c1, c2, phi, params)
+        # a huge --extent overflows the kernels; the renderer refuses the
+        # non-finite values with exit 2, so numpy need not warn first
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = states.psi_grid(state, c1, c2, phi, params)
     except ValueError as exc:
         _fail_validation(exc)
     rows = [

@@ -9,8 +9,13 @@ cross-check pipeline:
 * a cyclic-sweep Jacobi diagonalization for small dense symmetric
   matrices.
 
-The matrices here are tiny (a few hundred rows at the very most), so
-both kernels favour verifiability over speed.
+The matrices here are tiny (a few hundred rows at the very most).  The
+QL loop reads and writes one element at a time, so it runs on Python
+lists of floats rather than numpy arrays, which would box every element
+access as a numpy scalar.  Python floats and float64 scalars perform the
+same IEEE-754 double operations, and the loop evaluates every expression
+in the same form and order either way, so the eigenvalues and first
+components are bit for bit those of the array version.
 """
 
 from __future__ import annotations
@@ -34,13 +39,14 @@ def tridiagonal_eigen(diag, offdiag):
     matrix of orthonormal polynomials ``mu0 * first**2`` are the
     Gauss weights.
     """
-    d = np.asarray(diag, dtype=float).copy()
-    n = d.size
+    d = np.asarray(diag, dtype=float).tolist()
+    n = len(d)
     e = np.zeros(n)
     e[: n - 1] = np.asarray(offdiag, dtype=float)
-    z = np.zeros(n)
+    e = e.tolist()
+    z = [0.0] * n
     z[0] = 1.0
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
 
     for l in range(n):
         iters = 0
@@ -56,7 +62,12 @@ def tridiagonal_eigen(diag, offdiag):
             iters += 1
             if iters > _MAX_QL_ITER:
                 raise RuntimeError("tridiagonal QL failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            try:
+                g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            except ZeroDivisionError:
+                # e[l] == 0 fails the test above only when d[l] or
+                # d[l + 1] is NaN, so the quotient is NaN, as in IEEE
+                g = math.nan
             r = math.hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
             s = c = 1.0
@@ -88,8 +99,9 @@ def tridiagonal_eigen(diag, offdiag):
             e[l] = g
             e[m] = 0.0
 
+    d = np.array(d)
     order = np.argsort(d, kind="stable")
-    return d[order], z[order]
+    return d[order], np.array(z)[order]
 
 
 def jacobi_eigenvalues(matrix, tol: float = 1e-14, max_sweeps: int = 60):

@@ -130,35 +130,35 @@ def hyp1f1_poly(p: int, b: float, x):
     1F1(-p; b; x) = (p!/(b)_p) L_p^{(b-1)}(x), which is exact in p
     steps and, unlike naive term-by-term summation of the series, does
     not lose digits to cancellation in the oscillatory region x ~ 4p.
-    Accepts a scalar or ndarray argument x.
+    A scalar x runs the recurrence on Python floats and gives a float;
+    an array x gives an array whose elements have the scalar results'
+    bits, since both do the same IEEE-754 operations in the same order.
     """
     if p < 0 or p != int(p):
         raise ValueError(f"hyp1f1_poly needs integer p >= 0, got {p}")
     if b <= 0:
         raise ValueError(f"hyp1f1_poly needs b > 0, got {b}")
-    p = int(p)
+    p, b = int(p), float(b)
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = float(x)
     if p == 0:
-        out = np.ones_like(x)
-        return float(out) if out.ndim == 0 else out
+        return 1.0 if isinstance(x, float) else np.ones_like(x)
     alpha = b - 1.0
-    prev = np.ones_like(x)
+    prev = 1.0
     cur = b - x
     for k in range(1, p):
         prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
     pref = 1.0
     for k in range(1, p + 1):
         pref *= k / (b + k - 1.0)
-    out = pref * cur
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return pref * cur
 
 
 def _check_projection(j: HalfInteger, m: HalfInteger, name: str) -> None:
-    if abs(m).twice > j.twice:
+    if abs(m.twice) > j.twice:
         raise ValueError(f"|{name}| <= j violated: {name}={m}, j={j}")
-    if not (j - m).is_integer:
+    if (j.twice - m.twice) % 2:
         raise ValueError(f"j - {name} must be an integer: j={j}, {name}={m}")
 
 

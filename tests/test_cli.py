@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -163,6 +164,18 @@ class TestNonFinite:
         assert isinstance(result.exception, SystemExit)
         assert message in result.stderr
         assert "Traceback" not in result.output
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("basis", ["parabolic", "spherical"])
+    def test_overflowing_grid_exits_2_without_warnings(self, runner, basis):
+        args = f"wavefunction --n 4 --s 2 --points 5 --extent 1e300 --basis {basis}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, args.split())
+        assert result.exit_code == 2
+        assert "results must be finite" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert result.stdout == ""
 
 

@@ -8,6 +8,59 @@ import pytest
 from dyonstark.eigen import jacobi_eigenvalues, tridiagonal_eigen
 
 
+def _ndarray_ql(diag, offdiag):
+    """Reference: the same implicit-shift QL loop on float64 ndarrays."""
+    d = np.array(diag, dtype=float)
+    n = d.size
+    e = np.zeros(n)
+    e[: n - 1] = offdiag
+    z = np.zeros(n)
+    z[0] = 1.0
+    eps = np.finfo(float).eps
+    for l in range(n):
+        iters = 0
+        while True:
+            for m in range(l, n - 1):
+                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                    break
+            else:
+                m = n - 1
+            if m == l:
+                break
+            iters += 1
+            assert iters <= 60
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                f = z[i + 1]
+                z[i + 1] = s * z[i] + c * f
+                z[i] = c * z[i] - s * f
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    order = np.argsort(d, kind="stable")
+    return d[order], z[order]
+
+
 class TestTridiagonal:
     def test_diagonal_matrix(self):
         vals, first = tridiagonal_eigen([3.0, 1.0, 2.0], [0.0, 0.0])
@@ -27,6 +80,56 @@ class TestTridiagonal:
         assert float(np.sum(first**2)) == pytest.approx(1.0, rel=1e-12)
         full = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         assert vals == pytest.approx(np.linalg.eigvalsh(full), abs=1e-11)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 30, 90])
+    def test_bits_match_ndarray_loop(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.normal(size=n)
+        e = rng.normal(size=n - 1)
+        if n > 3:
+            e[n // 2] = 0.0  # a split block
+        for diag, off in ((d, e), (1e-3 * d, e), (np.zeros(n), np.ones(n - 1))):
+            vals, first = tridiagonal_eigen(diag, off)
+            want_vals, want_first = _ndarray_ql(diag, off)
+            assert vals.tobytes() == want_vals.tobytes()
+            assert first.tobytes() == want_first.tobytes()
+
+    # Edge cases pinned to the values an ndarray-based QL loop gives.
+    @pytest.mark.parametrize(
+        "diag, offdiag, values, first",
+        [
+            ([2.0], [], [2.0], [1.0]),
+            ([math.nan], [], [math.nan], [1.0]),
+            ([math.inf], [], [math.inf], [1.0]),
+            ([math.inf, 1.0], [0.5], [1.0, math.inf], [0.0, 1.0]),
+            ([1.0, math.inf, 2.0], [1.0, 1.0], [1.0, 2.0, math.inf], [1.0, 0.0, 0.0]),
+            (
+                [-math.inf, 1.0, 3.0],
+                [0.5, 0.25],
+                [-math.inf, 0.9692235935955849, 3.0307764064044154],
+                [1.0, 0.0, 0.0],
+            ),
+        ],
+    )
+    def test_edge_inputs(self, diag, offdiag, values, first):
+        vals, comps = tridiagonal_eigen(diag, offdiag)
+        assert vals.dtype == comps.dtype == np.float64
+        assert vals.tobytes() == np.array(values).tobytes()
+        assert comps.tobytes() == np.array(first).tobytes()
+
+    @pytest.mark.parametrize(
+        "diag, offdiag",
+        [
+            ([math.nan, 1.0], [0.5]),
+            ([math.nan, 1.0], [0.0]),
+            ([1.0, 2.0, math.nan], [0.0, 0.0]),
+            ([1.0, 2.0], [math.nan]),
+            ([1.0, 2.0], [math.inf]),
+        ],
+    )
+    def test_non_finite_blocks_do_not_converge(self, diag, offdiag):
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            tridiagonal_eigen(diag, offdiag)
 
 
 class TestJacobi:

@@ -1,5 +1,6 @@
 """Tests for Golub-Welsch quadrature rules and the half-line driver."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -241,3 +242,21 @@ class TestRuleBuildCount:
         assert solved
         assert len(solved) == len(set(solved))
         assert len(solved) == quadrature._rule.cache_info().currsize
+
+
+class TestRuleBits:
+    # sha256 of every array of every rule below, recorded from an
+    # ndarray-based QL loop; the rules' bits must not depend on how the
+    # loop stores its floats
+    ORDERS = [*range(1, 81), 100, 150, 200]
+    DIGEST = "282fcc7e76cb0bf83213ca76773001745327c09fa20082b9cb397eac6f28a6a7"
+
+    def test_rule_arrays_digest(self):
+        h = hashlib.sha256()
+        for kind in ("laguerre", "legendre"):
+            for n in self.ORDERS:
+                rule = quadrature._rule.__wrapped__(kind, n)
+                for arr in (rule.nodes, rule.weights, rule.lifted_weights):
+                    if arr is not None:
+                        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        assert h.hexdigest() == self.DIGEST

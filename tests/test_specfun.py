@@ -1,6 +1,7 @@
 """Tests for exact special functions: half-integers, factorials,
 terminating hypergeometrics and Wigner d-functions."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -130,6 +131,37 @@ class TestHyp1F1:
         vals = hyp1f1_poly(1, 2.0, x)
         assert np.allclose(vals, 1 - x / 2, rtol=1e-14)
 
+    @pytest.mark.parametrize("x", [2.5, np.float64(2.5), np.float32(2.5), 3, np.int64(3), np.array(2.5)])
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_scalar_in_float_out(self, p, x):
+        for b in (1.5, np.float64(1.5), 2, np.int64(2)):
+            assert type(hyp1f1_poly(p, b, x)) is float
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_array_in_array_out(self, p):
+        out = hyp1f1_poly(p, 1.5, [1.0, 2.0])
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (2,)
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 7, 40, 150])
+    @pytest.mark.parametrize("b", [0.5, 1, 3.0, 21.0])
+    def test_array_elements_equal_scalar_calls(self, p, b):
+        x = np.linspace(0.0, 4.0 * p + 10.0, 41).reshape(41, 1)
+        arr = hyp1f1_poly(p, b, x)
+        assert arr.shape == x.shape
+        scalars = np.array([[hyp1f1_poly(p, b, float(v))] for v in x[:, 0]])
+        assert arr.tobytes() == scalars.tobytes()
+
+    def test_values_digest(self):
+        # sha256 recorded from a recurrence run on 0-d arrays
+        h = hashlib.sha256()
+        xs = np.linspace(0.0, 450.0, 37)
+        for p in range(0, 201, 5):
+            for b in (0.5, 1.0, 1.5, 3.0, 7.25, 40.0):
+                for x in (0.0, 0.3, 2 * p + 1.0, 4.0 * p + 0.7):
+                    h.update(np.float64(hyp1f1_poly(p, b, x)).tobytes())
+                h.update(hyp1f1_poly(p, b, xs).tobytes())
+        assert h.hexdigest() == "889783bb6ecad680d069fccf25aad34f9fca610fc1c68dcb11c40e1b605f4215"
+
 
 class TestWignerD:
     def test_scalar_representation(self):
@@ -207,3 +239,20 @@ class TestWignerD:
             wigner_d(1, 0.5, 0, 0.3)
         with pytest.raises(ValueError):
             wigner_d(-1, 0, 0, 0.3)
+
+    @pytest.mark.parametrize(
+        "j, m, s, message",
+        [
+            (1, 2, 0, "|m| <= j violated: m=2, j=1"),
+            (1, -2, 0, "|m| <= j violated: m=-2, j=1"),
+            (0.5, -0.5, 1.5, "|s| <= j violated: s=3/2, j=1/2"),
+            (1, 0, -3, "|s| <= j violated: s=-3, j=1"),
+            (1, 0.5, 0, "j - m must be an integer: j=1, m=1/2"),
+            (1.5, 0.5, 1, "j - s must be an integer: j=3/2, s=1"),
+            (2, 1, 0.5, "j - s must be an integer: j=2, s=1/2"),
+        ],
+    )
+    def test_projection_messages(self, j, m, s, message):
+        with pytest.raises(ValueError) as exc:
+            wigner_d(j, m, s, 0.3)
+        assert str(exc.value) == message
