@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import repeat
 
 import click
 import numpy as np
@@ -43,16 +44,19 @@ def _emit(text: str, output: str | None) -> None:
     if output in (None, "-"):
         click.get_text_stream("stdout").write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail_validation(ValueError(f"cannot write --output {output}: {exc.strerror or exc}"))
 
 
-def _render(rows, columns, fmt, params, field=None, ratio=None, output=None):
+def _render(table, columns, fmt, params, field=None, ratio=None, output=None):
     try:
         if fmt == "csv":
-            text = tables.render_csv(rows, columns)
+            text = tables.render_csv(table, columns)
         else:
-            text = tables.render_json(rows, params, field=field, ratio=ratio)
+            text = tables.render_json(table, params, field=field, ratio=ratio)
     except ValueError as exc:
         # the renderers refuse NaN and Inf, which finite inputs reach by overflow
         _fail_validation(ValueError(f"results must be finite, but these inputs overflow them ({exc})"))
@@ -88,8 +92,8 @@ def spectrum(s_str, n_str, gamma, fmt, output):
         e0 = states.energy_level(n, params)
     except ValueError as exc:
         _fail_validation(exc)
-    rows = tables.rows_from_spectrum(shell, e0)
-    _render(rows, tables.RECORD_COLUMNS, fmt, params, output=output)
+    table = tables.rows_from_spectrum(shell, e0)
+    _render(table, tables.RECORD_COLUMNS, fmt, params, output=output)
 
 
 def _echo_ratio(ratio: float) -> None:
@@ -97,7 +101,7 @@ def _echo_ratio(ratio: float) -> None:
     click.echo(f"perturbative ratio |e| eps a^2 n^4 / gamma = {ratio!r}", err=True)
 
 
-def _stark_rows(s_str, n_str, gamma, epsilon):
+def _stark_table(s_str, n_str, gamma, epsilon):
     s = _parse_half(s_str, "s")
     n = _parse_half(n_str, "n")
     try:
@@ -117,8 +121,8 @@ def _stark_rows(s_str, n_str, gamma, epsilon):
 @click.option("--epsilon", type=float, default=1.0, show_default=True, help="Field strength.")
 def shifts(s_str, n_str, gamma, epsilon, fmt, output):
     """First-order Stark shift table for one shell."""
-    params, field, ratio, rows = _stark_rows(s_str, n_str, gamma, epsilon)
-    _render(rows, tables.RECORD_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
+    params, field, ratio, table = _stark_table(s_str, n_str, gamma, epsilon)
+    _render(table, tables.RECORD_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
 
 
 @main.command()
@@ -127,8 +131,8 @@ def shifts(s_str, n_str, gamma, epsilon, fmt, output):
 @click.option("--epsilon", type=float, default=0.0, show_default=True, help="Field strength.")
 def dipole(s_str, n_str, gamma, epsilon, fmt, output):
     """Permanent dipole moments of one shell (e1 at the given field)."""
-    params, field, ratio, rows = _stark_rows(s_str, n_str, gamma, epsilon)
-    _render(rows, tables.RECORD_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
+    params, field, ratio, table = _stark_table(s_str, n_str, gamma, epsilon)
+    _render(table, tables.RECORD_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
 
 
 @main.command()
@@ -145,10 +149,10 @@ def splitting(s_str, n_str, gamma, epsilon, fmt, output):
         delta = stark.shell_splitting(n, s, field, params)
     except ValueError as exc:
         _fail_validation(exc)
-    rows = [{"n": n.value, "s2": s.twice, "epsilon": epsilon, "delta_e": delta}]
+    table = {"n": [n.value], "s2": [s.twice], "epsilon": [epsilon], "delta_e": [delta]}
     ratio = field.perturbative_ratio(n, params)
     _echo_ratio(ratio)
-    _render(rows, SPLITTING_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
+    _render(table, SPLITTING_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
 
 
 @main.command()
@@ -201,23 +205,17 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
             psi = states.psi_grid(state, c1, c2, phi, params)
     except ValueError as exc:
         _fail_validation(exc)
-    rows = [
-        _wf_row(x, y, phi, value)
-        for x, psi_x in zip(c1.tolist(), psi.tolist())
-        for y, value in zip(c2.tolist(), psi_x)
-    ]
-    _render(rows, WAVEFUNCTION_COLUMNS, fmt, params, output=output)
-
-
-def _wf_row(c1: float, c2: float, phi: float, psi: complex) -> dict:
-    return {
-        "coord1": c1,
-        "coord2": c2,
-        "phi": phi,
-        "psi_re": psi.real,
-        "psi_im": psi.imag,
-        "abs2": abs(psi) ** 2,
+    values = psi.ravel()
+    table = {
+        "coord1": np.repeat(c1, len(c2)).tolist(),
+        "coord2": np.tile(c2, len(c1)).tolist(),
+        "phi": [phi] * values.size,
+        "psi_re": values.real.tolist(),
+        "psi_im": values.imag.tolist(),
+        # abs(v) ** 2 on Python complexes: numpy's square can round differently
+        "abs2": list(map(pow, map(abs, values.tolist()), repeat(2))),
     }
+    _render(table, WAVEFUNCTION_COLUMNS, fmt, params, output=output)
 
 
 @main.command(name="verify")

@@ -1,16 +1,30 @@
 """Deterministic CSV/JSON rendering of result tables.
 
+A table is a dict of equal-length columns: ``{"e0": [...], "e1": [...]}``,
+with ``None`` for an empty cell.  Its keys, in order, are the JSON record
+keys; CSV takes its header from the ``columns`` argument.
+
 Half-integer quantum numbers are serialized losslessly as doubled
 integers (columns s2, m2, j2).  Energies are rendered with ``repr``,
 the shortest decimal string that parses back to the identical float,
 so identical configurations produce byte-identical output and JSON
 round-trips are exact.  JSON never contains NaN or Inf.
+
+The renderers work one column at a time: a column's distinct values are
+formatted once, and every pass over its cells (the lookups, the CSV
+joins, the JSON record template) is a ``map`` or ``zip`` that runs in C;
+only the quoting of the short e0/e1 columns loops in Python.  A
+wavefunction grid is tens of thousands of cells, and a Python-level loop
+per cell costs more than computing the grid.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import add
 
 from .stark import FieldConfig, StarkShiftRecord
 from .states import PhysicalParams, SphericalState
@@ -27,104 +41,85 @@ __all__ = [
 RECORD_COLUMNS = ["n", "s2", "n1", "n2", "m2", "j2", "e0", "e1", "dipole_z"]
 
 
-def _clean(x) -> float:
-    x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("refusing to serialize a non-finite number")
-    return x + 0.0 if x == 0.0 else x  # fold -0.0 into 0.0
+def rows_from_stark_records(records: list[StarkShiftRecord]) -> dict[str, list]:
+    shell = [rec.state for rec in records]
+    return {
+        "n": [st.n.value for st in shell],
+        "s2": [st.s.twice for st in shell],
+        "n1": [st.n1 for st in shell],
+        "n2": [st.n2 for st in shell],
+        "m2": [st.m.twice for st in shell],
+        "j2": [None] * len(shell),
+        "e0": [rec.e0 for rec in records],
+        "e1": [rec.e1 for rec in records],
+        "dipole_z": [rec.dipole_z for rec in records],
+    }
 
 
-def _num(x) -> str:
-    return repr(_clean(x))
-
-
-def rows_from_stark_records(records: list[StarkShiftRecord]) -> list[dict]:
-    rows = []
-    for rec in records:
-        st = rec.state
-        rows.append(
-            {
-                "n": st.n.value,
-                "s2": st.s.twice,
-                "n1": st.n1,
-                "n2": st.n2,
-                "m2": st.m.twice,
-                "j2": None,
-                "e0": rec.e0,
-                "e1": rec.e1,
-                "dipole_z": rec.dipole_z,
-            }
-        )
-    return rows
-
-
-def rows_from_spectrum(shell: list[SphericalState], e0: float) -> list[dict]:
-    rows = []
-    for st in sorted(shell, key=lambda x: x.sort_key):
-        rows.append(
-            {
-                "n": st.n.value,
-                "s2": st.s.twice,
-                "n1": None,
-                "n2": None,
-                "m2": st.m.twice,
-                "j2": st.j.twice,
-                "e0": e0,
-                "e1": None,
-                "dipole_z": None,
-            }
-        )
-    return rows
+def rows_from_spectrum(shell: list[SphericalState], e0: float) -> dict[str, list]:
+    shell = sorted(shell, key=lambda x: x.sort_key)
+    empty = [None] * len(shell)
+    return {
+        "n": [st.n.value for st in shell],
+        "s2": [st.s.twice for st in shell],
+        "n1": empty,
+        "n2": empty,
+        "m2": [st.m.twice for st in shell],
+        "j2": [st.j.twice for st in shell],
+        "e0": [e0] * len(shell),
+        "e1": empty,
+        "dipole_z": empty,
+    }
 
 
 _INT_KEYS = frozenset(("s2", "n1", "n2", "m2", "j2"))
 _DECIMAL_KEYS = frozenset(("e0", "e1"))  # decimal strings in JSON: exact round trip
 
 
-def _texts(row: dict, keys, num: dict) -> list:
-    """The text of each cell, None for an empty one.
+def _column(key: str, values: list, empty: str | None = None) -> list:
+    """The text of each cell of one column, ``empty`` for an empty one.
 
-    Floats go through the render's ``num`` memo, so each distinct float
-    is formatted once per render.
+    Each distinct value is formatted once.  Values that compare equal
+    convert to the same int or float (-0.0 folds into 0.0), so sharing
+    one text among them is exact.
     """
-    texts = []
-    for key in keys:
-        value = row.get(key)
-        if value is None:
-            texts.append(None)
-        elif key in _INT_KEYS:
-            texts.append(str(int(value)))
-        else:
-            text = num.get(value)
-            if text is None:
-                text = num[value] = _num(value)
-            texts.append(text)
-    return texts
+    distinct = dict.fromkeys(values)
+    distinct.pop(None, None)
+    if key in _INT_KEYS:
+        texts = list(map(str, map(int, distinct)))
+    else:
+        floats = list(map(float, distinct))
+        if not all(map(math.isfinite, floats)):
+            raise ValueError("refusing to serialize a non-finite number")
+        texts = list(map(repr, map(add, floats, repeat(0.0))))
+    if len(texts) == len(values):
+        return texts  # no empty cell and no repeat: already in cell order
+    text = dict(zip(distinct, texts))
+    text[None] = empty
+    return list(map(text.__getitem__, values))
 
 
-def render_csv(rows: list[dict], columns: list[str] | None = None) -> str:
+def render_csv(table: dict[str, list], columns: list[str] | None = None) -> str:
     """RFC-4180 text (CRLF line ends, header row first).
 
     Cells are ints, floats or empty, so none needs quoting and a row is
     one join; a lone empty cell is written "" as ``csv.writer`` does.
     """
     columns = columns or RECORD_COLUMNS
-    num: dict = {}
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join([text or "" for text in _texts(row, columns, num)]) or '""')
-    lines.append("")
-    return "\r\n".join(lines)
+    empty = '""' if len(columns) == 1 else ""
+    cells = [_column(key, table[key], empty) for key in columns]
+    return "\r\n".join([",".join(columns), *map(",".join, zip(*cells, strict=True)), ""])
 
 
 def render_json(
-    rows: list[dict],
+    table: dict[str, list],
     params: PhysicalParams,
     field: FieldConfig | None = None,
     ratio: float | None = None,
 ) -> str:
-    """The rows as ``json.dumps(doc, indent=2)`` writes them, without its
-    pure-Python encoder: only the header goes through ``json.dumps``."""
+    """The table as ``json.dumps(doc, indent=2)`` writes its records, one
+    dict per row, without its pure-Python encoder: only the header goes
+    through ``json.dumps``."""
     head = json.dumps(
         {
             "params": {
@@ -144,30 +139,26 @@ def render_json(
         indent=2,
         allow_nan=False,
     )
-    if not rows:
+    cells = [
+        ["null" if text is None else f'"{text}"' for text in _column(key, values)]
+        if key in _DECIMAL_KEYS
+        else _column(key, values, "null")
+        for key, values in table.items()
+    ]
+    template = "    {\n" + ",\n".join(
+        f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in table
+    ) + "\n    }"
+    records = list(map(template.__mod__, zip(*cells, strict=True)))
+    if not records:
         return head + "\n"
-    num: dict = {}
-    records = []
-    for row in rows:
-        items = []
-        for key, text in zip(row, _texts(row, row, num)):
-            if text is None:
-                text = "null"
-            elif key in _DECIMAL_KEYS:
-                text = f'"{text}"'
-            items.append(f"      {encode_basestring_ascii(key)}: {text}")
-        records.append("    {\n" + ",\n".join(items) + "\n    }" if items else "    {}")
     return head.removesuffix("[]\n}") + "[\n" + ",\n".join(records) + "\n  ]\n}\n"
 
 
-def parse_json_records(text: str) -> list[dict]:
-    """Inverse of render_json for the records array (strings to floats)."""
-    doc = json.loads(text)
-    rows = []
-    for raw in doc["records"]:
-        row = dict(raw)
-        for key in ("e0", "e1"):
-            if row.get(key) is not None:
-                row[key] = float(row[key])
-        rows.append(row)
-    return rows
+def parse_json_records(text: str) -> dict[str, list]:
+    """Inverse of render_json for the records array: a column table,
+    with the decimal strings of e0 and e1 parsed back to floats."""
+    records = json.loads(text)["records"]
+    table = {key: [record[key] for record in records] for key in (records[0] if records else ())}
+    for key in _DECIMAL_KEYS & table.keys():
+        table[key] = [None if value is None else float(value) for value in table[key]]
+    return table

@@ -9,7 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 from dyonstark.cli import main
-from dyonstark.tables import parse_json_records
+from dyonstark.specfun import half
+from dyonstark.stark import FieldConfig, stark_table
+from dyonstark.states import PhysicalParams
+from dyonstark.tables import RECORD_COLUMNS, parse_json_records, render_json
 
 
 @pytest.fixture()
@@ -116,12 +119,52 @@ class TestOutputPins:
                 "wavefunction --n 11/2 --s 1/2 --n1 1 --n2 2 --m -3/2 --points 100 --phi 1.0 --format csv",
                 "56dc2036c5279d13b15122c1b413b25566aeb31d6a28a4f58db1c3e8aaac597a",
             ),
+            (
+                "wavefunction --n 6 --s 1 --n1 2 --n2 1 --m 2 --points 100 --phi 0.5 --format json",
+                "4f41d42b9488f0f86a960f1411bd2f4580ade80f9a7d6ec78446f9ee5a7c361b",
+            ),
+            (
+                "wavefunction --basis spherical --n 9/2 --s 3/2 --j 5/2 --m 1/2 --points 100 --extent 12 --format csv",
+                "2e8b12b4de55cdbe942ecd0180f744d53a2099c5c4a579dfd71517cd29c4c098",
+            ),
+            (
+                "spectrum --n 23/2 --s -3/2 --gamma 0.75 --format csv",
+                "732dd4ef8192dcbf73429bf462ded827e4d59c5f6d0a726c8c82407904c5c734",
+            ),
+            (
+                "splitting --n 17/2 --s 1/2 --epsilon 0.25 --format json",
+                "e852cffcdbc4e5019fb9195a998b8a5fdef4d1519be15deca51a15309fb77e82",
+            ),
+            (
+                "dipole --n 21 --s 2 --epsilon 0.5 --format csv",
+                "b4d4d6cfad9ac74e2a0ea65c7e303c65a23d116201c65d893a7ff5c0ddf2ed44",
+            ),
         ],
     )
     def test_table_bytes(self, runner, args, digest):
         result = runner.invoke(main, args.split())
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["spectrum", "--n", "2"],
+            ["wavefunction", "--n", "2", "--points", "3"],
+            ["verify", "--max-n", "2", "--check", "shell-cardinality"],
+        ],
+    )
+    @pytest.mark.parametrize("target, reason", [("", "Is a directory"), ("missing/x.csv", "No such file")])
+    def test_exits_2_without_traceback(self, runner, tmp_path, command, target, reason):
+        path = tmp_path / target
+        result = runner.invoke(main, [*command, "--output", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot write --output {path}: {reason}" in result.stderr
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "missing").exists()
 
 
 class TestShellCap:
@@ -236,19 +279,31 @@ class TestJsonOutput:
     def test_round_trip_exact(self, runner):
         args = ["shifts", "--s", "1/2", "--n", "7/2", "--epsilon", "0.7319", "--format", "json"]
         out1 = runner.invoke(main, args).stdout
-        rows = parse_json_records(out1)
-        from dyonstark.specfun import half
-        from dyonstark.stark import FieldConfig, stark_table
-        from dyonstark.states import PhysicalParams
+        table = parse_json_records(out1)
+        records = stark_table(half("7/2"), half("1/2"), FieldConfig(0.7319), PhysicalParams.atomic(half("1/2")))
+        assert list(table) == RECORD_COLUMNS
+        # bit-exact through the decimal strings
+        assert table["e1"] == [rec.e1 for rec in records]
+        assert table["e0"] == [rec.e0 for rec in records]
+        assert table["n1"] == [rec.state.n1 for rec in records]
+        assert table["m2"] == [rec.state.m.twice for rec in records]
 
-        params = PhysicalParams.atomic(half("1/2"))
-        records = stark_table(half("7/2"), half("1/2"), FieldConfig(0.7319), params)
-        assert len(rows) == len(records)
-        for row, rec in zip(rows, records):
-            assert row["e1"] == rec.e1  # bit-exact through the decimal string
-            assert row["e0"] == rec.e0
-            assert row["n1"] == rec.state.n1
-            assert row["m2"] == rec.state.m.twice
+    @pytest.mark.parametrize(
+        "args, epsilon",
+        [
+            ("shifts --n 9/2 --s -3/2 --gamma 0.75 --epsilon 0.7319", 0.7319),
+            ("spectrum --n 9/2 --s -3/2 --gamma 0.75", None),
+            ("wavefunction --n 9/2 --s -3/2 --gamma 0.75 --n1 1 --n2 1 --m -3/2 --points 9 --phi 0.5", None),
+        ],
+    )
+    def test_parse_inverts_render(self, runner, args, epsilon):
+        result = runner.invoke(main, [*args.split(), "--format", "json"])
+        assert result.exit_code == 0
+        text = result.stdout
+        params = PhysicalParams.atomic(half("-3/2"), gamma_c=0.75)
+        field = None if epsilon is None else FieldConfig(epsilon)
+        ratio = json.loads(text)["field"]["perturbative_ratio"]
+        assert render_json(parse_json_records(text), params, field, ratio) == text
 
     def test_no_nan_inf_possible(self, runner):
         result = runner.invoke(main, ["spectrum", "--s", "0", "--n", "3", "--format", "json"])

@@ -1,8 +1,8 @@
 """The table renderers against the standard library's encoders.
 
-``render_json`` and ``render_csv`` build their text directly; these tests
-hold them to what ``json.dumps(doc, indent=2)`` and ``csv.writer`` write
-for the same cells.
+``render_json`` and ``render_csv`` build their text directly from a
+column table; these tests hold them to what ``json.dumps(doc, indent=2)``
+and ``csv.writer`` write for the same cells, taken row by row.
 """
 
 import csv
@@ -75,9 +75,19 @@ def reference_csv(rows, columns) -> str:
     return buf.getvalue()
 
 
-def _both(rows, columns, ratio=None):
-    assert tables.render_json(rows, PARAMS, FIELD, ratio) == reference_json(rows, PARAMS, FIELD, ratio)
-    assert tables.render_csv(rows, columns) == reference_csv(rows, columns)
+def _rows(table) -> list[dict]:
+    """The table's rows, each a dict in column order."""
+    return [dict(zip(table, cells)) for cells in zip(*table.values(), strict=True)]
+
+
+def _table(rows, columns=tables.RECORD_COLUMNS) -> dict:
+    return {key: [row.get(key) for row in rows] for key in columns}
+
+
+def _both(table, columns, ratio=None):
+    rows = _rows(table)
+    assert tables.render_json(table, PARAMS, FIELD, ratio) == reference_json(rows, PARAMS, FIELD, ratio)
+    assert tables.render_csv(table, columns) == reference_csv(rows, columns)
 
 
 def _record(**cells) -> dict:
@@ -86,49 +96,76 @@ def _record(**cells) -> dict:
     return row
 
 
-EDGE_ROWS = [
+EDGE = _table([
     _record(n=2.5, s2=1, n1=0, n2=1, m2=-3, e0=-0.08, e1=-0.0, dipole_z=0.0),
     _record(n=3.0, s2=-2, m2=0, j2=4, e0=1e-300, e1=1e300, dipole_z=-1e-300),
     _record(n=1.0, s2=0, n1=2, n2=0, m2=2, e0=5e-324, e1=-1.7976931348623157e308, dipole_z=0.1 + 0.2),
     _record(n=4.0, s2=0, e0=1.0, e1=1e16, dipole_z=123456789.0),
     _record(),
-]
+])
 
 
 class TestAgainstReference:
     def test_empty_rows(self):
-        _both([], tables.RECORD_COLUMNS, ratio=0.5)
-        _both([], WAVEFUNCTION_COLUMNS)
-        _both([{}, {}], WAVEFUNCTION_COLUMNS)
+        _both(_table([]), tables.RECORD_COLUMNS, ratio=0.5)
+        _both(_table([], WAVEFUNCTION_COLUMNS), WAVEFUNCTION_COLUMNS)
+        _both(_table([{}, {}], WAVEFUNCTION_COLUMNS), WAVEFUNCTION_COLUMNS)
+
+    def test_zero_row_table_has_empty_records(self):
+        for table in ({}, _table([], WAVEFUNCTION_COLUMNS)):
+            assert json.loads(tables.render_json(table, PARAMS))["records"] == []
+            assert tables.render_json(table, PARAMS).endswith('  "records": []\n}\n')
+        assert tables.render_csv(_table([], WAVEFUNCTION_COLUMNS), WAVEFUNCTION_COLUMNS) == (
+            ",".join(WAVEFUNCTION_COLUMNS) + "\r\n"
+        )
+
+    def test_columns_of_unequal_length_refused(self):
+        table = {"e0": [1.0, 2.0], "m2": [1]}
+        with pytest.raises(ValueError):
+            tables.render_json(table, PARAMS)
+        with pytest.raises(ValueError):
+            tables.render_csv(table, ["e0", "m2"])
+        with pytest.raises(ValueError):
+            tables.render_json({"e0": [], "m2": [1]}, PARAMS)
 
     def test_none_negative_zero_and_extreme_values(self):
-        _both(EDGE_ROWS, tables.RECORD_COLUMNS, ratio=1e-300)
-        assert '"e1": "0.0"' in tables.render_json(EDGE_ROWS, PARAMS)
-        assert '"e0": "1e-300"' in tables.render_json(EDGE_ROWS, PARAMS)
+        _both(EDGE, tables.RECORD_COLUMNS, ratio=1e-300)
+        assert '"e1": "0.0"' in tables.render_json(EDGE, PARAMS)
+        assert '"e0": "1e-300"' in tables.render_json(EDGE, PARAMS)
 
     def test_repeated_values_in_int_and_float_columns(self):
         # a memo keyed by value must not carry a float column's text into an int column
-        rows = [_record(n=2.0, s2=2, n1=1, m2=2, e0=2, e1=True, dipole_z=2.0) for _ in range(3)]
-        _both(rows, tables.RECORD_COLUMNS)
-        assert tables.render_csv(rows).splitlines()[1] == "2.0,2,1,,2,,2.0,1.0,2.0"
+        table = _table([_record(n=2.0, s2=2, n1=1, m2=2, e0=2, e1=True, dipole_z=2.0) for _ in range(3)])
+        _both(table, tables.RECORD_COLUMNS)
+        assert tables.render_csv(table).splitlines()[1] == "2.0,2,1,,2,,2.0,1.0,2.0"
+
+    def test_equal_values_of_mixed_types_in_one_column(self):
+        # equal values of different types (2 and 2.0, True and 1, 0.0 and -0.0) share one
+        # dict key; each cell must still get the text of its own value
+        mixed = [2, 2.0, True, 0.0, -0.0, 1, 2]
+        table = {"e0": mixed, "m2": mixed, "dipole_z": mixed[::-1], "e1": [-0.0, *mixed[1:]]}
+        _both(table, ["e0", "m2", "dipole_z", "e1"])
+        assert tables.render_csv(table, ["e0", "m2"]).split("\r\n")[1:-1] == [
+            "2.0,2", "2.0,2", "1.0,1", "0.0,0", "0.0,0", "1.0,1", "2.0,2",
+        ]
 
     def test_library_tables(self):
         records = stark.stark_table("7/2", "1/2", FIELD, PARAMS)
         _both(tables.rows_from_stark_records(records), tables.RECORD_COLUMNS, ratio=0.01)
         shell = states.enumerate_shell_spherical("7/2", "1/2")
         _both(tables.rows_from_spectrum(shell, states.energy_level("7/2", PARAMS)), tables.RECORD_COLUMNS)
-        _both([{"n": 3.0, "s2": 1, "epsilon": 0.25, "delta_e": -0.0}], SPLITTING_COLUMNS)
+        _both({"n": [3.0], "s2": [1], "epsilon": [0.25], "delta_e": [-0.0]}, SPLITTING_COLUMNS)
 
     def test_wavefunction_rows(self):
         rows = [
             {"coord1": x, "coord2": y, "phi": 7.0, "psi_re": x * y - 1.0, "psi_im": -x / 3.0, "abs2": y * y}
             for x in (0.0, 0.5, 1e-310) for y in (0.0, 2.0 / 3.0)
         ]
-        _both(rows, WAVEFUNCTION_COLUMNS)
+        _both(_table(rows, WAVEFUNCTION_COLUMNS), WAVEFUNCTION_COLUMNS)
 
     def test_lone_empty_cell_is_quoted_as_csv_writes_it(self):
-        rows = [{"e1": None}, {"e1": 1.5}]
-        assert tables.render_csv(rows, ["e1"]) == reference_csv(rows, ["e1"]) == 'e1\r\n""\r\n1.5\r\n'
+        table = {"e1": [None, 1.5]}
+        assert tables.render_csv(table, ["e1"]) == reference_csv(_rows(table), ["e1"]) == 'e1\r\n""\r\n1.5\r\n'
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -145,19 +182,27 @@ class TestAgainstReference:
         )
     )
     def test_any_finite_rows(self, rows):
-        _both(rows, ["coord1", "m2", "e1", "abs2"])
+        columns = ["coord1", "m2", "e1", "abs2"]
+        _both(_table(rows, columns), columns)
 
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["e0", "dipole_z"])
     def test_refused_by_both_renderers(self, key, bad):
-        rows = [_record(n=2.0, s2=0, e0=-0.125), _record(n=2.0, s2=0, **{key: bad})]
+        table = _table([_record(n=2.0, s2=0, e0=-0.125), _record(n=2.0, s2=0, **{key: bad})])
         with pytest.raises(ValueError):
-            tables.render_json(rows, PARAMS)
+            tables.render_json(table, PARAMS)
         with pytest.raises(ValueError):
-            tables.render_csv(rows)
+            tables.render_csv(table)
+
+    def test_nan_beside_empty_cells_refused(self):
+        table = {"e1": [None, math.nan, None, 1.0]}
+        with pytest.raises(ValueError):
+            tables.render_json(table, PARAMS)
+        with pytest.raises(ValueError):
+            tables.render_csv(table, ["e1"])
 
     def test_non_finite_ratio_refused(self):
         with pytest.raises(ValueError):
-            tables.render_json([], PARAMS, FIELD, math.inf)
+            tables.render_json(_table([]), PARAMS, FIELD, math.inf)
