@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 invalid quantum numbers or options, 3 when
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import sys
 from itertools import repeat
 
@@ -40,6 +42,31 @@ def _fail_validation(exc: Exception) -> None:
     sys.exit(2)
 
 
+def _unwritable(output: str, reason: str) -> None:
+    _fail_validation(ValueError(f"cannot write --output {output}: {reason}"))
+
+
+def _writable_output(ctx, param, output: str) -> str:
+    """Refuse an ``--output`` path that cannot be written, before any work.
+
+    Nothing is created: the path is only inspected.
+    """
+    if output == "-":
+        return output
+    parent = os.path.dirname(output) or "."
+    if os.path.isdir(output):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(output if os.path.exists(output) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return output
+    _unwritable(output, os.strerror(code))
+
+
 def _emit(text: str, output: str | None) -> None:
     if output in (None, "-"):
         click.get_text_stream("stdout").write(text)
@@ -48,7 +75,7 @@ def _emit(text: str, output: str | None) -> None:
             with open(output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            _fail_validation(ValueError(f"cannot write --output {output}: {exc.strerror or exc}"))
+            _unwritable(output, exc.strerror or str(exc))
 
 
 def _render(table, columns, fmt, params, field=None, ratio=None, output=None):
@@ -63,8 +90,13 @@ def _render(table, columns, fmt, params, field=None, ratio=None, output=None):
     _emit(text, output)
 
 
+_output_option = click.option(
+    "--output", "-o", default="-", callback=_writable_output, help="Output path, '-' for stdout."
+)
+
+
 def _common_options(fn):
-    fn = click.option("--output", "-o", default="-", help="Output path, '-' for stdout.")(fn)
+    fn = _output_option(fn)
     fn = click.option(
         "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
     )(fn)
@@ -224,7 +256,7 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
     "--check", "only", multiple=True, help="Run only these checks, by key or report id (repeatable)."
 )
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-@click.option("--output", "-o", default="-", help="Output path, '-' for stdout.")
+@_output_option
 @click.option("--list", "list_only", is_flag=True, help="List check IDs and exit.")
 def verify_cmd(max_n_str, only, fmt, output, list_only):
     """Run the named verification checks; exit 3 on any breach."""
@@ -242,7 +274,16 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
     results = [verify.run_check(nm, max_n=max_n) for nm in names]
     failures = [r.check_id for r in results if not r.passed]
     if fmt == "json":
+        from importlib.metadata import version
+
         doc = {
+            "settings": {
+                "max_n": max_n,
+                "N_MAX": states.N_MAX,
+                "python": ".".join(map(str, sys.version_info[:3])),
+                "numpy": np.__version__,
+                "click": version("click"),
+            },
             "checks": [
                 {
                     "id": r.check_id,
@@ -250,6 +291,9 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
                     "cases": r.cases,
                     "max_err": r.max_err,
                     "tol": r.tol,
+                    # an exact bound missed by any amount has no finite margin
+                    "margin": r.margin if math.isfinite(r.margin) else None,
+                    "elapsed_s": r.elapsed_s,
                     "detail": r.detail,
                     "notes": r.notes,
                 }

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,8 +107,8 @@ class PhysicalParams:
 
 
 def _check_shell(n: HalfInteger, s: HalfInteger) -> None:
-    k = n - abs(s) - 1
-    if not k.is_integer or k.twice < 0:
+    k2 = n.twice - abs(s.twice) - 2  # 2 (n - |s| - 1)
+    if k2 % 2 or k2 < 0:
         raise ValueError(
             f"n must satisfy n >= |s| + 1 with n - |s| - 1 a non-negative integer "
             f"(got n={n}, s={s})"
@@ -134,12 +134,13 @@ class SphericalState:
         for name in ("n", "j", "m", "s"):
             object.__setattr__(self, name, half(getattr(self, name)))
         _check_shell(self.n, self.s)
-        if not (abs(self.s) <= self.j <= self.n - 1) or not (self.j - abs(self.s)).is_integer:
+        j2, m2, s2 = self.j.twice, self.m.twice, self.s.twice
+        if not (abs(s2) <= j2 <= self.n.twice - 2) or (j2 - s2) % 2:
             raise ValueError(
                 f"j must satisfy |s| <= j <= n - 1 with j - |s| an integer "
                 f"(got j={self.j}, n={self.n}, s={self.s})"
             )
-        if not (-self.j <= self.m <= self.j) or not (self.j - self.m).is_integer:
+        if not (-j2 <= m2 <= j2) or (j2 - m2) % 2:
             raise ValueError(
                 f"m must satisfy -j <= m <= j with j - m an integer "
                 f"(got m={self.m}, j={self.j})"
@@ -154,8 +155,13 @@ class SphericalState:
 class ParabolicState:
     """Parabolic label (n1, n2, m) at monopole number s.
 
-    n1 and n2 count nodes of the xi and eta factors; the principal
-    level n = n1 + n2 + (|m-s| + |m+s|)/2 + 1 is derived.
+    n1 and n2 count nodes of the xi and eta factors.  Three labels are
+    derived once, at construction, as plain attributes that equality,
+    hashing and ``repr`` do not see:
+
+    - ``q1`` = m - s, the azimuthal index of the xi factor;
+    - ``q2`` = m + s, the azimuthal index of the eta factor;
+    - ``n`` = n1 + n2 + (|m-s| + |m+s|)/2 + 1, the principal level.
     """
 
     n1: int
@@ -172,26 +178,15 @@ class ParabolicState:
         object.__setattr__(self, "n2", int(self.n2))
         object.__setattr__(self, "m", half(self.m))
         object.__setattr__(self, "s", half(self.s))
-        if not (self.m - self.s).is_integer:
+        m2, s2 = self.m.twice, self.s.twice
+        if (m2 - s2) % 2:
             raise ValueError(
                 f"m - s and m + s must be integers (got m={self.m}, s={self.s})"
             )
-
-    # Cached in the instance dict on first use; equality and hashing
-    # still see only the four fields.
-    @cached_property
-    def q1(self) -> int:
-        """m - s, the azimuthal index of the xi factor."""
-        return (self.m - self.s).as_int()
-
-    @cached_property
-    def q2(self) -> int:
-        """m + s, the azimuthal index of the eta factor."""
-        return (self.m + self.s).as_int()
-
-    @cached_property
-    def n(self) -> HalfInteger:
-        return HalfInteger(2 * (self.n1 + self.n2 + 1) + (abs(self.q1) + abs(self.q2)))
+        q1, q2 = (m2 - s2) // 2, (m2 + s2) // 2
+        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "q2", q2)
+        object.__setattr__(self, "n", HalfInteger(2 * (self.n1 + self.n2 + 1) + abs(q1) + abs(q2)))
 
     @property
     def sort_key(self):
@@ -224,15 +219,11 @@ def enumerate_shell_spherical(n, s) -> list[SphericalState]:
     """All (j, m) labels of shell n; cardinality n^2 - s^2."""
     n, s = half(n), half(s)
     _check_shell(n, s)
-    states = []
-    j = abs(s)
-    while j <= n - 1:
-        m = -j
-        while m <= j:
-            states.append(SphericalState(n=n, j=j, m=m, s=s))
-            m = m + 1
-        j = j + 1
-    return states
+    return [
+        SphericalState(n=n, j=j, m=HalfInteger(m2), s=s)
+        for j in map(HalfInteger, range(abs(s.twice), n.twice - 1, 2))
+        for m2 in range(-j.twice, j.twice + 1, 2)
+    ]
 
 
 def enumerate_shell_parabolic(n, s) -> list[ParabolicState]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
@@ -34,17 +35,27 @@ class CheckResult:
     detail: str = ""
     notes: list[str] = dc_field(default_factory=list)
     cases: int = 0
+    elapsed_s: float = 0.0
 
     def __post_init__(self):
         # a check that compared nothing has shown nothing, so it fails
         self.passed = bool(self.passed) and self.cases > 0
 
+    @property
+    def margin(self) -> float:
+        """max_err / tol: at most 1 on a pass; inf for any error on an exact bound."""
+        return _margin(self.max_err, self.tol)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
             f"[{status}] {self.check_id}: cases={self.cases} max_err={self.max_err:.3e} "
-            f"tol={self.tol:.1e} {self.detail}"
+            f"tol={self.tol:.1e} margin={self.margin:.2e} {self.detail}"
         )
+
+
+def _margin(err: float, tol: float) -> float:
+    return err / tol if tol else (0.0 if err == 0 else math.inf)
 
 
 class _Bounds:
@@ -69,7 +80,7 @@ class _Bounds:
     def _closeness(self, name: str) -> tuple[bool, float]:
         """(failed, err / tol) of one bound; the binding bound has the largest."""
         err, tol = self.worst[name], self.tols[name]
-        ratio = err / tol if tol else (0.0 if err == 0 else math.inf)
+        ratio = _margin(err, tol)
         return not err <= tol, math.inf if math.isnan(ratio) else ratio
 
     def result(self, check_id: str, text: str, notes=()) -> CheckResult:
@@ -541,5 +552,8 @@ def check_key(name: str) -> str:
 
 
 def run_check(name: str, max_n=None) -> CheckResult:
-    """Run one check, named by its CHECKS key or its report id."""
-    return CHECKS[check_key(name)](max_n=max_n)
+    """Run one check, named by its CHECKS key or its report id, and time it."""
+    start = time.perf_counter()
+    result = CHECKS[check_key(name)](max_n=max_n)
+    result.elapsed_s = time.perf_counter() - start
+    return result

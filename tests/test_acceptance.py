@@ -104,7 +104,9 @@ class TestBounds:
         result = bounds.result("c99-stub", "stub")
         assert not result.passed
         assert (result.max_err, result.tol, result.cases) == (5e-12, 1e-12, 8)
-        assert result.line().startswith("[FAIL] c99-stub: cases=8 max_err=5.000e-12 tol=1.0e-12 stub; ")
+        assert result.line().startswith(
+            "[FAIL] c99-stub: cases=8 max_err=5.000e-12 tol=1.0e-12 margin=5.00e+00 stub; "
+        )
         assert "tight 5.00e-12 (tol 1e-12), loose 1.00e-07 (tol 1e-06)" in result.detail
 
     def test_one_exact_failure_fails(self):
@@ -138,6 +140,20 @@ class TestBounds:
         result = bounds.result("c99-stub", "stub")
         assert not result.passed
         assert math.isnan(result.max_err)
+
+    @pytest.mark.parametrize(
+        "max_err, tol, margin", [(5e-12, 1e-12, 5.0), (0.0, 0.0, 0.0), (1.0, 0.0, math.inf), (0.0, 1e-6, 0.0)]
+    )
+    def test_margin_is_error_over_tolerance(self, max_err, tol, margin):
+        assert CheckResult("c99-stub", True, max_err, tol, cases=1).margin == margin
+
+    def test_run_check_times_the_check_once(self, monkeypatch):
+        result = CheckResult("c99-stub", True, 0.0, 0.0, cases=1)
+        monkeypatch.setitem(CHECKS, "stub", lambda max_n=None: result)
+        clock = iter([10.0, 12.5])
+        monkeypatch.setattr(verify.time, "perf_counter", lambda: next(clock))
+        assert run_check("stub") is result
+        assert result.elapsed_s == 2.5
 
     def test_check_reports_its_binding_bound(self, monkeypatch):
         # an analytic error of 5e-12 breaches c01's 1e-12 bound, not its 1e-6 one

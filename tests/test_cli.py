@@ -1,13 +1,21 @@
 """Tests for the command-line interface and its file formats."""
 
 import hashlib
+import importlib.metadata
 import json
 import math
+import platform
+import re
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dyonstark.cli
+import dyonstark.stark
+import dyonstark.states
+import dyonstark.verify
 from dyonstark.cli import main
 from dyonstark.specfun import half
 from dyonstark.stark import FieldConfig, stark_table
@@ -139,12 +147,37 @@ class TestOutputPins:
                 "dipole --n 21 --s 2 --epsilon 0.5 --format csv",
                 "b4d4d6cfad9ac74e2a0ea65c7e303c65a23d116201c65d893a7ff5c0ddf2ed44",
             ),
+            (
+                "spectrum --n 161/2 --s 3/2 --format json",
+                "5b346930acf05f81fc4e04a41e68abc9f85e231cb27feae7664502ef204816ee",
+            ),
+            (
+                "shifts --n 80 --s -2 --epsilon 0.75 --format csv",
+                "bb4724938786d58a5a1047091c92e6e9307ce3eb7a60dca8f5a383ffe5de12fc",
+            ),
         ],
     )
     def test_table_bytes(self, runner, args, digest):
         result = runner.invoke(main, args.split())
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Make every subcommand's computation fail if it is reached."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before --output was checked")
+
+    for module, name in (
+        (dyonstark.verify, "run_check"),
+        (dyonstark.stark, "stark_table"),
+        (dyonstark.stark, "shell_splitting"),
+        (dyonstark.states, "enumerate_shell_spherical"),
+        (dyonstark.states, "psi_grid"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
 
 
 class TestUnwritableOutput:
@@ -154,10 +187,13 @@ class TestUnwritableOutput:
             ["spectrum", "--n", "2"],
             ["wavefunction", "--n", "2", "--points", "3"],
             ["verify", "--max-n", "2", "--check", "shell-cardinality"],
+            ["shifts", "--n", "2"],
+            ["dipole", "--n", "2"],
+            ["splitting", "--n", "2"],
         ],
     )
     @pytest.mark.parametrize("target, reason", [("", "Is a directory"), ("missing/x.csv", "No such file")])
-    def test_exits_2_without_traceback(self, runner, tmp_path, command, target, reason):
+    def test_exits_2_without_traceback(self, runner, tmp_path, no_work, command, target, reason):
         path = tmp_path / target
         result = runner.invoke(main, [*command, "--output", str(path)])
         assert result.exit_code == 2
@@ -165,6 +201,30 @@ class TestUnwritableOutput:
         assert f"error: cannot write --output {path}: {reason}" in result.stderr
         assert "Traceback" not in result.output
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", [["verify", "--list"], ["verify"], ["shifts", "--n", "2"]])
+    def test_unwritable_parent_refused_before_the_work(self, runner, tmp_path, monkeypatch, no_work, command):
+        # a permission bit does not stop root, so the refusal is simulated
+        monkeypatch.setattr(dyonstark.cli.os, "access", lambda path, mode: False)
+        path = tmp_path / "x.csv"
+        result = runner.invoke(main, [*command, "--output", str(path)])
+        assert result.exit_code == 2
+        assert f"error: cannot write --output {path}: Permission denied" in result.stderr
+        assert not path.exists()
+
+    def test_parent_that_is_a_file_refused(self, runner, tmp_path, no_work):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "x.csv"
+        result = runner.invoke(main, ["spectrum", "--n", "2", "--output", str(path)])
+        assert result.exit_code == 2
+        assert f"error: cannot write --output {path}: Not a directory" in result.stderr
+
+    def test_no_file_created_when_the_work_fails(self, runner, tmp_path):
+        path = tmp_path / "x.csv"
+        result = runner.invoke(main, ["spectrum", "--n", "1/2", "--output", str(path)])
+        assert result.exit_code == 2
+        assert "n must satisfy n >= |s| + 1" in result.stderr
+        assert not path.exists()
 
 
 class TestShellCap:
@@ -373,6 +433,13 @@ class TestOtherCommands:
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
+def _untimed(report: str) -> str:
+    """A JSON verify report without its run-time lines, the one field that varies between runs."""
+    untimed, count = re.subn(r'^ *"elapsed_s": [0-9.e+-]+,\n', "", report, flags=re.M)
+    assert count == len(json.loads(report)["checks"])
+    return untimed
+
+
 class TestVerifyCommand:
     def test_list_checks(self, runner):
         result = runner.invoke(main, ["verify", "--list"])
@@ -405,7 +472,7 @@ class TestVerifyCommand:
             ids = [check["id"] for check in json.loads(by_key.stdout)["checks"]]
             by_id = runner.invoke(main, [*args, *(a for check_id in ids for a in ("--check", check_id))])
             assert by_id.exit_code == by_key.exit_code == 0
-            assert by_id.stdout_bytes == by_key.stdout_bytes
+            assert _untimed(by_id.stdout) == _untimed(by_key.stdout)
         # a failure list fed back to --check reruns exactly the failed checks
         failed = runner.invoke(main, ["verify", "--max-n", "1", "--format", "json"])
         failures = json.loads(failed.stdout)["failures"]
@@ -496,6 +563,38 @@ class TestVerifyCommand:
         assert result.exit_code == 3
         assert json.loads(result.stdout)["failures"] == ["c99-stub"]
 
+    def test_report_margin_time_and_settings(self, runner):
+        args = ["verify", "--max-n", "2", "--check", "shell-cardinality", "--check", "specfun-invariants"]
+        doc = json.loads(runner.invoke(main, [*args, "--format", "json"]).stdout)
+        assert doc["settings"] == {
+            "max_n": 2.0,
+            "N_MAX": 200,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "click": importlib.metadata.version("click"),
+        }
+        exact, inexact = doc["checks"]
+        assert (exact["max_err"], exact["tol"], exact["margin"]) == (0.0, 0.0, 0.0)
+        assert inexact["margin"] == inexact["max_err"] / inexact["tol"]
+        assert 0 < inexact["margin"] <= 1
+        assert all(0 < check["elapsed_s"] < 60 for check in doc["checks"])
+        text = runner.invoke(main, args).stdout.splitlines()
+        assert " tol=0.0e+00 margin=0.00e+00 " in text[0]
+        assert f" tol={inexact['tol']:.1e} margin={inexact['margin']:.2e} " in text[1]
+
+    def test_failed_exact_check_has_null_margin(self, runner, monkeypatch):
+        def broken(max_n=None):
+            return dyonstark.verify.CheckResult("c99-stub", False, 1.0, 0.0, "stubbed exact breach", cases=1)
+
+        monkeypatch.setitem(dyonstark.verify.CHECKS, "stub-exact", broken)
+        result = runner.invoke(main, ["verify", "--check", "stub-exact", "--format", "json"])
+        assert result.exit_code == 3
+        assert json.loads(result.stdout)["checks"][0]["margin"] is None
+        assert "null" in result.stdout and "Infinity" not in result.stdout
+        result = runner.invoke(main, ["verify", "--check", "stub-exact"])
+        assert result.exit_code == 3
+        assert "tol=0.0e+00 margin=inf stubbed exact breach" in result.stdout
+
     @pytest.mark.parametrize("value", ["abc", "500"])
     def test_quad_order_env_ignored(self, runner, monkeypatch, value):
         # orders follow from the labels; no environment setting reaches them
@@ -505,4 +604,4 @@ class TestVerifyCommand:
         assert unset.exit_code == 0
         result = runner.invoke(main, args, env={"DYONSTARK_QUAD_ORDER": value})
         assert result.exit_code == 0
-        assert result.stdout_bytes == unset.stdout_bytes
+        assert _untimed(result.stdout) == _untimed(unset.stdout)

@@ -1,12 +1,16 @@
 """Tests for quantum-number bookkeeping, wavefunctions and coordinates."""
 
 import cmath
+import dataclasses
+import itertools
 import math
+import pickle
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
@@ -199,6 +203,174 @@ class TestEnumeration:
             ParabolicState(0, 0, half("1/2"), half(0))
         with pytest.raises(ValueError, match="n1"):
             ParabolicState(-1, 0, half(0), half(0))
+
+
+# The label rules restated on exact rationals: the reference shares no
+# arithmetic with the doubled integers the library validates on.
+TWICE_LO, TWICE_HI = -2 * N_MAX - 4, 2 * N_MAX + 4
+TWICE = st.integers(TWICE_LO, TWICE_HI)
+
+
+def _moved(twice: int):
+    """A doubled label as it is, moved by at most 3/2, or anywhere in the range."""
+    clip = lambda t: min(max(t, TWICE_LO), TWICE_HI)  # noqa: E731
+    return st.one_of(st.just(twice), st.integers(twice - 3, twice + 3), TWICE).map(clip)
+
+
+def _steps(count: int):
+    """0, 1, ..., count - 1 steps of one unit (none when count < 1)."""
+    return st.integers(0, max(count - 1, 0))
+
+
+def _shell_error(n: Fraction, s: Fraction):
+    k = n - abs(s) - 1
+    if k.denominator != 1 or k < 0:
+        return (
+            "n must satisfy n >= |s| + 1 with n - |s| - 1 a non-negative integer "
+            f"(got n={n}, s={s})"
+        )
+    if n > N_MAX:
+        return f"n must satisfy n <= {N_MAX} (got n={float(n):g})"
+    return None
+
+
+def _spherical_error(n: Fraction, j: Fraction, m: Fraction, s: Fraction):
+    if (error := _shell_error(n, s)) is not None:
+        return error
+    if not abs(s) <= j <= n - 1 or (j - abs(s)).denominator != 1:
+        return f"j must satisfy |s| <= j <= n - 1 with j - |s| an integer (got j={j}, n={n}, s={s})"
+    if not -j <= m <= j or (j - m).denominator != 1:
+        return f"m must satisfy -j <= m <= j with j - m an integer (got m={m}, j={j})"
+    return None
+
+
+def _parabolic_error(n1: int, n2: int, m: Fraction, s: Fraction):
+    for name, value in (("n1", n1), ("n2", n2)):
+        if value < 0:
+            return f"{name} must be a non-negative integer, got {value!r}"
+    if (m - s).denominator != 1:
+        return f"m - s and m + s must be integers (got m={m}, s={s})"
+    return None
+
+
+def _accepts_exactly(build, error):
+    """``build()`` succeeds when the reference finds no error, else raises its message."""
+    if error is None:
+        return build()
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == error
+    return None
+
+
+def _fr(label) -> Fraction:
+    return Fraction(str(label))
+
+
+@st.composite
+def _shell_labels(draw):
+    """(n2, s2) near a valid shell: a shell rule is broken only by the moves."""
+    s2 = draw(st.one_of(st.integers(-8, 8), TWICE))
+    n2 = abs(s2) + 2 + 2 * draw(_steps(N_MAX))
+    return draw(_moved(n2)), s2
+
+
+@st.composite
+def _spherical_labels(draw):
+    n2, s2 = draw(_shell_labels())
+    j2 = draw(_moved(abs(s2) + 2 * draw(_steps((n2 - abs(s2)) // 2))))
+    m2 = draw(_moved(-j2 + 2 * draw(_steps(j2 + 1))))
+    return n2, j2, m2, s2
+
+
+class TestLabelRules:
+    @given(_shell_labels())
+    @example((4, 0))  # accepted
+    @example((3, 0))  # n - |s| - 1 a half-integer
+    @example((2, 2))  # n < |s| + 1
+    @example((-4, 0))
+    @example((2 * N_MAX + 2, 0))  # n > N_MAX
+    @example((2 * N_MAX + 1, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_shell_rule(self, labels):
+        n2, s2 = labels
+        _accepts_exactly(
+            lambda: states._check_shell(HalfInteger(n2), HalfInteger(s2)),
+            _shell_error(Fraction(n2, 2), Fraction(s2, 2)),
+        )
+
+    @given(_spherical_labels())
+    @example((4, 2, 0, 0))  # accepted
+    @example((5, 1, -1, -1))  # accepted, half-integer s
+    @example((3, 0, 0, 0))  # shell rule first
+    @example((4, 4, 0, 0))  # j > n - 1
+    @example((6, 0, 0, 2))  # j < |s|
+    @example((5, 2, 0, 1))  # j - |s| a half-integer
+    @example((4, 2, 4, 0))  # m > j
+    @example((4, 2, -4, 0))  # m < -j
+    @example((4, 2, 1, 0))  # j - m a half-integer
+    @example((2 * N_MAX, 2 * N_MAX - 2, -2 * N_MAX + 2, 0))  # the largest shell
+    @settings(max_examples=60, deadline=None)
+    def test_spherical_rules(self, labels):
+        state = _accepts_exactly(
+            lambda: SphericalState(*map(HalfInteger, labels)),
+            _spherical_error(*(Fraction(t, 2) for t in labels)),
+        )
+        if state is not None:
+            assert [_fr(state.n), _fr(state.j), _fr(state.m), _fr(state.s)] == [
+                Fraction(t, 2) for t in labels
+            ]
+
+    def test_spherical_rules_on_a_box_of_small_labels(self):
+        for n2, j2, m2, s2 in itertools.product(range(-1, 8), range(-3, 6), range(-5, 6), range(-2, 3)):
+            _accepts_exactly(
+                lambda: SphericalState(HalfInteger(n2), HalfInteger(j2), HalfInteger(m2), HalfInteger(s2)),
+                _spherical_error(Fraction(n2, 2), Fraction(j2, 2), Fraction(m2, 2), Fraction(s2, 2)),
+            )
+
+    @given(st.integers(-3, N_MAX), st.integers(-3, N_MAX), TWICE, TWICE)
+    @example(2, 1, 1, -3)  # accepted
+    @example(0, 0, 1, 0)  # m - s a half-integer
+    @example(-1, 0, 0, 0)
+    @example(0, -1, 0, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_parabolic_rules_and_derived_labels(self, n1, n2, m2, s2):
+        m, s = Fraction(m2, 2), Fraction(s2, 2)
+        state = _accepts_exactly(
+            lambda: ParabolicState(n1, n2, HalfInteger(m2), HalfInteger(s2)),
+            _parabolic_error(n1, n2, m, s),
+        )
+        if state is not None:
+            assert (state.q1, state.q2) == (m - s, m + s)
+            assert _fr(state.n) == n1 + n2 + (abs(m - s) + abs(m + s)) / 2 + 1
+
+    @pytest.mark.parametrize("n, s", [("7", "0"), ("13/2", "3/2"), ("9", "-2")])
+    def test_enumerated_derived_labels(self, n, s):
+        shell = enumerate_shell_parabolic(half(n), half(s))
+        assert len(shell) == Fraction(n) ** 2 - Fraction(s) ** 2
+        for state in shell:
+            m = _fr(state.m)
+            assert _fr(state.s) == Fraction(s)
+            assert (state.q1, state.q2) == (m - Fraction(s), m + Fraction(s))
+            assert _fr(state.n) == Fraction(n)
+            assert _fr(state.n) == state.n1 + state.n2 + (abs(state.q1) + abs(state.q2)) / Fraction(2) + 1
+
+    def test_identity_sees_only_the_four_fields(self):
+        state = ParabolicState(2, 1, half("1/2"), half("-3/2"))
+        assert [f.name for f in dataclasses.fields(state)] == ["n1", "n2", "m", "s"]
+        assert dataclasses.asdict(state) == {"n1": 2, "n2": 1, "m": {"twice": 1}, "s": {"twice": -3}}
+        assert repr(state) == "ParabolicState(n1=2, n2=1, m=HalfInteger(1), s=HalfInteger(-3))"
+        # derived labels that differ change neither equality nor the hash
+        other = ParabolicState(2, 1, half("1/2"), half("-3/2"))
+        object.__setattr__(other, "q1", 99)
+        assert other == state
+        assert hash(other) == hash(state) == hash((2, 1, half("1/2"), half("-3/2")))
+        assert state != ParabolicState(2, 1, half("1/2"), half("3/2"))
+        copied = pickle.loads(pickle.dumps(state))
+        assert copied == state and hash(copied) == hash(state)
+        assert (copied.q1, copied.q2, copied.n) == (2, -1, half("11/2"))
+        with pytest.raises(FrozenInstanceError):
+            copied.n = half(7)
 
 
 class TestBetaEigenvalue:
