@@ -289,9 +289,10 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
                     "id": r.check_id,
                     "passed": r.passed,
                     "cases": r.cases,
-                    "max_err": r.max_err,
+                    # a NaN error, or an exact bound missed by any amount,
+                    # has no finite value to write
+                    "max_err": r.max_err if math.isfinite(r.max_err) else None,
                     "tol": r.tol,
-                    # an exact bound missed by any amount has no finite margin
                     "margin": r.margin if math.isfinite(r.margin) else None,
                     "elapsed_s": r.elapsed_s,
                     "detail": r.detail,

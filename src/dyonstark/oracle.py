@@ -8,14 +8,19 @@ matrix per (shell, m) sector, and diagonalized with the in-house
 Jacobi solver.  First-order degenerate perturbation theory says the
 sorted eigenvalues must reproduce the closed-form shifts.
 
-Each moment is taken at the scale 2 a n_a n_b / (n_a + n_b), which
-turns its integrand into e^{-t} times a polynomial of degree
-d = n1_a + n1_b + |m -+ s| + 2 (or the same with n2).  An N-node Gauss
-rule is exact up to degree 2N - 1, so ``phi_pair_moment`` picks
-N = d // 2 + 1 from the labels alone, and the numbers are exact up to
-rounding, not merely converged.  The order passes the rule cap of 200,
-and the element raises ValueError, only when both states lie in the
-n = 200 shell, e.g. for (n1, n2, m) = (199, 0, 0) at s = 0.
+Between two states the xi moment x^k Phi_{n1_a q1} Phi_{n1_b q1}, at
+the scale 2 a n_a n_b / (n_a + n_b), is e^{-t} times a polynomial of
+degree d = n1_a + n1_b + |q1| + k (the eta moment the same with n2
+and q2).  An N-node Gauss rule is exact up to degree 2N - 1, so
+N = d // 2 + 1 makes the moment exact up to rounding, not merely
+converged.  ``matrix_element_V`` takes that order per element and
+moment.  A sector shares one shell, so each of its two factors takes
+one rule, ordered by the sector's highest-degree pair
+(d = 2 max n1 + |q1| + 2): every state's Phi is tabulated once on
+those nodes, and the four Gram matrices F diag(w x^k) F^T (k = 0, 2)
+give every entry at once.  The order passes the rule cap of 200, and
+the element or sector raises ValueError, only in the n = 200 shell,
+e.g. for (n1, n2, m) = (199, 0, 0) at s = 0.
 """
 
 from __future__ import annotations
@@ -25,14 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import jacobi_eigenvalues
+from .quadrature import gauss_laguerre
 from .specfun import HalfInteger, half
 from .stark import FieldConfig
 from .states import (
     ParabolicState,
     PhysicalParams,
     _check_state_params,
+    _exact_order,
     enumerate_shell_parabolic,
     phi_pair_moment,
+    phi_pq,
 )
 
 __all__ = [
@@ -101,13 +109,29 @@ def _assemble(
     field: FieldConfig,
     params: PhysicalParams,
 ) -> SubspaceMatrix:
-    dim = len(basis)
-    entries = np.zeros((dim, dim))
-    for i in range(dim):
-        for jj in range(i, dim):
-            val = matrix_element_V(basis[i], basis[jj], field, params)
-            entries[i, jj] = val
-            entries[jj, i] = val
+    for st in basis:
+        _check_state_params(st, params)
+    entries = np.zeros((len(basis), len(basis)))
+    if field.epsilon != 0.0:
+        nf = n.value
+        scale = params.a * nf
+        factors = [
+            ([st.n1 for st in basis], basis[0].q1),
+            ([st.n2 for st in basis], basis[0].q2),
+        ]
+        # both rules first: a sector past the order cap raises before any moment
+        rules = [gauss_laguerre(_exact_order(2 * max(ps) + abs(q) + 2)) for ps, q in factors]
+        moments = []
+        for (ps, q), rule in zip(factors, rules):
+            x = scale * rule.nodes
+            w = scale * rule.lifted_weights
+            table = np.array([phi_pq(p, q, x, nf, params) for p in ps])
+            # G_k = F diag(w x^k) F^T for k = 0, 2; einsum sums in a fixed order, without BLAS
+            moments += [np.einsum("ik,jk->ij", table * wk, table) for wk in (w, w * x**2)]
+        g0_xi, g2_xi, g0_eta, g2_eta = moments
+        pref = 2.0 / (nf**4 * params.a**3) * params.e_abs * field.epsilon / 8.0
+        upper = np.triu(pref * (g2_xi * g0_eta - g0_xi * g2_eta))
+        entries = upper + np.triu(upper, 1).T
     return SubspaceMatrix(n=n, m=m, s=s, basis=tuple(basis), entries=entries)
 
 

@@ -482,6 +482,7 @@ def phi_pair_moment(
     remaining integrand is e^{-t} times a polynomial of degree
     p_a + p_b + |q| + power.  The default order is the least that
     integrates that degree exactly; an explicit order is used as given.
+    Two equal factors are evaluated once.
     """
     if order is None:
         order = _exact_order(p_a + p_b + abs(q) + power)
@@ -490,7 +491,9 @@ def phi_pair_moment(
     rule = gauss_laguerre(order)
 
     def integrand(x):
-        return x**power * phi_pq(p_a, q, x, n_a, params) * phi_pq(p_b, q, x, n_b, params)
+        f_a = phi_pq(p_a, q, x, n_a, params)
+        f_b = f_a if (p_b, n_b) == (p_a, n_a) else phi_pq(p_b, q, x, n_b, params)
+        return x**power * f_a * f_b
 
     return integrate_halfline(integrand, rule, scale=scale)
 

@@ -494,10 +494,16 @@ def check_stark_invariants(max_n=None) -> CheckResult:
 
 
 def check_oracle_invariants(max_n=None) -> CheckResult:
-    """Hermiticity, derived order against a 64-node rule, trace identity."""
+    """Hermiticity, derived order against a 64-node rule, sector tables, trace identity."""
     bounds = _Bounds(elements=1e-10)
     for params, field, shell in _parabolic_shells([0, 1, 0.5], 3.0, max_n):
         scale = params.a * params.e_abs * field.epsilon
+        # every entry of the shell's table-assembled sectors, by state pair
+        sector = {}
+        for m in {st.m for st in shell}:
+            sub = oracle.build_subspace(shell[0].n, params.s, m, field, params)
+            for a, row in zip(sub.basis, sub.entries):
+                sector.update({(a, b): v for b, v in zip(sub.basis, row)})
         for i, a in enumerate(shell):
             for b in shell[i:]:
                 v1 = oracle.matrix_element_V(a, b, field, params)
@@ -505,11 +511,15 @@ def check_oracle_invariants(max_n=None) -> CheckResult:
                 bounds.add("elements", abs(v1 - v2) / scale)
                 v3 = oracle.matrix_element_V(a, b, field, params, quad_order=64)
                 bounds.add("elements", abs(v3 - v1) / max(abs(v3), scale))
+                if a.m == b.m:
+                    bounds.add("elements", abs(sector[a, b] - v1) / max(abs(v1), scale))
         diag_sum = sum(oracle.matrix_element_V(a, a, field, params) for a in shell)
         analytic_sum = sum(stark.shift_closed_form(a, field, params) for a in shell)
         bounds.add("elements", abs(diag_sum - analytic_sum) / max(abs(analytic_sum), scale))
     return bounds.result(
-        "inv-oracle", "hermiticity, derived order against order 64, first-order trace identity"
+        "inv-oracle",
+        "hermiticity, derived order against order 64, sectors against elements, "
+        "first-order trace identity",
     )
 
 

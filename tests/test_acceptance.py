@@ -52,7 +52,7 @@ CASES = {
     "quadrature-invariants": (16, 16),
     "states-invariants": (1006, 1003),
     "stark-invariants": (187, 11),
-    "oracle-invariants": (251, 44),
+    "oracle-invariants": (295, 55),
 }
 
 

@@ -440,7 +440,15 @@ def _untimed(report: str) -> str:
     return untimed
 
 
+QUICK_VERIFY = ["verify", "--max-n", "2", "--format", "json"]
+
+
 class TestVerifyCommand:
+    @pytest.fixture(scope="class")
+    def quick_report(self):
+        """One ``verify --max-n 2 --format json`` run, without DYONSTARK_QUAD_ORDER."""
+        return CliRunner().invoke(main, QUICK_VERIFY, env={"DYONSTARK_QUAD_ORDER": None})
+
     def test_list_checks(self, runner):
         result = runner.invoke(main, ["verify", "--list"])
         assert result.exit_code == 0
@@ -539,10 +547,9 @@ class TestVerifyCommand:
         assert doc["checks"][0]["cases"] == 0
         assert doc["failures"] == ["c05-degeneracy-removal"]
 
-    def test_max_n_two_passes_everything(self, runner):
-        result = runner.invoke(main, ["verify", "--max-n", "2", "--format", "json"])
-        assert result.exit_code == 0
-        doc = json.loads(result.stdout)
+    def test_max_n_two_passes_everything(self, quick_report):
+        assert quick_report.exit_code == 0
+        doc = json.loads(quick_report.stdout)
         assert len(doc["checks"]) == 15
         assert doc["failures"] == []
         assert all(c["passed"] and c["cases"] > 0 for c in doc["checks"])
@@ -595,13 +602,23 @@ class TestVerifyCommand:
         assert result.exit_code == 3
         assert "tol=0.0e+00 margin=inf stubbed exact breach" in result.stdout
 
+    def test_nan_error_reported_as_null_and_fails(self, runner, monkeypatch):
+        def nan_check(max_n=None):
+            bounds = dyonstark.verify._Bounds(stub=1e-12)
+            bounds.add("stub", math.nan)
+            return bounds.result("c99-stub", "stubbed nan")
+
+        monkeypatch.setitem(dyonstark.verify.CHECKS, "stub-nan", nan_check)
+        result = runner.invoke(main, ["verify", "--check", "stub-nan", "--format", "json"])
+        assert result.exit_code == 3
+        doc = json.loads(result.stdout)
+        assert (doc["checks"][0]["max_err"], doc["checks"][0]["margin"]) == (None, None)
+        assert doc["failures"] == ["c99-stub"]
+        assert "NaN" not in result.stdout
+
     @pytest.mark.parametrize("value", ["abc", "500"])
-    def test_quad_order_env_ignored(self, runner, monkeypatch, value):
+    def test_quad_order_env_ignored(self, quick_report, value):
         # orders follow from the labels; no environment setting reaches them
-        monkeypatch.delenv("DYONSTARK_QUAD_ORDER", raising=False)
-        args = ["verify", "--max-n", "2", "--format", "json"]
-        unset = runner.invoke(main, args)
-        assert unset.exit_code == 0
-        result = runner.invoke(main, args, env={"DYONSTARK_QUAD_ORDER": value})
+        result = CliRunner().invoke(main, QUICK_VERIFY, env={"DYONSTARK_QUAD_ORDER": value})
         assert result.exit_code == 0
-        assert _untimed(result.stdout) == _untimed(unset.stdout)
+        assert _untimed(result.stdout) == _untimed(quick_report.stdout)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dyonstark import oracle, quadrature
 from dyonstark.oracle import (
     build_subspace,
     matrix_element_V,
@@ -165,3 +166,68 @@ class TestQuadOrderResolution:
         a = ParabolicState(199, 0, 0, 0)
         with pytest.raises(ValueError, match="got 201"):
             matrix_element_V(a, a, F1, P0)
+
+
+def _shells(s_raw, n_max):
+    s = half(s_raw)
+    n = abs(s) + 1
+    while n.value <= n_max:
+        yield n, s
+        n = n + 1
+
+
+class TestSectorTables:
+    """Sectors assembled from one table of Phi per factor and its Gram moments."""
+
+    @pytest.mark.parametrize("s_raw", ["0", "1/2", "-1/2", "1", "3/2", "-2"])
+    def test_entries_match_the_element_route(self, s_raw):
+        for n, s in _shells(s_raw, 6):
+            params = PhysicalParams.atomic(s)
+            scale = params.a * params.e_abs * F1.epsilon
+            for m in {st.m for st in enumerate_shell_parabolic(n, s)}:
+                sub = build_subspace(n, s, m, F1, params)
+                assert np.array_equal(sub.entries, sub.entries.T)
+                for i, a in enumerate(sub.basis):
+                    for k in range(i, sub.dimension):
+                        v = matrix_element_V(a, sub.basis[k], F1, params)
+                        assert abs(sub.entries[i, k] - v) <= 1e-12 * max(abs(v), scale)
+
+    @pytest.mark.parametrize("n_raw, s_raw", [("12", "2"), ("51/2", "-3/2")])
+    def test_large_shells_match_the_closed_form(self, n_raw, s_raw):
+        # the c04 tolerances of ``verify``, on shells it does not reach
+        n, s = half(n_raw), half(s_raw)
+        params = PhysicalParams.atomic(s)
+        want: dict[int, list[float]] = {}
+        for st in enumerate_shell_parabolic(n, s):
+            want.setdefault(st.m.twice, []).append(shift_closed_form(st, F1, params))
+        scale = max(max(abs(v) for vs in want.values() for v in vs), shift_quantum(F1, params))
+        for m, eigen in oracle_shifts(n, s, F1, params):
+            assert np.max(np.abs(eigen - np.sort(want[m.twice]))) <= 1e-6 * scale
+        assert offdiagonal_report(n, s, F1, params) <= 1e-9 * params.a * params.e_abs
+
+    def test_same_bits_with_a_cold_or_warm_rule_cache(self):
+        def run():
+            return [[v.hex() for v in eigen] for _, eigen in oracle_shifts(6, 1, F1, P1)]
+
+        quadrature._rule.cache_clear()
+        cold = run()
+        assert run() == cold
+
+    def test_zero_field_gives_zero_sectors(self):
+        sub = build_subspace(4, 0, 0, FieldConfig(0.0), P0)
+        assert sub.dimension == 4
+        assert not np.any(sub.entries)
+
+    def test_mismatched_params_raise(self):
+        with pytest.raises(ValueError, match="state has s=0 but params carry s=1; they must agree"):
+            build_subspace(3, 0, 0, F1, P1)
+
+    def test_order_past_the_rule_cap_raises_before_any_moment(self, monkeypatch):
+        # (199, 0, 0) is in the m = 0 sector of n = 200: its xi factor needs
+        # 201 nodes, so the sector raises before a single Phi is evaluated
+        def no_phi(*args, **kwargs):
+            raise AssertionError("phi_pq evaluated before the order check")
+
+        monkeypatch.setattr(oracle, "phi_pq", no_phi)
+        with pytest.raises(ValueError, match=r"quadrature order must be an integer in \[1, 200\], got 201"):
+            build_subspace(200, 0, 0, F1, P0)

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import hashlib
 import itertools
 import math
 import pickle
@@ -464,6 +465,27 @@ class TestPhiFactor:
         closed = integral_I if power == 0 else integral_II
         got = phi_pair_moment(p, p, q, power, n, n, P0)
         assert got == pytest.approx(closed(p, q, n, P0), rel=1e-12)
+
+
+# sha256 over the .hex() of c02's moments, recorded when each moment still
+# evaluated both of its factors; reusing one equal factor keeps every bit
+C02_MOMENT_DIGESTS = {
+    "explicit": "aa5cdb2efdbf55441ef3913a2048786f9a51558f1ffd8e78aac4aabc9f3528b7",
+    "default": "43aea4eb90b79b887de8037aaaaaf3156f845f3fe31152a26021a12ad4f1b799",
+}
+
+
+@pytest.mark.parametrize("kind", list(C02_MOMENT_DIGESTS))
+def test_c02_moment_bits_are_pinned(kind):
+    values = [
+        phi_pair_moment(p, p, q, power, n, n, P0, 2 * p + abs(q) + 22 if kind == "explicit" else None)
+        for n in [float(k) for k in range(1, 13)] + [1.5, 3.5, 5.5]
+        for p in range(0, 11)
+        for q in list(range(0, 11)) + [-1, -4, -10]
+        for power in (0, 2)
+    ]
+    digest = hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
+    assert digest == C02_MOMENT_DIGESTS[kind]
 
 
 def _textbook_hydrogen_radial(n, l, r):
