@@ -204,6 +204,10 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
     Parabolic basis: coord1 = xi, coord2 = eta.  Spherical basis:
     coord1 = r, coord2 = theta.
     """
+    if basis == "parabolic" and j_str is not None:
+        _fail_validation(ValueError("--j labels spherical states; --basis parabolic takes --n1, --n2 and --m"))
+    if basis == "spherical" and (n1 is not None or n2 is not None):
+        _fail_validation(ValueError("--n1 and --n2 label parabolic states; --basis spherical takes --j and --m"))
     s = _parse_half(s_str, "s")
     n = _parse_half(n_str, "n")
     if not (math.isfinite(extent) and extent > 0):

@@ -27,6 +27,8 @@ import numpy as np
 __all__ = ["tridiagonal_eigen", "jacobi_eigenvalues"]
 
 _MAX_QL_ITER = 60
+_JACOBI_TOL = 1e-14  # off-diagonal norm over matrix norm at convergence
+_JACOBI_MAX_SWEEPS = 60
 
 
 def tridiagonal_eigen(diag, offdiag):
@@ -104,12 +106,12 @@ def tridiagonal_eigen(diag, offdiag):
     return d[order], np.array(z)[order]
 
 
-def jacobi_eigenvalues(matrix, tol: float = 1e-14, max_sweeps: int = 60):
+def jacobi_eigenvalues(matrix):
     """Eigenvalues of a dense real symmetric matrix, ascending.
 
     Cyclic Jacobi sweeps of Givens rotations; iteration stops once the
-    off-diagonal Frobenius norm falls below ``tol`` times the matrix
-    norm.  Unconditionally convergent for symmetric input, which keeps
+    off-diagonal Frobenius norm falls below ``_JACOBI_TOL`` times the
+    matrix norm.  Unconditionally convergent for symmetric input, which keeps
     the verification chain free of library dependencies.
     """
     a = np.array(matrix, dtype=float)
@@ -134,8 +136,8 @@ def jacobi_eigenvalues(matrix, tol: float = 1e-14, max_sweeps: int = 60):
         off = a - np.diag(np.diag(a))
         return math.sqrt(np.sum(off * off))
 
-    for _ in range(max_sweeps):
-        if offnorm() <= tol * norm:
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        if offnorm() <= _JACOBI_TOL * norm:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -8,6 +8,12 @@ matrix per (shell, m) sector, and diagonalized with the in-house
 Jacobi solver.  First-order degenerate perturbation theory says the
 sorted eigenvalues must reproduce the closed-form shifts.
 
+``build_subspace`` is the one sector path, and it builds each sector
+from its own labels, never by enumerating the shell: as
+n = n1 + n2 + max(|m|, |s|) + 1, the (n, m) sector holds the states
+with n1 + n2 = n - 1 - max(|m|, |s|), n1 ascending, so its dimension is
+n - max(|m|, |s|), nonzero for every m = -(n - 1), ..., n - 1.
+
 Between two states the xi moment x^k Phi_{n1_a q1} Phi_{n1_b q1}, at
 the scale 2 a n_a n_b / (n_a + n_b), is e^{-t} times a polynomial of
 degree d = n1_a + n1_b + |q1| + k (the eta moment the same with n2
@@ -16,7 +22,7 @@ N = d // 2 + 1 makes the moment exact up to rounding, not merely
 converged.  ``matrix_element_V`` takes that order per element and
 moment.  A sector shares one shell, so each of its two factors takes
 one rule, ordered by the sector's highest-degree pair
-(d = 2 max n1 + |q1| + 2): every state's Phi is tabulated once on
+(d = 2 (n1 + n2) + |q1| + 2): every state's Phi is tabulated once on
 those nodes, and the four Gram matrices F diag(w x^k) F^T (k = 0, 2)
 give every entry at once.  The order passes the rule cap of 200, and
 the element or sector raises ValueError, only in the n = 200 shell,
@@ -36,9 +42,9 @@ from .stark import FieldConfig
 from .states import (
     ParabolicState,
     PhysicalParams,
+    _check_shell,
     _check_state_params,
     _exact_order,
-    enumerate_shell_parabolic,
     phi_pair_moment,
     phi_pq,
 )
@@ -101,26 +107,23 @@ def matrix_element_V(
     return pref * (g2_xi * g0_eta - g0_xi * g2_eta)
 
 
-def _assemble(
-    n: HalfInteger,
-    s: HalfInteger,
-    m: HalfInteger,
-    basis: list[ParabolicState],
-    field: FieldConfig,
-    params: PhysicalParams,
-) -> SubspaceMatrix:
-    for st in basis:
-        _check_state_params(st, params)
-    entries = np.zeros((len(basis), len(basis)))
+def build_subspace(n, s, m, field: FieldConfig, params: PhysicalParams) -> SubspaceMatrix:
+    """Assemble the symmetric V matrix over the (n, m) sector, from its labels."""
+    n, s, m = half(n), half(s), half(m)
+    _check_shell(n, s)
+    k2 = n.twice - 2 - max(abs(m.twice), abs(s.twice))  # 2 (n1 + n2)
+    if k2 < 0 or (m.twice - s.twice) % 2:
+        raise ValueError(f"shell n={n}, s={s} has no states with m={m}")
+    k = k2 // 2
+    basis = tuple(ParabolicState(n1, k - n1, m, s) for n1 in range(k + 1))
+    _check_state_params(basis[0], params)
+    entries = np.zeros((k + 1, k + 1))
     if field.epsilon != 0.0:
         nf = n.value
         scale = params.a * nf
-        factors = [
-            ([st.n1 for st in basis], basis[0].q1),
-            ([st.n2 for st in basis], basis[0].q2),
-        ]
+        factors = [(range(k + 1), basis[0].q1), (range(k, -1, -1), basis[0].q2)]
         # both rules first: a sector past the order cap raises before any moment
-        rules = [gauss_laguerre(_exact_order(2 * max(ps) + abs(q) + 2)) for ps, q in factors]
+        rules = [gauss_laguerre(_exact_order(k2 + abs(q) + 2)) for _, q in factors]
         moments = []
         for (ps, q), rule in zip(factors, rules):
             x = scale * rule.nodes
@@ -132,34 +135,7 @@ def _assemble(
         pref = 2.0 / (nf**4 * params.a**3) * params.e_abs * field.epsilon / 8.0
         upper = np.triu(pref * (g2_xi * g0_eta - g0_xi * g2_eta))
         entries = upper + np.triu(upper, 1).T
-    return SubspaceMatrix(n=n, m=m, s=s, basis=tuple(basis), entries=entries)
-
-
-def build_subspace(
-    n,
-    s,
-    m,
-    field: FieldConfig,
-    params: PhysicalParams,
-) -> SubspaceMatrix:
-    """Assemble the symmetric V matrix over all shell states with this m."""
-    n, s, m = half(n), half(s), half(m)
-    basis = [st for st in enumerate_shell_parabolic(n, s) if st.m == m]
-    if not basis:
-        raise ValueError(f"shell n={n}, s={s} has no states with m={m}")
-    return _assemble(n, s, m, basis, field, params)
-
-
-def _all_subspaces(n, s, field: FieldConfig, params: PhysicalParams) -> list[SubspaceMatrix]:
-    """Every m sector of the shell, m ascending, from one enumeration."""
-    n, s = half(n), half(s)
-    by_m: dict[int, list[ParabolicState]] = {}
-    for st in enumerate_shell_parabolic(n, s):
-        by_m.setdefault(st.m.twice, []).append(st)
-    return [
-        _assemble(n, s, HalfInteger(m2), by_m[m2], field, params)
-        for m2 in sorted(by_m)
-    ]
+    return SubspaceMatrix(n=n, m=m, s=s, basis=basis, entries=entries)
 
 
 def oracle_shifts(
@@ -174,9 +150,11 @@ def oracle_shifts(
     over sectors is the oracle's answer for the full shell splitting
     pattern.
     """
+    n, s = half(n), half(s)
+    _check_shell(n, s)  # the m range below is empty for n < 1
     return [
-        (sub.m, jacobi_eigenvalues(sub.entries))
-        for sub in _all_subspaces(n, s, field, params)
+        (m, jacobi_eigenvalues(build_subspace(n, s, m, field, params).entries))
+        for m in map(HalfInteger, range(2 - n.twice, n.twice - 1, 2))
     ]
 
 
@@ -192,8 +170,11 @@ def offdiagonal_report(
     which is exactly why first-order shifts have a closed form; this
     reports how well the quadrature pipeline reproduces that zero.
     """
+    n, s = half(n), half(s)
+    _check_shell(n, s)
     worst = 0.0
-    for sub in _all_subspaces(n, s, field, params):
+    for m2 in range(2 - n.twice, n.twice - 1, 2):
+        sub = build_subspace(n, s, HalfInteger(m2), field, params)
         if sub.dimension < 2:
             continue
         off = sub.entries - np.diag(np.diag(sub.entries))

@@ -560,14 +560,13 @@ def parabolic_overlap(
     return pref * 0.25 * (g1_xi * g0_eta + g0_xi * g1_eta)
 
 
-def parabolic_hamiltonian_residual(
-    state: ParabolicState,
-    params: PhysicalParams,
-    grid_points: int = 700,
-    extent: float = 12.0,
-    support_cut: float = 0.05,
-    axis_margin: float = 1.0,
-) -> float:
+_RESIDUAL_GRID_POINTS = 700  # per axis of the residual grid
+_RESIDUAL_EXTENT = 12.0  # span of each axis, in units of a*n
+_RESIDUAL_SUPPORT_CUT = 0.05
+_RESIDUAL_AXIS_MARGIN = 1.0
+
+
+def parabolic_hamiltonian_residual(state: ParabolicState, params: PhysicalParams) -> float:
     """Max relative residual |H psi - E psi| / |E psi| on an interior grid.
 
     The Hamiltonian is assembled in parabolic coordinates from the
@@ -575,17 +574,17 @@ def parabolic_hamiltonian_residual(
     the Coulomb attraction, with fourth-order finite differences for
     the xi and eta derivatives.  Two exclusions keep the pointwise
     relative residual meaningful: points where |psi| falls below
-    ``support_cut`` times its grid maximum (nodes), and a strip of
-    width ``axis_margin`` (units of a*n) along each axis, where odd
-    |m -+ s| factors behave like sqrt(coordinate) and spoil polynomial
-    difference stencils.  Axis behaviour is instead covered by the
-    exact quadrature norm checks.
+    ``_RESIDUAL_SUPPORT_CUT`` times its grid maximum (nodes), and a
+    strip of width ``_RESIDUAL_AXIS_MARGIN`` (units of a*n) along each
+    axis, where odd |m -+ s| factors behave like sqrt(coordinate) and
+    spoil polynomial difference stencils.  Axis behaviour is instead
+    covered by the exact quadrature norm checks.
     """
     _check_state_params(state, params)
     nf = state.n.value
     an = params.a * nf
-    h = extent * an / grid_points
-    z = h * np.arange(1, grid_points + 1)
+    h = _RESIDUAL_EXTENT * an / _RESIDUAL_GRID_POINTS
+    z = h * np.arange(1, _RESIDUAL_GRID_POINTS + 1)
 
     f1 = phi_pq(state.n1, state.q1, z, nf, params)
     f2 = phi_pq(state.n2, state.q2, z, nf, params)
@@ -637,8 +636,8 @@ def parabolic_hamiltonian_residual(
 
     interior = np.zeros_like(u, dtype=bool)
     interior[2:-2, 2:-2] = True
-    interior &= (xi >= axis_margin * an) & (eta >= axis_margin * an)
-    support = np.abs(u) >= support_cut * np.max(np.abs(u))
+    interior &= (xi >= _RESIDUAL_AXIS_MARGIN * an) & (eta >= _RESIDUAL_AXIS_MARGIN * an)
+    support = np.abs(u) >= _RESIDUAL_SUPPORT_CUT * np.max(np.abs(u))
     mask = interior & support
     if not np.any(mask):
         raise RuntimeError("no usable interior points; widen the grid")

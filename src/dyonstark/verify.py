@@ -176,8 +176,8 @@ def check_shift_formula_identity(max_n=None) -> CheckResult:
 
 
 def check_oracle_equivalence(max_n=None) -> CheckResult:
-    """Per-sector Jacobi eigenvalues match closed-form shifts."""
-    bounds = _Bounds(eigen=1e-6, offdiag=1e-9)
+    """Per-sector Jacobi eigenvalues match closed-form shifts, on exactly the shell's sectors."""
+    bounds = _Bounds(eigen=1e-6, offdiag=1e-9, sectors=0.0)
     for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5], 4.0, max_n):
         n, s = shell[0].n, params.s
         analytic: dict[int, list[float]] = {}
@@ -187,9 +187,13 @@ def check_oracle_equivalence(max_n=None) -> CheckResult:
             max(abs(v) for shifts in analytic.values() for v in shifts),
             shift_quantum(field, params),
         )
-        for m, eigen in oracle.oracle_shifts(n, s, field, params):
-            err = float(np.max(np.abs(eigen - np.sort(analytic[m.twice]))))
-            bounds.add("eigen", _rel(err, scale), cases=len(eigen))
+        got = {m.twice: eigen for m, eigen in oracle.oracle_shifts(n, s, field, params)}
+        # an m on one side only, or a sector of another size, breaks the partition
+        sized = sorted(m2 for m2 in got.keys() & analytic if len(got[m2]) == len(analytic[m2]))
+        bounds.add("sectors", len(got.keys() | analytic) - len(sized), cases=0)
+        for m2 in sized:
+            err = float(np.max(np.abs(got[m2] - np.sort(analytic[m2]))))
+            bounds.add("eigen", _rel(err, scale), cases=len(got[m2]))
         off_scale = params.a * params.e_abs * field.epsilon
         bounds.add("offdiag", oracle.offdiagonal_report(n, s, field, params) / off_scale)
     return bounds.result("c04-oracle-equivalence", "eigenvalues relative, off-diagonals in a|e|eps")

@@ -8,6 +8,7 @@ green run of this module are the same statement.
 
 import math
 
+import numpy as np
 import pytest
 
 from dyonstark import verify
@@ -92,6 +93,33 @@ def test_check_without_cases_fails():
     empty = CheckResult("c99-stub", True, 0.0, 1e-12)
     assert not empty.passed
     assert "cases=0" in empty.line()
+
+
+def _drop_last_sector(sectors):
+    return sectors[:-1]
+
+
+def _grow_largest_sector(sectors):
+    big = max(range(len(sectors)), key=lambda i: len(sectors[i][1]))
+    m, eigen = sectors[big]
+    return [*sectors[:big], (m, np.append(eigen, eigen[-1])), *sectors[big + 1:]]
+
+
+def _add_a_sector(sectors):
+    m, eigen = sectors[-1]
+    return [*sectors, (m + 1, eigen)]
+
+
+@pytest.mark.parametrize("mutate", [_drop_last_sector, _grow_largest_sector, _add_a_sector])
+def test_oracle_equivalence_compares_the_sector_partition(monkeypatch, mutate):
+    # c04 holds the oracle's m sectors to the shell enumeration's, exactly
+    oracle_shifts = verify.oracle.oracle_shifts
+    monkeypatch.setattr(verify.oracle, "oracle_shifts", lambda *args: mutate(oracle_shifts(*args)))
+    result = run_check("oracle-equivalence", max_n=2)
+    assert not result.passed
+    assert result.tol == 0.0
+    assert result.max_err >= 1
+    assert "sectors" in result.detail
 
 
 class TestBounds:

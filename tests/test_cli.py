@@ -282,6 +282,31 @@ class TestNonFinite:
         assert result.stdout == ""
 
 
+class TestBasisOptions:
+    """A label of the other basis is refused, never silently ignored."""
+
+    PARABOLIC_ONLY = "--n1 and --n2 label parabolic states; --basis spherical takes --j and --m"
+    SPHERICAL_ONLY = "--j labels spherical states; --basis parabolic takes --n1, --n2 and --m"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ("wavefunction --n 3 --j 2", SPHERICAL_ONLY),
+            ("wavefunction --basis parabolic --n 3 --n1 1 --n2 0 --m 1 --j 1", SPHERICAL_ONLY),
+            ("wavefunction --basis spherical --n 3 --n1 0", PARABOLIC_ONLY),
+            ("wavefunction --basis spherical --n 3 --j 1 --m 0 --n2 1", PARABOLIC_ONLY),
+        ],
+    )
+    def test_exits_2_naming_the_rule(self, runner, tmp_path, args, message):
+        path = tmp_path / "grid.csv"
+        result = runner.invoke(main, [*args.split(), "--points", "2", "--output", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
+        assert not path.exists()
+
+
 class TestCouplingRange:
     """Couplings whose derived scales leave floating range exit 2, never with a traceback."""
 

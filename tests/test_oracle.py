@@ -1,5 +1,8 @@
 """Tests for the quadrature-and-diagonalization verification pipeline."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from dyonstark.oracle import (
     offdiagonal_report,
     oracle_shifts,
 )
-from dyonstark.specfun import half
+from dyonstark.specfun import HalfInteger, half
 from dyonstark.stark import FieldConfig, shift_closed_form, shift_quantum
 from dyonstark.states import ParabolicState, PhysicalParams, enumerate_shell_parabolic
 
@@ -231,3 +234,94 @@ class TestSectorTables:
         monkeypatch.setattr(oracle, "phi_pq", no_phi)
         with pytest.raises(ValueError, match=r"quadrature order must be an integer in \[1, 200\], got 201"):
             build_subspace(200, 0, 0, F1, P0)
+
+
+def _sector_digest():
+    """sha256 over the hex bits of every sector basis, entry, eigenvalue and
+    largest off-diagonal of the shells n <= |s| + 6 and of (12, 2)."""
+    h = hashlib.sha256()
+    cases = [
+        shell
+        for s_raw in ("0", "1/2", "-1/2", "1", "3/2", "-2")
+        for shell in _shells(s_raw, abs(half(s_raw)).value + 6)
+    ]
+    for n, s in [*cases, (half(12), half(2))]:
+        params = PhysicalParams.atomic(s)
+        h.update(f"{n} {s} {offdiagonal_report(n, s, F1, params).hex()}\n".encode())
+        for m, eigen in oracle_shifts(n, s, F1, params):
+            sub = build_subspace(n, s, m, F1, params)
+            h.update(f"{m} {[v.hex() for v in eigen]}\n".encode())
+            h.update(f"{[(b.n1, b.n2, b.m.twice) for b in sub.basis]}\n".encode())
+            h.update(f"{[v.hex() for v in sub.entries.ravel()]}\n".encode())
+    return h.hexdigest()
+
+
+class TestSectorLabels:
+    """Each sector is built from its own (n, s, m): n1 + n2 = n - 1 - max(|m|, |s|)."""
+
+    SHELL_RULE = "n must satisfy n >= |s| + 1 with n - |s| - 1 a non-negative integer"
+
+    @pytest.mark.parametrize("s_twice", range(-6, 7))
+    def test_basis_is_the_shells_m_sector(self, s_twice):
+        s = HalfInteger(s_twice)
+        params = PhysicalParams.atomic(s)
+        for n, _ in _shells(s, abs(s).value + 8):
+            shell = enumerate_shell_parabolic(n, s)
+            ms = [HalfInteger(m2) for m2 in range(2 - n.twice, n.twice - 1, 2)]
+            assert {st.m for st in shell} == set(ms)
+            for m in ms:
+                sub = build_subspace(n, s, m, FieldConfig(0.0), params)
+                assert list(sub.basis) == [st for st in shell if st.m == m]
+                assert sub.dimension == (n - max(abs(m), abs(s))).as_int()
+
+    @pytest.mark.parametrize("n_raw, s_raw, ms", [("200", "0", ["150"]), ("399/2", "3/2", ["1/2", "-1/2"])])
+    def test_basis_at_the_largest_shells(self, n_raw, s_raw, ms):
+        n, s = half(n_raw), half(s_raw)
+        shell = enumerate_shell_parabolic(n, s)
+        for m in map(half, ms):
+            sub = build_subspace(n, s, m, FieldConfig(0.0), PhysicalParams.atomic(s))
+            assert list(sub.basis) == [st for st in shell if st.m == m]
+
+    def test_same_bits_as_the_shell_enumeration(self):
+        # recorded when sectors were still grouped from the enumerated shell
+        assert _sector_digest() == "50e0b6555cc714ce25f36ba2f732fb33a17484ef773a97ddb6db7cbd0187cf1d"
+
+    @pytest.mark.parametrize("n, s", [(4, 1), (half("7/2"), half("1/2"))])
+    def test_one_build_per_m(self, monkeypatch, n, s):
+        params = PhysicalParams.atomic(s)
+        build, calls = oracle.build_subspace, []
+
+        def counting(*args):
+            calls.append(args[2])
+            return build(*args)
+
+        monkeypatch.setattr(oracle, "build_subspace", counting)
+        top = half(n).twice - 2
+        ms = [HalfInteger(m2) for m2 in range(-top, top + 1, 2)]
+        assert [m for m, _ in oracle_shifts(n, s, F1, params)] == ms
+        assert calls == ms
+        calls.clear()
+        offdiagonal_report(n, s, F1, params)
+        assert calls == ms
+
+    @pytest.mark.parametrize(
+        "n, s, m, message",
+        [
+            (3, 0, 3, "shell n=3, s=0 has no states with m=3"),
+            (half("7/2"), half("-1/2"), half("-7/2"), "shell n=7/2, s=-1/2 has no states with m=-7/2"),
+            (3, 0, half("1/2"), "shell n=3, s=0 has no states with m=1/2"),
+            (half("5/2"), half("1/2"), 0, "shell n=5/2, s=1/2 has no states with m=0"),
+            (half("5/2"), 0, half("1/2"), f"{SHELL_RULE} (got n=5/2, s=0)"),
+            (0, 0, 0, f"{SHELL_RULE} (got n=0, s=0)"),
+            (201, 0, 0, "n must satisfy n <= 200 (got n=201)"),
+        ],
+    )
+    def test_messages(self, n, s, m, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_subspace(n, s, m, F1, PhysicalParams.atomic(s))
+
+    @pytest.mark.parametrize("report", [oracle_shifts, offdiagonal_report])
+    @pytest.mark.parametrize("n", [0, half("1/2")])
+    def test_shell_checked_where_no_m_is_left(self, report, n):
+        with pytest.raises(ValueError, match=re.escape(f"{self.SHELL_RULE} (got n={n}, s=0)")):
+            report(n, 0, F1, P0)
