@@ -13,7 +13,8 @@ Run:  python demos/04_oracle_crosscheck.py
 import numpy as np
 
 from dyonstark import FieldConfig, PhysicalParams, half, shift_closed_form
-from dyonstark.oracle import build_subspace, offdiagonal_report, oracle_shifts
+from dyonstark.eigen import jacobi_eigenvalues
+from dyonstark.oracle import build_subspace, shell_sectors
 from dyonstark.states import enumerate_shell_parabolic
 
 field = FieldConfig(1.0)
@@ -22,16 +23,19 @@ for s_raw, n_raw in (("0", "3"), ("1/2", "5/2")):
     s, n = half(s_raw), half(n_raw)
     params = PhysicalParams.atomic(s)
     print(f"\nshell n = {n}, s = {s}")
-    for m, eigen in oracle_shifts(n, s, field, params):
-        analytic = sorted(
-            shift_closed_form(st, field, params)
-            for st in enumerate_shell_parabolic(n, s)
-            if st.m == m
-        )
-        err = np.max(np.abs(eigen - np.array(analytic)))
-        print(f"  m = {str(m):>4}: eigenvalues {np.round(eigen, 10)}")
-        print(f"            analytic    {np.round(analytic, 10)}   (max err {err:.2e})")
-    off = offdiagonal_report(n, s, field, params)
+    # the closed-form shifts, grouped by m in one pass over the shell
+    analytic = {}
+    for st in enumerate_shell_parabolic(n, s):
+        analytic.setdefault(st.m, []).append(shift_closed_form(st, field, params))
+    # each (n, m) sector is built once, for its eigenvalues and its off-diagonals
+    sectors = shell_sectors(n, s, field, params)
+    for sub in sectors:
+        eigen = jacobi_eigenvalues(sub.entries)
+        expected = np.sort(analytic[sub.m])
+        err = np.max(np.abs(eigen - expected))
+        print(f"  m = {str(sub.m):>4}: eigenvalues {np.round(eigen, 10)}")
+        print(f"            analytic    {np.round(expected, 10)}   (max err {err:.2e})")
+    off = max(sub.largest_offdiagonal for sub in sectors)
     print(f"  largest off-diagonal element over all sectors: {off:.2e}")
     print("  (the parabolic basis diagonalizes V inside a shell; this is why")
     print("   the first-order shifts have an exact closed form)")

@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import stark, states, tables, verify
-from .specfun import half
+from .specfun import HalfInteger, half
 from .stark import FieldConfig
 from .states import ParabolicState, PhysicalParams, SphericalState
 
@@ -194,7 +194,9 @@ def splitting(s_str, n_str, gamma, epsilon, fmt, output):
 @click.option("--n1", type=int, default=None, help="Parabolic n1 (default: first shell state).")
 @click.option("--n2", type=int, default=None, help="Parabolic n2.")
 @click.option("--j", "j_str", default=None, help="Spherical j (half-integers allowed).")
-@click.option("--m", "m_str", default=None, help="Projection m (half-integers allowed).")
+@click.option(
+    "--m", "m_str", default=None, help="Projection m (half-integers allowed; default 0, or 1/2 at half-integer s)."
+)
 @click.option("--points", type=click.IntRange(min=2, max=512), default=24, show_default=True)
 @click.option("--extent", type=float, default=16.0, show_default=True, help="Grid reach in units of a.")
 @click.option("--phi", type=float, default=0.0, show_default=True, help="Azimuth of the sampling plane.")
@@ -216,12 +218,14 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
         _fail_validation(ValueError("--phi must be a finite number"))
     try:
         params = PhysicalParams.atomic(s, gamma_c=gamma)
+        # 0 at integer s, 1/2 at half-integer s: the smallest m >= 0 the shell allows
+        m = _parse_half(m_str, "m") if m_str is not None else HalfInteger(s.twice % 2)
         if basis == "parabolic":
+            states._check_shell(n, s)
             if n1 is None and n2 is None and m_str is None:
-                state = states.enumerate_shell_parabolic(n, s)[0]
+                # the shell's first state in enumeration order
+                state = ParabolicState(0, 0, 1 - n, s)
             else:
-                m = _parse_half(m_str if m_str is not None else "0", "m")
-                states._check_shell(n, s)
                 state = ParabolicState(n1 or 0, n2 or 0, m, s)
                 if state.n != n:
                     raise ValueError(
@@ -231,7 +235,6 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
             c1 = c2 = np.linspace(0.0, extent * params.a, points)
         else:
             j = _parse_half(j_str if j_str is not None else str(abs(s).value), "j")
-            m = _parse_half(m_str if m_str is not None else "0", "m")
             state = SphericalState(n=n, j=j, m=m, s=s)
             c1 = np.linspace(0.0, extent * params.a, points)
             c2 = np.linspace(0.0, math.pi, points)

@@ -13,6 +13,8 @@ from its own labels, never by enumerating the shell: as
 n = n1 + n2 + max(|m|, |s|) + 1, the (n, m) sector holds the states
 with n1 + n2 = n - 1 - max(|m|, |s|), n1 ascending, so its dimension is
 n - max(|m|, |s|), nonzero for every m = -(n - 1), ..., n - 1.
+``shell_sectors`` builds each of those sectors once, and every
+shell-wide result (eigenvalues, off-diagonals) is read from its list.
 
 Between two states the xi moment x^k Phi_{n1_a q1} Phi_{n1_b q1}, at
 the scale 2 a n_a n_b / (n_a + n_b), is e^{-t} times a polynomial of
@@ -53,7 +55,7 @@ __all__ = [
     "SubspaceMatrix",
     "matrix_element_V",
     "build_subspace",
-    "jacobi_eigenvalues",
+    "shell_sectors",
     "oracle_shifts",
     "offdiagonal_report",
 ]
@@ -72,6 +74,12 @@ class SubspaceMatrix:
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @property
+    def largest_offdiagonal(self) -> float:
+        """Largest |entry| off the diagonal; 0.0 for a one-state sector."""
+        off = self.entries[~np.eye(self.dimension, dtype=bool)]
+        return float(np.max(np.abs(off), initial=0.0))
 
 
 def matrix_element_V(
@@ -138,6 +146,19 @@ def build_subspace(n, s, m, field: FieldConfig, params: PhysicalParams) -> Subsp
     return SubspaceMatrix(n=n, m=m, s=s, basis=basis, entries=entries)
 
 
+def shell_sectors(n, s, field: FieldConfig, params: PhysicalParams) -> list[SubspaceMatrix]:
+    """Every (n, m) sector of the shell, built once each, m ascending.
+
+    This is the one loop over a shell's m = -(n - 1), ..., n - 1.
+    """
+    n, s = half(n), half(s)
+    _check_shell(n, s)  # the m range below is empty for n < 1
+    return [
+        build_subspace(n, s, HalfInteger(m2), field, params)
+        for m2 in range(2 - n.twice, n.twice - 1, 2)
+    ]
+
+
 def oracle_shifts(
     n,
     s,
@@ -150,12 +171,7 @@ def oracle_shifts(
     over sectors is the oracle's answer for the full shell splitting
     pattern.
     """
-    n, s = half(n), half(s)
-    _check_shell(n, s)  # the m range below is empty for n < 1
-    return [
-        (m, jacobi_eigenvalues(build_subspace(n, s, m, field, params).entries))
-        for m in map(HalfInteger, range(2 - n.twice, n.twice - 1, 2))
-    ]
+    return [(sub.m, jacobi_eigenvalues(sub.entries)) for sub in shell_sectors(n, s, field, params)]
 
 
 def offdiagonal_report(
@@ -170,13 +186,4 @@ def offdiagonal_report(
     which is exactly why first-order shifts have a closed form; this
     reports how well the quadrature pipeline reproduces that zero.
     """
-    n, s = half(n), half(s)
-    _check_shell(n, s)
-    worst = 0.0
-    for m2 in range(2 - n.twice, n.twice - 1, 2):
-        sub = build_subspace(n, s, HalfInteger(m2), field, params)
-        if sub.dimension < 2:
-            continue
-        off = sub.entries - np.diag(np.diag(sub.entries))
-        worst = max(worst, float(np.max(np.abs(off))))
-    return worst
+    return max(sub.largest_offdiagonal for sub in shell_sectors(n, s, field, params))

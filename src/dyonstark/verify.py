@@ -187,7 +187,8 @@ def check_oracle_equivalence(max_n=None) -> CheckResult:
             max(abs(v) for shifts in analytic.values() for v in shifts),
             shift_quantum(field, params),
         )
-        got = {m.twice: eigen for m, eigen in oracle.oracle_shifts(n, s, field, params)}
+        sectors = oracle.shell_sectors(n, s, field, params)
+        got = {sub.m.twice: jacobi_eigenvalues(sub.entries) for sub in sectors}
         # an m on one side only, or a sector of another size, breaks the partition
         sized = sorted(m2 for m2 in got.keys() & analytic if len(got[m2]) == len(analytic[m2]))
         bounds.add("sectors", len(got.keys() | analytic) - len(sized), cases=0)
@@ -195,7 +196,9 @@ def check_oracle_equivalence(max_n=None) -> CheckResult:
             err = float(np.max(np.abs(got[m2] - np.sort(analytic[m2]))))
             bounds.add("eigen", _rel(err, scale), cases=len(got[m2]))
         off_scale = params.a * params.e_abs * field.epsilon
-        bounds.add("offdiag", oracle.offdiagonal_report(n, s, field, params) / off_scale)
+        # an empty sector list already fails on ``sectors``; it must not raise here
+        largest = max((sub.largest_offdiagonal for sub in sectors), default=0.0)
+        bounds.add("offdiag", largest / off_scale)
     return bounds.result("c04-oracle-equivalence", "eigenvalues relative, off-diagonals in a|e|eps")
 
 
@@ -504,8 +507,7 @@ def check_oracle_invariants(max_n=None) -> CheckResult:
         scale = params.a * params.e_abs * field.epsilon
         # every entry of the shell's table-assembled sectors, by state pair
         sector = {}
-        for m in {st.m for st in shell}:
-            sub = oracle.build_subspace(shell[0].n, params.s, m, field, params)
+        for sub in oracle.shell_sectors(shell[0].n, params.s, field, params):
             for a, row in zip(sub.basis, sub.entries):
                 sector.update({(a, b): v for b, v in zip(sub.basis, row)})
         for i, a in enumerate(shell):

@@ -7,6 +7,7 @@ green run of this module are the same statement.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,26 +101,39 @@ def _drop_last_sector(sectors):
 
 
 def _grow_largest_sector(sectors):
-    big = max(range(len(sectors)), key=lambda i: len(sectors[i][1]))
-    m, eigen = sectors[big]
-    return [*sectors[:big], (m, np.append(eigen, eigen[-1])), *sectors[big + 1:]]
+    big = max(range(len(sectors)), key=lambda i: sectors[i].dimension)
+    sub = sectors[big]
+    grown = replace(sub, basis=(*sub.basis, sub.basis[-1]), entries=np.pad(sub.entries, (0, 1)))
+    return [*sectors[:big], grown, *sectors[big + 1:]]
 
 
 def _add_a_sector(sectors):
-    m, eigen = sectors[-1]
-    return [*sectors, (m + 1, eigen)]
+    return [*sectors, replace(sectors[-1], m=sectors[-1].m + 1)]
 
 
 @pytest.mark.parametrize("mutate", [_drop_last_sector, _grow_largest_sector, _add_a_sector])
 def test_oracle_equivalence_compares_the_sector_partition(monkeypatch, mutate):
     # c04 holds the oracle's m sectors to the shell enumeration's, exactly
-    oracle_shifts = verify.oracle.oracle_shifts
-    monkeypatch.setattr(verify.oracle, "oracle_shifts", lambda *args: mutate(oracle_shifts(*args)))
+    shell_sectors = verify.oracle.shell_sectors
+    monkeypatch.setattr(verify.oracle, "shell_sectors", lambda *args: mutate(shell_sectors(*args)))
     result = run_check("oracle-equivalence", max_n=2)
     assert not result.passed
     assert result.tol == 0.0
     assert result.max_err >= 1
     assert "sectors" in result.detail
+
+
+@pytest.mark.parametrize("max_n, builds", [(2, 9), (None, 53)])
+def test_oracle_equivalence_builds_each_sector_once(monkeypatch, max_n, builds):
+    build, calls = verify.oracle.build_subspace, []
+
+    def counting(*args):
+        calls.append(args[:3])
+        return build(*args)
+
+    monkeypatch.setattr(verify.oracle, "build_subspace", counting)
+    assert run_check("oracle-equivalence", max_n=max_n).passed
+    assert len(calls) == len(set(calls)) == builds
 
 
 class TestBounds:

@@ -136,6 +136,15 @@ class TestOutputPins:
                 "2e8b12b4de55cdbe942ecd0180f744d53a2099c5c4a579dfd71517cd29c4c098",
             ),
             (
+                # default labels at integer s: m = 0, and j = |s| in the spherical basis
+                "wavefunction --n 3 --s -1 --n1 1 --points 7 --format json",
+                "0a1cabcd970f3455e577be9bea76dddf665e41e7bee903bef84e0d54bf07d564",
+            ),
+            (
+                "wavefunction --basis spherical --n 3 --s 1 --points 7",
+                "fad1d256455ff148b7dc7923c0a90afbeb946d8783516c580b7190abb796c65b",
+            ),
+            (
                 "spectrum --n 23/2 --s -3/2 --gamma 0.75 --format csv",
                 "732dd4ef8192dcbf73429bf462ded827e4d59c5f6d0a726c8c82407904c5c734",
             ),
@@ -456,6 +465,45 @@ class TestOtherCommands:
         rows = result.stdout.splitlines()[1:]
         assert len(rows) == 9
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+class TestWavefunctionDefaults:
+    """Labels left out of ``wavefunction``: the shell's first state, j = |s|, the smallest m >= 0."""
+
+    @pytest.mark.parametrize("n, s", [("1", "0"), ("3", "1"), ("5/2", "-1/2"), ("9/2", "3/2"), ("200", "0")])
+    def test_parabolic_default_is_the_first_shell_state(self, runner, monkeypatch, n, s):
+        first = dyonstark.states.enumerate_shell_parabolic(n, s)[0]
+        enumerate_shell, calls = dyonstark.states.enumerate_shell_parabolic, []
+
+        def counting(*args):
+            calls.append(args)
+            return enumerate_shell(*args)
+
+        monkeypatch.setattr(dyonstark.states, "enumerate_shell_parabolic", counting)
+        args = ["wavefunction", "--n", n, "--s", s, "--points", "3"]
+        default = runner.invoke(main, args)
+        assert default.exit_code == 0
+        assert calls == []
+        labels = ["--n1", str(first.n1), "--n2", str(first.n2), "--m", str(first.m)]
+        assert default.stdout_bytes == runner.invoke(main, [*args, *labels]).stdout_bytes
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "--n 5/2 --s 1/2 --n1 1",
+            "--n 5/2 --s -1/2 --n2 1",
+            "--n 7/2 --s 3/2 --n1 1",
+            "--basis spherical --n 3/2 --s 1/2",
+            "--basis spherical --n 3/2 --s -1/2",
+            "--basis spherical --n 5/2 --s -3/2",
+            "--basis spherical --n 5/2 --s 3/2 --j 3/2",
+        ],
+    )
+    def test_m_defaults_to_one_half_at_half_integer_s(self, runner, args):
+        command = ["wavefunction", *args.split(), "--points", "3"]
+        default = runner.invoke(main, command)
+        assert default.exit_code == 0, default.output
+        assert default.stdout_bytes == runner.invoke(main, [*command, "--m", "1/2"]).stdout_bytes
 
 
 def _untimed(report: str) -> str:

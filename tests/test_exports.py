@@ -1,4 +1,4 @@
-"""Every module's ``__all__`` names only what the module defines."""
+"""Every ``__all__`` names what exists; a submodule's names only what it defines."""
 
 import importlib
 import pkgutil
@@ -19,3 +19,15 @@ def test_all_names_exist_and_star_import_works(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_submodule_exports_are_defined_there(name):
+    # the package __init__ gathers the API, so it alone re-exports
+    module = importlib.import_module(name)
+    foreign = [
+        n
+        for n in getattr(module, "__all__", [])
+        if callable(obj := getattr(module, n)) and obj.__module__ != module.__name__
+    ]
+    assert foreign == []

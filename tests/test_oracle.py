@@ -12,6 +12,7 @@ from dyonstark.oracle import (
     matrix_element_V,
     offdiagonal_report,
     oracle_shifts,
+    shell_sectors,
 )
 from dyonstark.specfun import HalfInteger, half
 from dyonstark.stark import FieldConfig, shift_closed_form, shift_quantum
@@ -303,6 +304,23 @@ class TestSectorLabels:
         calls.clear()
         offdiagonal_report(n, s, F1, params)
         assert calls == ms
+
+    @pytest.mark.parametrize("n, s", [(4, 1), (half("7/2"), half("-1/2"))])
+    def test_shell_sectors_are_the_sectors_by_m(self, n, s):
+        params = PhysicalParams.atomic(s)
+        top = half(n).twice - 2
+        sectors = shell_sectors(n, s, F1, params)
+        assert [sub.m.twice for sub in sectors] == list(range(-top, top + 1, 2))
+        for sub in sectors:
+            alone = build_subspace(n, s, sub.m, F1, params)
+            assert sub.basis == alone.basis
+            assert np.array_equal(sub.entries, alone.entries)
+            off = np.abs(sub.entries - np.diag(np.diag(sub.entries)))
+            assert sub.largest_offdiagonal == (off.max() if sub.dimension > 1 else 0.0)
+
+    def test_shell_sectors_check_the_shell(self):
+        with pytest.raises(ValueError, match=re.escape(f"{self.SHELL_RULE} (got n=1/2, s=0)")):
+            shell_sectors(half("1/2"), 0, F1, P0)
 
     @pytest.mark.parametrize(
         "n, s, m, message",
