@@ -13,8 +13,7 @@ Run:  python demos/04_oracle_crosscheck.py
 import numpy as np
 
 from dyonstark import FieldConfig, PhysicalParams, half, shift_closed_form
-from dyonstark.eigen import jacobi_eigenvalues
-from dyonstark.oracle import build_subspace, shell_sectors
+from dyonstark.oracle import build_subspace, offdiagonal_report, oracle_shifts
 from dyonstark.states import enumerate_shell_parabolic
 
 field = FieldConfig(1.0)
@@ -27,15 +26,12 @@ for s_raw, n_raw in (("0", "3"), ("1/2", "5/2")):
     analytic = {}
     for st in enumerate_shell_parabolic(n, s):
         analytic.setdefault(st.m, []).append(shift_closed_form(st, field, params))
-    # each (n, m) sector is built once, for its eigenvalues and its off-diagonals
-    sectors = shell_sectors(n, s, field, params)
-    for sub in sectors:
-        eigen = jacobi_eigenvalues(sub.entries)
-        expected = np.sort(analytic[sub.m])
+    for m, eigen in oracle_shifts(n, s, field, params):
+        expected = np.sort(analytic[m])
         err = np.max(np.abs(eigen - expected))
-        print(f"  m = {str(sub.m):>4}: eigenvalues {np.round(eigen, 10)}")
+        print(f"  m = {str(m):>4}: eigenvalues {np.round(eigen, 10)}")
         print(f"            analytic    {np.round(expected, 10)}   (max err {err:.2e})")
-    off = max(sub.largest_offdiagonal for sub in sectors)
+    off = offdiagonal_report(n, s, field, params)
     print(f"  largest off-diagonal element over all sectors: {off:.2e}")
     print("  (the parabolic basis diagonalizes V inside a shell; this is why")
     print("   the first-order shifts have an exact closed form)")
