@@ -26,9 +26,10 @@ moment.  A sector shares one shell, so each of its two factors takes
 one rule, ordered by the sector's highest-degree pair
 (d = 2 (n1 + n2) + |q1| + 2): every state's Phi is tabulated once on
 those nodes, and the four Gram matrices F diag(w x^k) F^T (k = 0, 2)
-give every entry at once.  The order passes the rule cap of 200, and
-the element or sector raises ValueError, only in the n = 200 shell,
-e.g. for (n1, n2, m) = (199, 0, 0) at s = 0.
+give every entry at once.  The highest order any shell up to N_MAX
+needs, N_MAX + 1 nodes for (n1, n2, m) = (N_MAX - 1, 0, 0) at s = 0, is
+the rule cap, so every element and sector is built; an order past the
+cap raises ValueError before any Phi is evaluated.
 """
 
 from __future__ import annotations

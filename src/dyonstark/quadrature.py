@@ -11,7 +11,9 @@ Each rule is built once per ``(kind, order)`` per process and then
 shared: every caller asking for the same rule gets the same object,
 whose arrays are read-only so no caller can change a rule another one
 holds.  Orders are capped at ``MAX_ORDER``, which bounds the cache at
-2 * MAX_ORDER rules of at most MAX_ORDER nodes each (under 2 MB).
+2 * MAX_ORDER rules of at most MAX_ORDER nodes each (under 2 MB).  The
+cap is the order the largest shell's oracle sectors need;
+``states.N_MAX`` is derived from it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .eigen import tridiagonal_eigen
 
 __all__ = ["QuadratureRule", "gauss_laguerre", "gauss_legendre", "integrate_halfline"]
 
-MAX_ORDER = 200
+MAX_ORDER = 201
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import gauss_laguerre, gauss_legendre, integrate_halfline
+from .quadrature import MAX_ORDER, gauss_laguerre, gauss_legendre, integrate_halfline
 from .specfun import HalfInteger, half, hyp1f1_poly, ln_factorial, wigner_d
 
 __all__ = [
@@ -56,8 +56,11 @@ __all__ = [
 
 # Largest principal level any shell may have.  A size guard: a shell holds
 # n^2 - s^2 labels and every table lists them all.  It is not the domain
-# in which the special functions keep double-precision accuracy.
-N_MAX = 200
+# in which the special functions keep double-precision accuracy.  The
+# shell's (n1, n2, m) = (n - 1, 0, 0) sector at s = 0 has a xi moment
+# x^2 Phi^2 of degree 2n, which an exact Gauss rule takes with n + 1
+# nodes, so the rule cap fixes the largest shell at 200.
+N_MAX = MAX_ORDER - 1
 
 
 @dataclass(frozen=True)
@@ -459,8 +462,8 @@ def _exact_order(degree: int) -> int:
     """Fewest Gauss nodes that integrate a polynomial of this degree exactly.
 
     An N-node Gauss rule is exact up to degree 2N - 1 (Golub & Welsch
-    1969).  A degree above 399 needs more nodes than the largest rule
-    holds, and the rule build raises ValueError.
+    1969).  A degree above 2 N_MAX + 1 = 401 needs more nodes than the
+    largest rule holds, and the rule build raises ValueError.
     """
     return degree // 2 + 1
 
@@ -569,76 +572,47 @@ _RESIDUAL_AXIS_MARGIN = 1.0
 def parabolic_hamiltonian_residual(state: ParabolicState, params: PhysicalParams) -> float:
     """Max relative residual |H psi - E psi| / |E psi| on an interior grid.
 
-    The Hamiltonian is assembled in parabolic coordinates from the
-    curvilinear Laplacian, the azimuthal/monopole centrifugal terms and
-    the Coulomb attraction, with fourth-order finite differences for
-    the xi and eta derivatives.  Two exclusions keep the pointwise
-    relative residual meaningful: points where |psi| falls below
-    ``_RESIDUAL_SUPPORT_CUT`` times its grid maximum (nodes), and a
-    strip of width ``_RESIDUAL_AXIS_MARGIN`` (units of a*n) along each
-    axis, where odd |m -+ s| factors behave like sqrt(coordinate) and
-    spoil polynomial difference stencils.  Axis behaviour is instead
-    covered by the exact quadrature norm checks.
+    The check is evaluated one factor at a time.  With psi = f1(xi) f2(eta)
+    and k = hbar^2 / (2 mu), the parabolic Hamiltonian separates as
+
+        (xi + eta)(H - E) f1 f2 = h1(xi) f2(eta) + f1(xi) h2(eta),
+        h_i(x) = -4 k (x f_i'' + f_i') + (k q_i^2 / x - gamma - E x) f_i,
+
+    with q1 = m - s and q2 = m + s.  Each factor is the one ``psi_grid``
+    prints, evaluated once on a 1-D axis.  Its derivatives come from
+    fourth-order five-point stencils, which drop the two end points of
+    the axis.  The grid values are outer products of the 1-D results.
+    Two exclusions keep the pointwise relative residual meaningful:
+    - points where |psi| falls below ``_RESIDUAL_SUPPORT_CUT`` times its
+      maximum over the whole grid, which is max|f1| max|f2| (nodes);
+    - a strip of width ``_RESIDUAL_AXIS_MARGIN`` (units of a*n) along
+      each axis, where odd |m -+ s| factors behave like
+      sqrt(coordinate) and spoil polynomial difference stencils.  Axis
+      behaviour is instead covered by the exact quadrature norm checks.
     """
-    _check_state_params(state, params)
-    nf = state.n.value
-    an = params.a * nf
+    _, f1, f2, _ = _product_form(state, params)
+    an = params.a * state.n.value
     h = _RESIDUAL_EXTENT * an / _RESIDUAL_GRID_POINTS
     z = h * np.arange(1, _RESIDUAL_GRID_POINTS + 1)
-
-    f1 = phi_pq(state.n1, state.q1, z, nf, params)
-    f2 = phi_pq(state.n2, state.q2, z, nf, params)
-    u = np.outer(f1, f2)
-
-    def d1(g, axis):
-        out = np.zeros_like(g)
-
-        def ix(shift):
-            s2 = [slice(None)] * 2
-            s2[axis] = slice(2 + shift, g.shape[axis] - 2 + shift)
-            return tuple(s2)
-
-        core = [slice(None)] * 2
-        core[axis] = slice(2, -2)
-        out[tuple(core)] = (
-            -g[ix(2)] + 8.0 * g[ix(1)] - 8.0 * g[ix(-1)] + g[ix(-2)]
-        ) / (12.0 * h)
-        return out
-
-    def d2(g, axis):
-        out = np.zeros_like(g)
-
-        def ix(shift):
-            s2 = [slice(None)] * 2
-            s2[axis] = slice(2 + shift, g.shape[axis] - 2 + shift)
-            return tuple(s2)
-
-        core = [slice(None)] * 2
-        core[axis] = slice(2, -2)
-        out[tuple(core)] = (
-            -g[ix(2)] + 16.0 * g[ix(1)] - 30.0 * g[ix(0)] + 16.0 * g[ix(-1)] - g[ix(-2)]
-        ) / (12.0 * h * h)
-        return out
-
-    xi = z[:, None]
-    eta = z[None, :]
-    hbar2_2mu = params.hbar**2 / (2.0 * params.mu)
-    lap = xi * d2(u, 0) + d1(u, 0) + eta * d2(u, 1) + d1(u, 1)
-    qsq1 = float(state.q1) ** 2
-    qsq2 = float(state.q2) ** 2
-    h_u = (
-        -hbar2_2mu * 4.0 / (xi + eta) * lap
-        + hbar2_2mu * (qsq1 / xi + qsq2 / eta) * u / (xi + eta)
-        - 2.0 * params.gamma_c * u / (xi + eta)
-    )
+    x = z[2:-2]  # the stencil centres
+    keep = x >= _RESIDUAL_AXIS_MARGIN * an
+    xs = x[keep]
+    k = params.hbar**2 / (2.0 * params.mu)
     e0 = energy_level(state.n, params)
-    target = e0 * u
 
-    interior = np.zeros_like(u, dtype=bool)
-    interior[2:-2, 2:-2] = True
-    interior &= (xi >= _RESIDUAL_AXIS_MARGIN * an) & (eta >= _RESIDUAL_AXIS_MARGIN * an)
-    support = np.abs(u) >= _RESIDUAL_SUPPORT_CUT * np.max(np.abs(u))
-    mask = interior & support
-    if not np.any(mask):
+    def share(f, q):
+        """(f, h) of one factor on the kept stencil centres."""
+        d1 = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
+        d2 = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) / (12.0 * h * h)
+        hf = -4.0 * k * (x * d2 + d1) + (k * q * q / x - params.gamma_c - e0 * x) * f[2:-2]
+        return f[2:-2][keep], hf[keep]
+
+    g1, g2 = f1(z), f2(z)
+    (v1, h1), (v2, h2) = share(g1, state.q1), share(g2, state.q2)
+    u = np.abs(np.outer(v1, v2))
+    support = u >= _RESIDUAL_SUPPORT_CUT * (np.max(np.abs(g1)) * np.max(np.abs(g2)))
+    if not np.any(support):
         raise RuntimeError("no usable interior points; widen the grid")
-    return float(np.max(np.abs(h_u[mask] - target[mask]) / np.abs(target[mask])))
+    num = np.abs(np.outer(h1, v2) + np.outer(v1, h2))
+    den = abs(e0) * np.add.outer(xs, xs) * u
+    return float(np.max(num[support] / den[support]))

@@ -177,7 +177,7 @@ def check_shift_formula_identity(max_n=None) -> CheckResult:
 
 def check_oracle_equivalence(max_n=None) -> CheckResult:
     """Per-sector Jacobi eigenvalues match closed-form shifts, on exactly the shell's sectors."""
-    bounds = _Bounds(eigen=1e-6, offdiag=1e-9, sectors=0.0)
+    bounds = _Bounds(eigen=1e-6, offdiag=1e-12, sectors=0.0)
     for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5], 4.0, max_n):
         n, s = shell[0].n, params.s
         analytic: dict[int, list[float]] = {}
@@ -195,9 +195,8 @@ def check_oracle_equivalence(max_n=None) -> CheckResult:
         for m2 in sized:
             err = float(np.max(np.abs(got[m2] - np.sort(analytic[m2]))))
             bounds.add("eigen", _rel(err, scale), cases=len(got[m2]))
-        off_scale = params.a * params.e_abs * field.epsilon
-        bounds.add("offdiag", max(sub.largest_offdiagonal for sub in sectors) / off_scale)
-    return bounds.result("c04-oracle-equivalence", "eigenvalues relative, off-diagonals in a|e|eps")
+        bounds.add("offdiag", _rel(max(sub.largest_offdiagonal for sub in sectors), scale))
+    return bounds.result("c04-oracle-equivalence", "eigenvalues and off-diagonals relative to the largest shift")
 
 
 def check_degeneracy_removal(max_n=None) -> CheckResult:

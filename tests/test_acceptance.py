@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dyonstark import verify
+from dyonstark.specfun import half
 from dyonstark.verify import CHECKS, CheckResult, check_key, run_check
 
 CRITERIA = [
@@ -122,6 +123,26 @@ def test_oracle_equivalence_compares_the_sector_partition(monkeypatch, mutate):
     assert result.tol == 0.0
     assert result.max_err >= 1
     assert "sectors" in result.detail
+
+
+def test_oracle_equivalence_bounds_offdiagonals_by_the_largest_shift(monkeypatch):
+    # 5e-11 a|e|eps off the diagonal of one sector is 1.7e-11 of the n = 2
+    # hydrogen shell's largest shift (3 a|e|eps), past c04's 1e-12
+    shell_sectors = verify.oracle.shell_sectors
+
+    def perturbed(*args):
+        sectors = shell_sectors(*args)
+        if args[:2] != (half(2), half(0)):
+            return sectors
+        i = next(i for i, sub in enumerate(sectors) if sub.dimension > 1)
+        entries = sectors[i].entries + 5e-11 * (1.0 - np.eye(sectors[i].dimension))
+        return [*sectors[:i], replace(sectors[i], entries=entries), *sectors[i + 1:]]
+
+    monkeypatch.setattr(verify.oracle, "shell_sectors", perturbed)
+    result = run_check("oracle-equivalence", max_n=2)
+    assert not result.passed
+    assert result.tol == 1e-12
+    assert result.max_err == pytest.approx(5e-11 / 3.0, rel=1e-3)
 
 
 @pytest.mark.parametrize("max_n, builds", [(2, 9), (None, 53)])

@@ -156,20 +156,17 @@ class TestQuadOrderResolution:
         assert matrix_element_V(a, a, F1, P0) == pytest.approx(want, rel=1e-12)
         assert abs(matrix_element_V(a, a, F1, P0, quad_order=2) - want) > 1e-3 * abs(want)
 
-    @pytest.mark.parametrize("n1, n2, m, s", [(0, 0, 149, 1), (0, 0, 199, 1), (96, 0, 0, 0)])
+    # (199, 0, 0) at n = 200: the xi moment x^2 Phi^2 has degree 400, so
+    # exactness takes 201 nodes, the rule cap
+    @pytest.mark.parametrize(
+        "n1, n2, m, s", [(0, 0, 149, 1), (0, 0, 199, 1), (96, 0, 0, 0), (199, 0, 0, 0)]
+    )
     def test_large_shell_diagonals_match_closed_form(self, n1, n2, m, s):
         params = PhysicalParams.atomic(s)
         a = ParabolicState(n1, n2, m, s)
         want = shift_closed_form(a, F1, params)
         got = matrix_element_V(a, a, F1, params)
         assert abs(got - want) <= 1e-10 * max(abs(want), shift_quantum(F1, params))
-
-    def test_order_past_the_rule_cap_raises(self):
-        # (199, 0, 0) at n = 200: the xi moment x^2 Phi^2 has degree 400, so
-        # exactness needs 201 nodes, one more than the largest rule
-        a = ParabolicState(199, 0, 0, 0)
-        with pytest.raises(ValueError, match="got 201"):
-            matrix_element_V(a, a, F1, P0)
 
 
 def _shells(s_raw, n_max):
@@ -207,7 +204,7 @@ class TestSectorTables:
         scale = max(max(abs(v) for vs in want.values() for v in vs), shift_quantum(F1, params))
         for m, eigen in oracle_shifts(n, s, F1, params):
             assert np.max(np.abs(eigen - np.sort(want[m.twice]))) <= 1e-6 * scale
-        assert offdiagonal_report(n, s, F1, params) <= 1e-9 * params.a * params.e_abs
+        assert offdiagonal_report(n, s, F1, params) <= 1e-12 * scale
 
     def test_same_bits_with_a_cold_or_warm_rule_cache(self):
         def run():
@@ -227,14 +224,15 @@ class TestSectorTables:
             build_subspace(3, 0, 0, F1, P1)
 
     def test_order_past_the_rule_cap_raises_before_any_moment(self, monkeypatch):
-        # (199, 0, 0) is in the m = 0 sector of n = 200: its xi factor needs
-        # 201 nodes, so the sector raises before a single Phi is evaluated
+        # no shell up to N_MAX asks for more than the cap, so the order is
+        # forced one past it: the sector raises before a single Phi is evaluated
         def no_phi(*args, **kwargs):
             raise AssertionError("phi_pq evaluated before the order check")
 
         monkeypatch.setattr(oracle, "phi_pq", no_phi)
-        with pytest.raises(ValueError, match=r"quadrature order must be an integer in \[1, 200\], got 201"):
-            build_subspace(200, 0, 0, F1, P0)
+        monkeypatch.setattr(oracle, "_exact_order", lambda degree: quadrature.MAX_ORDER + 1)
+        with pytest.raises(ValueError, match=r"quadrature order must be an integer in \[1, 201\], got 202"):
+            build_subspace(3, 0, 0, F1, P0)
 
 
 def _sector_digest():

@@ -17,7 +17,7 @@ from dyonstark.quadrature import (
     integrate_halfline,
 )
 from dyonstark.stark import FieldConfig
-from dyonstark.states import ParabolicState, PhysicalParams
+from dyonstark.states import N_MAX, ParabolicState, PhysicalParams
 
 
 class TestLaguerreRule:
@@ -155,8 +155,12 @@ class TestHalflineDriver:
             integrate_halfline(lambda x: x, gauss_laguerre(5), scale=0.0)
 
     def test_high_order_stable(self):
-        rule = gauss_laguerre(200)
-        assert np.all(np.isfinite(rule.lifted_weights))
+        # the cap, which the largest shell's oracle sectors take
+        rule = gauss_laguerre(MAX_ORDER)
+        assert rule.order == N_MAX + 1
+        for arr in (rule.nodes, rule.weights, rule.lifted_weights):
+            assert np.all(np.isfinite(arr))
+        assert rule.weights.sum() == pytest.approx(1.0, rel=1e-12)
         got = integrate_halfline(lambda x: x**2 * np.exp(-x), rule)
         assert got == pytest.approx(2.0, rel=1e-11)
 

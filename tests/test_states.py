@@ -634,6 +634,23 @@ class TestParabolicPsi:
         for state, params in cases:
             assert parabolic_hamiltonian_residual(state, params) <= 1e-6
 
+    @pytest.mark.parametrize("wrong", ["energy", "factor"])
+    def test_schroedinger_residual_sees_a_non_eigenfunction(self, monkeypatch, wrong):
+        # the energy of the next shell, or an xi factor one node too many
+        state = ParabolicState(1, 0, half("-1/2"), half("1/2"))
+        if wrong == "energy":
+            level = states.energy_level
+            monkeypatch.setattr(states, "energy_level", lambda n, params: level(n + 1, params))
+        else:
+            product_form = states._product_form
+
+            def one_more_node(st, params):
+                const, _, f2, phase = product_form(st, params)
+                return const, lambda xi: phi_pq(st.n1 + 1, st.q1, xi, st.n.value, params), f2, phase
+
+            monkeypatch.setattr(states, "_product_form", one_more_node)
+        assert parabolic_hamiltonian_residual(state, PHALF) >= 1e-2
+
     def test_state_params_mismatch_raises(self):
         with pytest.raises(ValueError, match="must agree"):
             parabolic_psi(ParabolicState(0, 0, 0, 0), ParabolicPoint(1.0, 1.0), P1)
