@@ -7,7 +7,7 @@ cross-check pipeline:
   that also carries the first eigenvector component along (all that
   Golub-Welsch needs for quadrature weights);
 * a cyclic-sweep Jacobi diagonalization for small dense symmetric
-  matrices.
+  matrices (Golub & Van Loan, *Matrix Computations*, section 8.5).
 
 The matrices here are tiny (a few hundred rows at the very most).  The
 QL loop reads and writes one element at a time, so it runs on Python
@@ -16,6 +16,18 @@ access as a numpy scalar.  Python floats and float64 scalars perform the
 same IEEE-754 double operations, and the loop evaluates every expression
 in the same form and order either way, so the eigenvalues and first
 components are bit for bit those of the array version.
+
+The Jacobi loop updates whole rows, so it stays on numpy, and it makes
+one symmetric update per rotation.  Its working matrix is exactly
+symmetric, and the column pass of the textbook two-sided rotation leaves
+rows p and q outside the 2x2 block untouched, so the row pass would
+recompute those entries bit for bit.  One pass therefore writes
+``c a[p] - s a[q]`` to row and column p, ``s a[p] + c a[q]`` to row and
+column q, and the closed form of the two passes to the block.  Before
+the sweeps the matrix is scaled by an exact power of two, so that its
+norm neither overflows nor underflows; on matrices whose entries lie
+well inside the float range the eigenvalues keep the two-sided loop's
+bits.  Non-finite entries are refused up front.
 """
 
 from __future__ import annotations
@@ -113,6 +125,15 @@ def jacobi_eigenvalues(matrix):
     off-diagonal Frobenius norm falls below ``_JACOBI_TOL`` times the
     matrix norm.  Unconditionally convergent for symmetric input, which keeps
     the verification chain free of library dependencies.
+
+    Each rotation is one symmetric update of rows and columns p and q,
+    with the bits of the two-sided update (see the module docstring).
+    The matrix is scaled by ``2**-e``, ``e = frexp(max |a_ij|)[1]``, and
+    the eigenvalues by ``2**e``; both are exact unless an entry is
+    subnormal, so the norms neither overflow nor underflow, from
+    subnormal entries to 1e308.  Off-diagonal entries below 1e-300 in the caller's units are
+    set to zero instead of rotated.  Raises ``ValueError`` on a
+    non-square, oversize, non-finite or asymmetric matrix.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -120,13 +141,18 @@ def jacobi_eigenvalues(matrix):
     n = a.shape[0]
     if n > 256:
         raise ValueError(f"dense Jacobi solver is limited to 256x256, got {n}")
-    asym = np.max(np.abs(a - a.T))
-    scale = np.max(np.abs(a)) if n else 0.0
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite (no inf or NaN)")
+    asym = np.max(np.abs(a - a.T), initial=0.0)
+    scale = np.max(np.abs(a), initial=0.0)
     if asym > 1e-12 * max(scale, 1.0):
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
-    a = 0.5 * (a + a.T)
     if n == 0:
         return np.zeros(0)
+    exp = math.frexp(scale)[1]
+    a = np.ldexp(a, -exp)
+    a = 0.5 * (a + a.T)
+    tiny = math.ldexp(1e-300, -exp)
 
     norm = math.sqrt(np.sum(a * a))
     if norm == 0.0:
@@ -141,24 +167,26 @@ def jacobi_eigenvalues(matrix):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a.item(p, q)
                 if apq == 0.0:
                     continue
-                if abs(apq) < 1e-300:
+                if abs(apq) < tiny:
                     a[p, q] = a[q, p] = 0.0
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                app = a.item(p, p)
+                aqq = a.item(q, q)
+                theta = (aqq - app) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
+                u = c * a[p] - s * a[q]
+                v = s * a[p] + c * a[q]
+                a[p] = a[:, p] = u
+                a[q] = a[:, q] = v
+                a[p, p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+                a[q, q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
                 a[p, q] = a[q, p] = 0.0
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
 
-    return np.sort(np.diag(a))
+    return np.ldexp(np.sort(np.diag(a)), exp)

@@ -361,13 +361,16 @@ def check_numerical_kernels(max_n=None) -> CheckResult:
     """Gauss exactness, Jacobi identities, Wigner-d orthogonality."""
     bounds = _Bounds(quad=1e-10, jacobi=1e-12, wigner=1e-10)
     for order in range(1, 41):
-        lag = quadrature.gauss_laguerre(order)
-        leg = quadrature.gauss_legendre(order)
+        # one row w * x**k per degree k; each row sums as np.sum of that row alone
+        lag, leg = (
+            np.sum([rule.weights * rule.nodes**k for k in range(2 * order)], axis=1).tolist()
+            for rule in (quadrature.gauss_laguerre(order), quadrature.gauss_legendre(order))
+        )
         for k in range(0, 2 * order):
             exact = math.exp(math.lgamma(k + 1.0))
-            bounds.add("quad", _rel(abs(float(np.sum(lag.weights * lag.nodes**k)) - exact), exact))
+            bounds.add("quad", _rel(abs(lag[k] - exact), exact))
             exact = 0.0 if k % 2 else 2.0 / (k + 1.0)
-            bounds.add("quad", _rel(abs(float(np.sum(leg.weights * leg.nodes**k)) - exact), 2.0 / (k + 1.0)))
+            bounds.add("quad", _rel(abs(leg[k] - exact), 2.0 / (k + 1.0)))
 
     rng = np.random.default_rng(2024)
     for dim in (2, 3, 5, 8, 13, 21, 34):
@@ -380,21 +383,18 @@ def check_numerical_kernels(max_n=None) -> CheckResult:
         bounds.add("jacobi", _rel(abs(float((lam**2).sum()) - fro2), fro2))
 
     rule = quadrature.gauss_legendre(40)
-    for twice_base in (0, 1):
-        j_list = [HalfInteger(t) for t in range(twice_base, 10, 2)]
-        for ja in j_list:
-            for jb in j_list:
-                jmin = min(ja.twice, jb.twice)
-                for m2 in range(-jmin, jmin + 1, 2):
-                    for s2 in range(-jmin, jmin + 1, 2):
-                        def prod(t):
-                            th = np.arccos(t)
-                            return wigner_d(ja, HalfInteger(m2), HalfInteger(s2), th) * wigner_d(
-                                jb, HalfInteger(m2), HalfInteger(s2), th
-                            )
-
-                        want = 2.0 / (ja.value * 2 + 1) if ja == jb else 0.0
-                        bounds.add("wigner", abs(rule.integrate(prod) - want))
+    theta = np.arccos(rule.nodes)
+    # labels in doubled integers; each d^j_{ms} is evaluated on the nodes once,
+    # for all the pairs (ja, jb) that share its (m, s)
+    for m2 in range(-9, 10):
+        for s2 in range(-8 - m2 % 2, 10, 2):  # m2's parity
+            j_list = range(max(abs(m2), abs(s2)), 10, 2)
+            d = {j2: wigner_d(HalfInteger(j2), HalfInteger(m2), HalfInteger(s2), theta) for j2 in j_list}
+            for ja in j_list:
+                for jb in j_list:
+                    want = 2.0 / (ja + 1) if ja == jb else 0.0
+                    # the expression rule.integrate evaluates
+                    bounds.add("wigner", abs(float(np.sum(rule.weights * (d[ja] * d[jb]))) - want))
     return bounds.result("c10-numerical-kernels", "quad and jacobi relative, wigner abs")
 
 
@@ -409,11 +409,12 @@ def check_specfun_invariants(max_n=None) -> CheckResult:
     xs = np.linspace(0.0, 50.0, 11)
     for p in range(1, 21):
         for b in range(1, 11):
-            for x in xs:
-                t1 = b * hyp1f1_poly(p, b, x)
-                t2 = b * hyp1f1_poly(p - 1, b, x)
-                t3 = x * hyp1f1_poly(p - 1, b + 1, x)
-                bounds.add("identities", abs(t1 - t2 + t3) / max(abs(t1), abs(t2), abs(t3), 1.0))
+            # arrays over xs, with the bits of the scalar evaluations
+            t1 = b * hyp1f1_poly(p, b, xs)
+            t2 = b * hyp1f1_poly(p - 1, b, xs)
+            t3 = xs * hyp1f1_poly(p - 1, b + 1, xs)
+            rel = np.abs(t1 - t2 + t3) / np.maximum(np.abs([t1, t2, t3]).max(axis=0), 1.0)
+            bounds.add("identities", float(np.max(rel)), cases=xs.size)
     thetas = np.linspace(0.0, math.pi, 7)
     for j2 in range(0, 8):
         for m2 in range(-j2, j2 + 1, 2):
@@ -421,8 +422,8 @@ def check_specfun_invariants(max_n=None) -> CheckResult:
                 j, m, s = HalfInteger(j2), HalfInteger(m2), HalfInteger(s2)
                 bounds.add("identities", abs(wigner_d(j, m, s, 0.0) - (1.0 if m2 == s2 else 0.0)))
                 phase = (-1.0) ** ((m2 - s2) // 2)
-                for th in thetas:
-                    bounds.add("identities", abs(wigner_d(j, m, s, th) - phase * wigner_d(j, s, m, th)))
+                sym = np.abs(wigner_d(j, m, s, thetas) - phase * wigner_d(j, s, m, thetas))
+                bounds.add("identities", float(np.max(sym)), cases=thetas.size)
     return bounds.result(
         "inv-specfun", "1F1 contiguous relation p <= 20; d-function endpoint and index symmetry"
     )
@@ -459,12 +460,12 @@ def check_quadrature_invariants(max_n=None) -> CheckResult:
 def check_states_invariants(max_n=None) -> CheckResult:
     """Coordinate round trip, volume element, Schroedinger residual."""
     bounds = _Bounds(roundtrip=1e-12, volume=0.0, residual=1e-6)
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        x = rng.uniform(-3, 3, size=3)
-        pt = states.cartesian_to_parabolic(*x)
-        back = np.array(states.parabolic_to_cartesian(pt))
-        bounds.add("roundtrip", float(np.max(np.abs(back - x))) / max(1.0, float(np.max(np.abs(x)))))
+    # the same stream as 1000 draws of size 3
+    for row in np.random.default_rng(11).uniform(-3, 3, size=(1000, 3)):
+        x = row.tolist()
+        back = states.parabolic_to_cartesian(states.cartesian_to_parabolic(*x))
+        err = max(abs(b - c) for b, c in zip(back, x))
+        bounds.add("roundtrip", err / max(1.0, *map(abs, x)))
 
     bounds.add("volume", abs(states.volume_element(1.0, 1.0) - 0.5))
 

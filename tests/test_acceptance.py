@@ -158,6 +158,63 @@ def test_oracle_equivalence_builds_each_sector_once(monkeypatch, max_n, builds):
     assert len(calls) == len(set(calls)) == builds
 
 
+# each check that evaluates a kernel once per table still fails when the kernel
+# is wrong for one label or one point
+
+
+def test_numerical_kernels_fail_on_one_wrong_wigner_label(monkeypatch):
+    # d^{1/2}_{1/2,-1/2} = -sin(theta/2) integrates to -4/3 over cos(theta)
+    wigner_d = verify.wigner_d
+
+    def perturbed(j, m, s, theta):
+        value = wigner_d(j, m, s, theta)
+        return value + 1e-8 if (half(j), half(m), half(s)) == (half("1/2"), half("1/2"), half("-1/2")) else value
+
+    monkeypatch.setattr(verify, "wigner_d", perturbed)
+    result = run_check("numerical-kernels", max_n=2)
+    assert not result.passed
+    assert "wigner 2.67e-08" in result.detail
+
+
+def test_specfun_invariants_fail_on_an_index_asymmetric_wigner_d(monkeypatch):
+    wigner_d = verify.wigner_d
+
+    def asymmetric(j, m, s, theta):
+        value = wigner_d(j, m, s, theta)
+        return value * (1.0 + 1e-8) if half(m) > half(s) else value
+
+    monkeypatch.setattr(verify, "wigner_d", asymmetric)
+    result = run_check("specfun-invariants", max_n=2)
+    assert not result.passed
+    assert result.max_err > 1e-9
+
+
+def test_specfun_invariants_fail_on_one_wrong_hyp1f1_point(monkeypatch):
+    hyp1f1_poly = verify.hyp1f1_poly
+
+    def perturbed(p, b, x):
+        return hyp1f1_poly(p, b, x) + 1e-6 * (np.asarray(x) == 25.0)
+
+    monkeypatch.setattr(verify, "hyp1f1_poly", perturbed)
+    result = run_check("specfun-invariants", max_n=2)
+    assert not result.passed
+    assert result.max_err > 1e-8
+
+
+def test_states_invariants_fail_on_a_wrong_coordinate_map(monkeypatch):
+    to_cartesian = verify.states.parabolic_to_cartesian
+
+    def shifted(point):
+        x1, x2, x3 = to_cartesian(point)
+        return x1, x2, x3 + 1e-10
+
+    monkeypatch.setattr(verify.states, "parabolic_to_cartesian", shifted)
+    result = run_check("states-invariants", max_n=2)
+    assert not result.passed
+    assert result.tol == 1e-12
+    assert result.max_err >= 1e-10 / 3.0
+
+
 class TestBounds:
     """The accumulator behind every check: verdict and report from one set of numbers."""
 

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from dyonstark.eigen import jacobi_eigenvalues, tridiagonal_eigen
+from dyonstark.oracle import build_subspace
+from dyonstark.stark import FieldConfig
+from dyonstark.states import PhysicalParams
 
 
 def _ndarray_ql(diag, offdiag):
@@ -59,6 +62,51 @@ def _ndarray_ql(diag, offdiag):
                 e[m] = 0.0
     order = np.argsort(d, kind="stable")
     return d[order], z[order]
+
+
+def _two_sided_jacobi(matrix):
+    """Reference: cyclic Jacobi with a column pass then a row pass per rotation."""
+    a = np.array(matrix, dtype=float)
+    a = 0.5 * (a + a.T)
+    n = a.shape[0]
+    norm = math.sqrt(np.sum(a * a))
+    if norm == 0.0:
+        return np.zeros(n)
+
+    def offnorm():
+        off = a - np.diag(np.diag(a))
+        return math.sqrt(np.sum(off * off))
+
+    for _ in range(60):
+        if offnorm() <= 1e-14 * norm:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                if abs(apq) < 1e-300:
+                    a[p, q] = a[q, p] = 0.0
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rot_p = c * a[:, p] - s * a[:, q]
+                rot_q = s * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = rot_p, rot_q
+                rot_p = c * a[p, :] - s * a[q, :]
+                rot_q = s * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rot_p, rot_q
+                a[p, q] = a[q, p] = 0.0
+    else:
+        raise AssertionError("reference Jacobi did not converge")
+    return np.sort(np.diag(a))
+
+
+def _random_symmetric(rng, dim, scale=1.0):
+    a = scale * rng.normal(size=(dim, dim))
+    return a + a.T
 
 
 class TestTridiagonal:
@@ -173,3 +221,58 @@ class TestJacobi:
         lam = jacobi_eigenvalues(a)
         lam_scaled = jacobi_eigenvalues(1e-8 * a)
         assert lam_scaled == pytest.approx(1e-8 * lam, rel=1e-11)
+
+    def test_bits_match_two_sided_update_on_c10_matrices(self):
+        # the seven matrices of the c10 verify check
+        rng = np.random.default_rng(2024)
+        for dim in (2, 3, 5, 8, 13, 21, 34):
+            a = _random_symmetric(rng, dim)
+            assert jacobi_eigenvalues(a).tobytes() == _two_sided_jacobi(a).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-3, 0.1, 1.0, 7.0, 1e3, 1e5])
+    def test_bits_match_two_sided_update_across_scales(self, scale):
+        rng = np.random.default_rng(17)
+        for dim in (2, 4, 9, 20):
+            a = _random_symmetric(rng, dim, scale)
+            assert jacobi_eigenvalues(a).tobytes() == _two_sided_jacobi(a).tobytes()
+
+    def test_bits_match_two_sided_update_on_skipped_and_dropped_entries(self):
+        # the first sweep meets a[0, 1] == 0 (skipped) and then |a[0, 2]| < 1e-300
+        # (set to zero without a rotation) before row 0 has been touched
+        a = _random_symmetric(np.random.default_rng(23), 6)
+        a[0, 1] = a[1, 0] = 0.0
+        a[0, 2] = a[2, 0] = 3e-301
+        assert jacobi_eigenvalues(a).tobytes() == _two_sided_jacobi(a).tobytes()
+
+    def test_bits_match_two_sided_update_on_an_oracle_sector(self):
+        # a near-diagonal sector: rotations by tiny angles only
+        sub = build_subspace(40, 0, 3, FieldConfig(1.0), PhysicalParams.atomic(0))
+        assert sub.dimension == 37
+        assert jacobi_eigenvalues(sub.entries).tobytes() == _two_sided_jacobi(sub.entries).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        a = np.eye(10)
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            jacobi_eigenvalues(a)
+        a = np.eye(3)
+        a[2, 2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            jacobi_eigenvalues(a)
+
+    @pytest.mark.parametrize("size", [1e200, 1e-200, 1e-310])
+    def test_entries_beyond_the_square_range(self, size):
+        # sum(a * a) overflows at 1e200 and underflows at 1e-200 unless the
+        # matrix is scaled first; 1e-310 is subnormal
+        got = jacobi_eigenvalues(np.array([[0.0, size], [size, 0.0]]))
+        assert got == pytest.approx([-size, size], rel=1e-15)
+
+    def test_empty_matrix(self):
+        assert jacobi_eigenvalues(np.zeros((0, 0))).shape == (0,)
+
+    @pytest.mark.parametrize("power", [-900, -40, 40, 900])
+    def test_power_of_two_scaling_is_exact(self, power):
+        a = _random_symmetric(np.random.default_rng(29), 12)
+        lam = jacobi_eigenvalues(a)
+        assert jacobi_eigenvalues(np.ldexp(a, power)).tobytes() == np.ldexp(lam, power).tobytes()
