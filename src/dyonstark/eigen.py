@@ -129,10 +129,11 @@ def jacobi_eigenvalues(matrix):
     Each rotation is one symmetric update of rows and columns p and q,
     with the bits of the two-sided update (see the module docstring).
     The matrix is scaled by ``2**-e``, ``e = frexp(max |a_ij|)[1]``, and
-    the eigenvalues by ``2**e``; both are exact unless an entry is
-    subnormal, so the norms neither overflow nor underflow, from
-    subnormal entries to 1e308.  Off-diagonal entries below 1e-300 in the caller's units are
-    set to zero instead of rotated.  Raises ``ValueError`` on a
+    the eigenvalues by ``2**e``, so the norms neither overflow nor
+    underflow; both scalings are exact unless a scaled entry or
+    eigenvalue is subnormal.  Off-diagonal entries below 1e-300 in the
+    caller's units are set to zero instead of rotated, so subnormal
+    off-diagonal entries are dropped.  Raises ``ValueError`` on a
     non-square, oversize, non-finite or asymmetric matrix.
     """
     a = np.array(matrix, dtype=float)
