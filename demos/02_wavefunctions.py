@@ -39,7 +39,7 @@ pb = ParabolicState(0, 1, half("1/2"), s)
 print(f"  parabolic <a|a> = {parabolic_overlap(pa, pa, params):+.15f}")
 print(f"  parabolic <a|b> = {parabolic_overlap(pa, pb, params):+.3e}   (same m sector)")
 
-print("\nSchroedinger residual |H psi - E psi| / |E psi| on an interior grid:")
+print("\nSchroedinger residual |H psi - E psi| / |E psi|, bounded one separated factor at a time:")
 for state in (pa, pb, ParabolicState(0, 0, half("3/2"), s)):
     res = parabolic_hamiltonian_residual(state, params)
     print(f"  (n1={state.n1}, n2={state.n2}, m={state.m}): {res:.2e}")

@@ -134,7 +134,8 @@ def jacobi_eigenvalues(matrix):
     eigenvalue is subnormal.  Off-diagonal entries below 1e-300 in the
     caller's units are set to zero instead of rotated, so subnormal
     off-diagonal entries are dropped.  Raises ``ValueError`` on a
-    non-square, oversize, non-finite or asymmetric matrix.
+    non-square, oversize, non-finite or asymmetric matrix, and on one
+    whose eigenvalues lie beyond the float range.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -144,7 +145,8 @@ def jacobi_eigenvalues(matrix):
         raise ValueError(f"dense Jacobi solver is limited to 256x256, got {n}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no inf or NaN)")
-    asym = np.max(np.abs(a - a.T), initial=0.0)
+    with np.errstate(over="ignore"):  # a difference beyond the float range is inf: asymmetric
+        asym = np.max(np.abs(a - a.T), initial=0.0)
     scale = np.max(np.abs(a), initial=0.0)
     if asym > 1e-12 * max(scale, 1.0):
         raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
@@ -190,4 +192,9 @@ def jacobi_eigenvalues(matrix):
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
 
-    return np.ldexp(np.sort(np.diag(a)), exp)
+    vals = np.sort(np.diag(a))
+    # |vals| < 2**top, and the prescale is undone exactly unless 2**(top + exp) overflows
+    top = math.frexp(max(-vals[0], vals[-1]))[1]
+    if top + exp > 1024:
+        raise ValueError(f"eigenvalues lie beyond the float range: max |eigenvalue| >= 2**{top + exp - 1}")
+    return np.ldexp(vals, exp)

@@ -570,49 +570,57 @@ _RESIDUAL_AXIS_MARGIN = 1.0
 
 
 def parabolic_hamiltonian_residual(state: ParabolicState, params: PhysicalParams) -> float:
-    """Max relative residual |H psi - E psi| / |E psi| on an interior grid.
+    """Bound on the relative residual |H psi - E psi| / |E psi|, one factor at a time.
 
-    The check is evaluated one factor at a time.  With psi = f1(xi) f2(eta)
-    and k = hbar^2 / (2 mu), the parabolic Hamiltonian separates as
+    With psi = f1(xi) f2(eta) and k = hbar^2 / (2 mu), the parabolic
+    Hamiltonian separates as
 
-        (xi + eta)(H - E) f1 f2 = h1(xi) f2(eta) + f1(xi) h2(eta),
+        (xi + eta)(H - E) f1 f2 = (h1 - lam f1) f2 + f1 (h2 + lam f2),
         h_i(x) = -4 k (x f_i'' + f_i') + (k q_i^2 / x - gamma - E x) f_i,
 
-    with q1 = m - s and q2 = m + s.  Each factor is the one ``psi_grid``
-    prints, evaluated once on a 1-D axis.  Its derivatives come from
+    with q1 = m - s, q2 = m + s and the separation constant
+    lam = hbar * ``beta_eigenvalue``.  Each factor is the one ``psi_grid``
+    prints, evaluated once on a 1-D axis, and its derivatives come from
     fourth-order five-point stencils, which drop the two end points of
-    the axis.  The grid values are outer products of the 1-D results.
-    Two exclusions keep the pointwise relative residual meaningful:
-    - points where |psi| falls below ``_RESIDUAL_SUPPORT_CUT`` times its
-      maximum over the whole grid, which is max|f1| max|f2| (nodes);
-    - a strip of width ``_RESIDUAL_AXIS_MARGIN`` (units of a*n) along
-      each axis, where odd |m -+ s| factors behave like
+    the axis.  The result is r1 + r2 with
+
+        r1 = max |h1 - lam f1| / (|E| xi |f1|),
+        r2 = max |h2 + lam f2| / (|E| eta |f2|),
+
+    each over its own axis, so a wrong E, a wrong factor or a wrong beta
+    all show.  Two exclusions keep the pointwise relative residual
+    meaningful:
+    - points where |f_i| falls below ``_RESIDUAL_SUPPORT_CUT`` times its
+      maximum over the axis (nodes);
+    - a margin of ``_RESIDUAL_AXIS_MARGIN`` (units of a*n) at the start
+      of each axis, where odd |m -+ s| factors behave like
       sqrt(coordinate) and spoil polynomial difference stencils.  Axis
       behaviour is instead covered by the exact quadrature norm checks.
+
+    So r1 + r2 bounds the relative residual of f1 f2 at every grid point
+    (xi, eta) off both margins where |f1 f2| >= cut * max|f1| max|f2|:
+    there each |f_i| passes its own cut, as the other factor is at most
+    its maximum, and xi + eta is at least xi and at least eta.
     """
     _, f1, f2, _ = _product_form(state, params)
     an = params.a * state.n.value
     h = _RESIDUAL_EXTENT * an / _RESIDUAL_GRID_POINTS
     z = h * np.arange(1, _RESIDUAL_GRID_POINTS + 1)
     x = z[2:-2]  # the stencil centres
-    keep = x >= _RESIDUAL_AXIS_MARGIN * an
-    xs = x[keep]
+    interior = x >= _RESIDUAL_AXIS_MARGIN * an
     k = params.hbar**2 / (2.0 * params.mu)
     e0 = energy_level(state.n, params)
+    lam = params.hbar * beta_eigenvalue(state, params)
 
-    def share(f, q):
-        """(f, h) of one factor on the kept stencil centres."""
+    def factor_residual(f, q, lam_i):
+        """max |h_i - lam_i f_i| / (|E| x |f_i|) over the factor's kept points."""
         d1 = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
         d2 = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) / (12.0 * h * h)
-        hf = -4.0 * k * (x * d2 + d1) + (k * q * q / x - params.gamma_c - e0 * x) * f[2:-2]
-        return f[2:-2][keep], hf[keep]
+        v = f[2:-2]
+        hf = -4.0 * k * (x * d2 + d1) + (k * q * q / x - params.gamma_c - e0 * x - lam_i) * v
+        keep = interior & (np.abs(v) >= _RESIDUAL_SUPPORT_CUT * np.max(np.abs(f)))
+        if not np.any(keep):
+            raise RuntimeError("no usable interior points; widen the grid")
+        return float(np.max(np.abs(hf[keep]) / (abs(e0) * x[keep] * np.abs(v[keep]))))
 
-    g1, g2 = f1(z), f2(z)
-    (v1, h1), (v2, h2) = share(g1, state.q1), share(g2, state.q2)
-    u = np.abs(np.outer(v1, v2))
-    support = u >= _RESIDUAL_SUPPORT_CUT * (np.max(np.abs(g1)) * np.max(np.abs(g2)))
-    if not np.any(support):
-        raise RuntimeError("no usable interior points; widen the grid")
-    num = np.abs(np.outer(h1, v2) + np.outer(v1, h2))
-    den = abs(e0) * np.add.outer(xs, xs) * u
-    return float(np.max(num[support] / den[support]))
+    return factor_residual(f1(z), state.q1, lam) + factor_residual(f2(z), state.q2, -lam)

@@ -155,10 +155,9 @@ def check_integral_closed_forms(max_n=None) -> CheckResult:
     for n in n_values:
         for p in range(0, 11):
             for q in list(range(0, 11)) + [-1, -4, -10]:
-                order = 2 * p + abs(q) + 22
                 for power, exact in ((0, stark.integral_I), (2, stark.integral_II)):
                     want = exact(p, q, n, params)
-                    got = states.phi_pair_moment(p, p, q, power, n, n, params, order)
+                    got = states.phi_pair_moment(p, p, q, power, n, n, params)
                     bounds.add("moments", _rel(abs(got - want), abs(want)))
     return bounds.result("c02-integral-closed-forms", "p <= 10, |q| <= 10, n <= 12, both moments")
 
@@ -317,8 +316,8 @@ def _gs_angular_reference(s: HalfInteger, m: HalfInteger, theta):
 
 
 def check_wavefunction_suites(max_n=None) -> CheckResult:
-    """Norms, orthogonality and the ground-state closed form."""
-    bounds = _Bounds(overlap=1e-8, profile=1e-10)
+    """Norms, orthogonality, the spherical angular constant and the ground-state closed form."""
+    bounds = _Bounds(overlap=1e-8, profile=1e-10, angular=1e-12)
     for s_raw in [0, 0.5, 1, 1.5]:
         s = half(s_raw)
         params = PhysicalParams.atomic(s)
@@ -332,6 +331,12 @@ def check_wavefunction_suites(max_n=None) -> CheckResult:
                 for b in basis[i:]:
                     if a.m == b.m:
                         bounds.add("overlap", abs(overlap(a, b, params) - float(a == b)))
+        # the spherical unit norm divides by a constant measured with the same
+        # d-functions; the closed form (Wu & Yang) does not share them
+        for st in sph:
+            want = math.sqrt((st.j.twice + 1) / (4.0 * math.pi))
+            got = states._angular_norm(st.j.twice, st.m.twice, st.s.twice)
+            bounds.add("angular", abs(got - want) / want, cases=0)
 
     # ground-state proportionality, angular and radial factors
     theta = np.linspace(0.15, math.pi - 0.15, 31)
@@ -353,7 +358,9 @@ def check_wavefunction_suites(max_n=None) -> CheckResult:
         for ratio in profiles:
             bounds.add("profile", float(np.max(np.abs(ratio / ratio[0] - 1.0))))
     return bounds.result(
-        "c09-wavefunction-suites", "overlaps abs, n <= 4; ground-state angular and radial profiles"
+        "c09-wavefunction-suites",
+        "overlaps abs, n <= 4; spherical constants against sqrt((2j+1)/4pi); "
+        "ground-state angular and radial profiles",
     )
 
 

@@ -274,6 +274,18 @@ class TestJacobi:
         got = jacobi_eigenvalues(np.array([[0.0, 1e-310], [1e-310, 0.0]]))
         assert got.tobytes() == np.zeros(2).tobytes()
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1.7e308, 1e308], [1e308, -1.7e308]], [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]],
+    )
+    def test_rejects_eigenvalues_beyond_the_float_range(self, matrix):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            jacobi_eigenvalues(np.array(matrix))
+
+    def test_asymmetry_beyond_the_float_range_is_asymmetric(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            jacobi_eigenvalues(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))
+
     def test_empty_matrix(self):
         assert jacobi_eigenvalues(np.zeros((0, 0))).shape == (0,)
 

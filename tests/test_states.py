@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -467,8 +468,10 @@ class TestPhiFactor:
         assert got == pytest.approx(closed(p, q, n, P0), rel=1e-12)
 
 
-# sha256 over the .hex() of c02's moments, recorded when each moment still
-# evaluated both of its factors; reusing one equal factor keeps every bit
+# sha256 over the .hex() of phi_pair_moment on c02's labels, at an explicit
+# order (as matrix_element_V passes its quad_order) and at the default one
+# (as c02 calls it), recorded when each moment still evaluated both of its
+# factors; reusing one equal factor keeps every bit
 C02_MOMENT_DIGESTS = {
     "explicit": "aa5cdb2efdbf55441ef3913a2048786f9a51558f1ffd8e78aac4aabc9f3528b7",
     "default": "43aea4eb90b79b887de8037aaaaaf3156f845f3fe31152a26021a12ad4f1b799",
@@ -558,6 +561,46 @@ class TestSphericalPsi:
                     assert _angular_norm(j2, m2, s2) == pytest.approx(want, rel=1e-13)
 
 
+RESIDUAL_CASES = [
+    (ParabolicState(1, 0, 0, 0), P0),
+    (ParabolicState(0, 2, 0, 0), P0),
+    (ParabolicState(0, 0, half("3/2"), half("1/2")), PHALF),
+    (ParabolicState(1, 0, half("-1/2"), half("1/2")), PHALF),
+    (ParabolicState(0, 0, -1, 1), P1),
+    (ParabolicState(1, 1, 0, 1), P1),
+]
+
+
+def _product_residual(state, params):
+    """max |(xi + eta)(H - E) f1 f2| / (|E| (xi + eta) |f1 f2|) on the 2-D grid.
+
+    The same axis, stencils, margin and cut as the library's separated
+    check, applied to the product: support |f1 f2| >= 0.05 max|f1| max|f2|.
+    """
+    _, f1, f2, _ = states._product_form(state, params)
+    an = params.a * state.n.value
+    h = 12.0 * an / 700
+    z = h * np.arange(1, 701)
+    x = z[2:-2]
+    keep = x >= an
+    k = params.hbar**2 / (2.0 * params.mu)
+    e0 = energy_level(state.n, params)
+
+    def factor(f, q):
+        d1 = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
+        d2 = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) / (12.0 * h * h)
+        hf = -4.0 * k * (x * d2 + d1) + (k * q * q / x - params.gamma_c - e0 * x) * f[2:-2]
+        return f[2:-2][keep], hf[keep]
+
+    g1, g2 = f1(z), f2(z)
+    (v1, h1), (v2, h2) = factor(g1, state.q1), factor(g2, state.q2)
+    u = np.abs(np.outer(v1, v2))
+    support = u >= 0.05 * np.max(np.abs(g1)) * np.max(np.abs(g2))
+    num = np.abs(np.outer(h1, v2) + np.outer(v1, h2))
+    den = abs(e0) * np.add.outer(x[keep], x[keep]) * u
+    return float(np.max(num[support] / den[support]))
+
+
 class TestParabolicPsi:
     def test_hydrogen_ground_unit_norm(self):
         state = ParabolicState(0, 0, 0, 0)
@@ -623,15 +666,7 @@ class TestParabolicPsi:
                 assert np.max(np.abs(ratios / ratios[0] - 1.0)) <= 1e-10
 
     def test_schroedinger_residual(self):
-        cases = [
-            (ParabolicState(1, 0, 0, 0), P0),
-            (ParabolicState(0, 2, 0, 0), P0),
-            (ParabolicState(0, 0, half("3/2"), half("1/2")), PHALF),
-            (ParabolicState(1, 0, half("-1/2"), half("1/2")), PHALF),
-            (ParabolicState(0, 0, -1, 1), P1),
-            (ParabolicState(1, 1, 0, 1), P1),
-        ]
-        for state, params in cases:
+        for state, params in RESIDUAL_CASES:
             assert parabolic_hamiltonian_residual(state, params) <= 1e-6
 
     @pytest.mark.parametrize("wrong", ["energy", "factor"])
@@ -650,6 +685,25 @@ class TestParabolicPsi:
 
             monkeypatch.setattr(states, "_product_form", one_more_node)
         assert parabolic_hamiltonian_residual(state, PHALF) >= 1e-2
+
+    def test_schroedinger_residual_sees_a_wrong_separation_constant(self, monkeypatch):
+        # X = 1 on this state, so a negated beta is a different constant
+        beta = states.beta_eigenvalue
+        monkeypatch.setattr(states, "beta_eigenvalue", lambda st, params: -beta(st, params))
+        assert parabolic_hamiltonian_residual(ParabolicState(1, 0, 0, 0), P0) >= 1e-2
+
+    def test_schroedinger_residual_bounds_the_product_residual(self):
+        for state, params in RESIDUAL_CASES:
+            assert parabolic_hamiltonian_residual(state, params) >= _product_residual(state, params)
+
+    def test_schroedinger_residual_allocates_no_grid(self):
+        tracemalloc.start()
+        try:
+            parabolic_hamiltonian_residual(*RESIDUAL_CASES[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_state_params_mismatch_raises(self):
         with pytest.raises(ValueError, match="must agree"):
