@@ -696,6 +696,19 @@ class TestParabolicPsi:
         for state, params in RESIDUAL_CASES:
             assert parabolic_hamiltonian_residual(state, params) >= _product_residual(state, params)
 
+    @pytest.mark.parametrize(
+        "state", [ParabolicState(1, 0, 0, 0), ParabolicState(1, 0, half("-1/2"), half("1/2"))]
+    )
+    def test_schroedinger_residual_at_generic_units(self, state):
+        # hbar, mu and gamma all differ from 1, so the separation constant
+        # hbar * beta is told apart from beta, hbar^2 beta / mu or gamma beta;
+        # both states have X != 0, so beta itself is nonzero
+        params = PhysicalParams(hbar=1.7, mu=0.6, gamma_c=2.3, e_abs=1.9, s=state.s)
+        assert beta_eigenvalue(state, params) != 0.0
+        r = parabolic_hamiltonian_residual(state, params)
+        assert r <= 1e-6
+        assert r >= _product_residual(state, params)
+
     def test_schroedinger_residual_allocates_no_grid(self):
         tracemalloc.start()
         try:
