@@ -24,8 +24,9 @@ N = d // 2 + 1 makes the moment exact up to rounding, not merely
 converged.  ``matrix_element_V`` takes that order per element and
 moment.  A sector shares one shell, so each of its two factors takes
 one rule, ordered by the sector's highest-degree pair
-(d = 2 (n1 + n2) + |q1| + 2): every state's Phi is tabulated once on
-those nodes, and the four Gram matrices F diag(w x^k) F^T (k = 0, 2)
+(d = 2 (n1 + n2) + |q1| + 2).  Each factor's Phi rows, every degree
+0..n1 + n2 on those nodes, come from one recurrence pass
+(``phi_table``), and the four Gram matrices F diag(w x^k) F^T (k = 0, 2)
 give every entry at once.  The highest order any shell up to N_MAX
 needs, N_MAX + 1 nodes for (n1, n2, m) = (N_MAX - 1, 0, 0) at s = 0, is
 the rule cap, so every element and sector is built; an order past the
@@ -49,7 +50,7 @@ from .states import (
     _check_state_params,
     _exact_order,
     phi_pair_moment,
-    phi_pq,
+    phi_table,
 )
 
 __all__ = [
@@ -130,14 +131,15 @@ def build_subspace(n, s, m, field: FieldConfig, params: PhysicalParams) -> Subsp
     if field.epsilon != 0.0:
         nf = n.value
         scale = params.a * nf
-        factors = [(range(k + 1), basis[0].q1), (range(k, -1, -1), basis[0].q2)]
+        qs = (basis[0].q1, basis[0].q2)
         # both rules first: a sector past the order cap raises before any moment
-        rules = [gauss_laguerre(_exact_order(k2 + abs(q) + 2)) for _, q in factors]
+        rules = [gauss_laguerre(_exact_order(k2 + abs(q) + 2)) for q in qs]
         moments = []
-        for (ps, q), rule in zip(factors, rules):
+        for q, rule, step in zip(qs, rules, (1, -1)):
             x = scale * rule.nodes
             w = scale * rule.lifted_weights
-            table = np.array([phi_pq(p, q, x, nf, params) for p in ps])
+            # one recurrence pass per factor: xi rows by n1 ascending, eta rows by n2 = k - n1
+            table = phi_table(k, q, x, nf, params)[::step]
             # G_k = F diag(w x^k) F^T for k = 0, 2; einsum sums in a fixed order, without BLAS
             moments += [np.einsum("ik,jk->ij", table * wk, table) for wk in (w, w * x**2)]
         g0_xi, g2_xi, g0_eta, g2_eta = moments

@@ -3,7 +3,8 @@
 Everything a monopole-Coulomb bound-state calculation needs and nothing
 more: log-factorials, the terminating confluent hypergeometric series
 1F1(-p; b; x), and Wigner d-functions for integer and half-integer
-indices.
+indices.  1F1 comes from one degree recurrence, either as its last row
+(``hyp1f1_poly``) or as every row 0..p of one pass (``hyp1f1_table``).
 
 All factorial/Pochhammer products are evaluated in log space with
 explicit sign bookkeeping so that indices up to ~50 stay well inside
@@ -23,6 +24,7 @@ __all__ = [
     "half",
     "ln_factorial",
     "hyp1f1_poly",
+    "hyp1f1_table",
     "wigner_d",
 ]
 
@@ -123,6 +125,42 @@ def ln_factorial(k: int) -> float:
     return math.lgamma(k + 1.0)
 
 
+def _is_whole(v) -> bool:
+    """Whether v is an integral number: an int, or a float with no fractional part."""
+    return isinstance(v, (int, np.integer)) or (isinstance(v, (float, np.floating)) and float(v).is_integer())
+
+
+def _hyp1f1_args(name: str, p, b, x):
+    """Validated (p, b, x) of 1F1(-p; b; x): a 0-d x becomes a Python float."""
+    if not _is_whole(p) or p < 0:
+        raise ValueError(f"{name} needs integer p >= 0, got {p}")
+    if b <= 0:
+        raise ValueError(f"{name} needs b > 0, got {b}")
+    if not math.isfinite(b):
+        raise ValueError(f"{name} needs a finite b, got {b}")
+    x = np.asarray(x, dtype=float)
+    return int(p), float(b), float(x) if x.ndim == 0 else x
+
+
+def _hyp1f1_rows(p: int, b: float, x):
+    """(k!/(b)_k, L_k^{(b-1)}(x)) for k = 0, ..., p: their product is 1F1(-k; b; x).
+
+    One step of the Laguerre three-term degree recurrence (Abramowitz &
+    Stegun 22.7.12) per degree; a float x stays on Python floats.
+    """
+    alpha = b - 1.0
+    scale = 1.0
+    prev = 1.0 if isinstance(x, float) else np.ones_like(x)
+    yield scale, prev
+    if p:
+        cur = b - x
+        for k in range(1, p + 1):
+            scale *= k / (b + k - 1.0)
+            yield scale, cur
+            if k < p:
+                prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
+
+
 def hyp1f1_poly(p: int, b: float, x):
     """Terminating confluent hypergeometric polynomial 1F1(-p; b; x).
 
@@ -133,26 +171,23 @@ def hyp1f1_poly(p: int, b: float, x):
     A scalar x runs the recurrence on Python floats and gives a float;
     an array x gives an array whose elements have the scalar results'
     bits, since both do the same IEEE-754 operations in the same order.
+    This is the last row of ``hyp1f1_table(p, b, x)``, bit for bit.
     """
-    if p < 0 or p != int(p):
-        raise ValueError(f"hyp1f1_poly needs integer p >= 0, got {p}")
-    if b <= 0:
-        raise ValueError(f"hyp1f1_poly needs b > 0, got {b}")
-    p, b = int(p), float(b)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = float(x)
-    if p == 0:
-        return 1.0 if isinstance(x, float) else np.ones_like(x)
-    alpha = b - 1.0
-    prev = 1.0
-    cur = b - x
-    for k in range(1, p):
-        prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
-    pref = 1.0
-    for k in range(1, p + 1):
-        pref *= k / (b + k - 1.0)
-    return pref * cur
+    p, b, x = _hyp1f1_args("hyp1f1_poly", p, b, x)
+    for scale, last in _hyp1f1_rows(p, b, x):
+        pass
+    return scale * last
+
+
+def hyp1f1_table(p: int, b: float, x) -> np.ndarray:
+    """1F1(-k; b; x) for every degree k = 0, ..., p, shape (p + 1, *x.shape).
+
+    One pass of ``hyp1f1_poly``'s recurrence that keeps every row; row k
+    has the bits of ``hyp1f1_poly(k, b, x)``.
+    """
+    p, b, x = _hyp1f1_args("hyp1f1_table", p, b, x)
+    scales, rows = zip(*_hyp1f1_rows(p, b, x))
+    return np.array(scales).reshape(-1, *[1] * np.ndim(x)) * np.array(rows)
 
 
 def _check_projection(j: HalfInteger, m: HalfInteger, name: str) -> None:

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import MAX_ORDER, gauss_laguerre, gauss_legendre, integrate_halfline
-from .specfun import HalfInteger, half, hyp1f1_poly, ln_factorial, wigner_d
+from .specfun import HalfInteger, _is_whole, half, hyp1f1_poly, hyp1f1_table, ln_factorial, wigner_d
 
 __all__ = [
     "N_MAX",
@@ -43,6 +43,7 @@ __all__ = [
     "radial_R",
     "spherical_psi",
     "phi_pq",
+    "phi_table",
     "parabolic_psi",
     "psi_grid",
     "parabolic_to_cartesian",
@@ -342,6 +343,29 @@ def spherical_psi(state: SphericalState, r, theta, phi, params: PhysicalParams):
     return val
 
 
+def _phi_axis(p, q, x, n, params: PhysicalParams):
+    """Validated (|q|, z, e^{-z/2}, z^{|q|/2}) of Phi_pq at z = x/(a n)."""
+    if not _is_whole(p) or p < 0:
+        raise ValueError(f"p must be a non-negative integer, got {p}")
+    if not _is_whole(q):
+        raise ValueError(f"q must be an integer, got {q}")
+    nf = float(n)
+    if nf <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    if not math.isfinite(nf):
+        raise ValueError(f"n must be finite, got {n}")
+    z = np.asarray(x, dtype=float) / (params.a * nf)
+    if np.any(z < 0):
+        raise ValueError("x must be >= 0")
+    aq = abs(int(q))
+    return aq, z, np.exp(-z / 2.0), z ** (aq / 2.0)
+
+
+def _phi_const(p: int, aq: int) -> float:
+    """(1/|q|!) sqrt((p+|q|)!/p!), from log-factorials."""
+    return math.exp(-ln_factorial(aq) + 0.5 * (ln_factorial(p + aq) - ln_factorial(p)))
+
+
 def phi_pq(p: int, q: int, x, n, params: PhysicalParams):
     """One-dimensional parabolic factor Phi_pq(x).
 
@@ -349,21 +373,22 @@ def phi_pq(p: int, q: int, x, n, params: PhysicalParams):
                 1F1(-p; |q|+1; x/(an))
     with n the principal level the factor belongs to.
     """
-    if p < 0 or p != int(p):
-        raise ValueError(f"p must be a non-negative integer, got {p}")
-    q = int(q)
-    nf = float(n)
-    if nf <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    aq = abs(q)
-    ln_c = -ln_factorial(aq) + 0.5 * (ln_factorial(p + aq) - ln_factorial(p))
-    z = np.asarray(x, dtype=float) / (params.a * nf)
-    if np.any(z < 0):
-        raise ValueError("x must be >= 0")
-    val = math.exp(ln_c) * np.exp(-z / 2.0) * z ** (aq / 2.0) * hyp1f1_poly(p, aq + 1.0, z)
+    aq, z, decay, power = _phi_axis(p, q, x, n, params)
+    val = _phi_const(int(p), aq) * decay * power * hyp1f1_poly(p, aq + 1.0, z)
     if np.ndim(val) == 0:
         return float(val)
     return val
+
+
+def phi_table(p_max: int, q: int, x, n, params: PhysicalParams) -> np.ndarray:
+    """Phi_pq(x) for every p = 0, ..., p_max, shape (p_max + 1, *x.shape).
+
+    One ``hyp1f1_table`` pass, with e^{-z/2} and z^{|q|/2} evaluated once;
+    row p has the bits of ``phi_pq(p, q, x, n, params)``.
+    """
+    aq, z, decay, power = _phi_axis(p_max, q, x, n, params)
+    consts = np.array([_phi_const(p, aq) for p in range(int(p_max) + 1)])
+    return consts.reshape(-1, *[1] * z.ndim) * decay * power * hyp1f1_table(p_max, aq + 1.0, z)
 
 
 def parabolic_psi(state: ParabolicState, point: ParabolicPoint, params: PhysicalParams):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle, quadrature, stark, states
 from .eigen import jacobi_eigenvalues
-from .specfun import HalfInteger, half, hyp1f1_poly, wigner_d
+from .specfun import HalfInteger, half, hyp1f1_table, wigner_d
 from .stark import FieldConfig, bracket_twelfths, shift_quantum
 from .states import ParabolicState, PhysicalParams, SphericalState
 
@@ -414,23 +414,31 @@ def check_specfun_invariants(max_n=None) -> CheckResult:
     """1F1 contiguous relation and Wigner-d symmetries."""
     bounds = _Bounds(identities=1e-10)
     xs = np.linspace(0.0, 50.0, 11)
+    # one table of degrees 0..20 per b; row p has the bits of hyp1f1_poly(p, b, xs)
+    tables = {b: hyp1f1_table(20, b, xs) for b in range(1, 12)}
     for p in range(1, 21):
         for b in range(1, 11):
-            # arrays over xs, with the bits of the scalar evaluations
-            t1 = b * hyp1f1_poly(p, b, xs)
-            t2 = b * hyp1f1_poly(p - 1, b, xs)
-            t3 = xs * hyp1f1_poly(p - 1, b + 1, xs)
+            t1 = b * tables[b][p]
+            t2 = b * tables[b][p - 1]
+            t3 = xs * tables[b + 1][p - 1]
             rel = np.abs(t1 - t2 + t3) / np.maximum(np.abs([t1, t2, t3]).max(axis=0), 1.0)
             bounds.add("identities", float(np.max(rel)), cases=xs.size)
     thetas = np.linspace(0.0, math.pi, 7)
     for j2 in range(0, 8):
-        for m2 in range(-j2, j2 + 1, 2):
-            for s2 in range(-j2, j2 + 1, 2):
-                j, m, s = HalfInteger(j2), HalfInteger(m2), HalfInteger(s2)
-                bounds.add("identities", abs(wigner_d(j, m, s, 0.0) - (1.0 if m2 == s2 else 0.0)))
-                phase = (-1.0) ** ((m2 - s2) // 2)
-                sym = np.abs(wigner_d(j, m, s, thetas) - phase * wigner_d(j, s, m, thetas))
-                bounds.add("identities", float(np.max(sym)), cases=thetas.size)
+        j = HalfInteger(j2)
+        # each label on the angles once; (m, s) reads its partner from the (s, m) row
+        d = {
+            (m2, s2): wigner_d(j, HalfInteger(m2), HalfInteger(s2), thetas)
+            for m2 in range(-j2, j2 + 1, 2)
+            for s2 in range(-j2, j2 + 1, 2)
+        }
+        for (m2, s2), d_ms in d.items():
+            # the scalar path, at the theta = 0 endpoint
+            endpoint = wigner_d(j, HalfInteger(m2), HalfInteger(s2), 0.0)
+            bounds.add("identities", abs(endpoint - (1.0 if m2 == s2 else 0.0)))
+            phase = (-1.0) ** ((m2 - s2) // 2)
+            sym = np.abs(d_ms - phase * d[s2, m2])
+            bounds.add("identities", float(np.max(sym)), cases=thetas.size)
     return bounds.result(
         "inv-specfun", "1F1 contiguous relation p <= 20; d-function endpoint and index symmetry"
     )

@@ -16,7 +16,7 @@ from dyonstark.oracle import (
 )
 from dyonstark.specfun import HalfInteger, half
 from dyonstark.stark import FieldConfig, shift_closed_form, shift_quantum
-from dyonstark.states import ParabolicState, PhysicalParams, enumerate_shell_parabolic
+from dyonstark.states import ParabolicState, PhysicalParams, enumerate_shell_parabolic, phi_pq
 
 P0 = PhysicalParams.atomic(0)
 P1 = PhysicalParams.atomic(1)
@@ -223,16 +223,52 @@ class TestSectorTables:
         with pytest.raises(ValueError, match="state has s=0 but params carry s=1; they must agree"):
             build_subspace(3, 0, 0, F1, P1)
 
+    @pytest.mark.parametrize(
+        "n_raw, s_raw, m_raw", [("6", "1", "0"), ("11/2", "1/2", "1/2"), ("60", "0", "0"), ("200", "0", "75")]
+    )
+    def test_same_bytes_as_one_phi_per_degree(self, n_raw, s_raw, m_raw):
+        n, s, m = half(n_raw), half(s_raw), half(m_raw)
+        sub = build_subspace(n, s, m, F1, PhysicalParams.atomic(s))
+        assert sub.entries.tobytes() == _per_degree_entries(n, s, m).tobytes()
+
     def test_order_past_the_rule_cap_raises_before_any_moment(self, monkeypatch):
         # no shell up to N_MAX asks for more than the cap, so the order is
-        # forced one past it: the sector raises before a single Phi is evaluated
+        # forced one past it, for the eta factor only: (n, s, m) = (3, 1, 1)
+        # has q1 = 0 and q2 = 2, so its xi rule has degree 4 and its eta rule
+        # degree 6, and the sector raises before a single Phi is evaluated
         def no_phi(*args, **kwargs):
-            raise AssertionError("phi_pq evaluated before the order check")
+            raise AssertionError("phi_table evaluated before the order check")
 
-        monkeypatch.setattr(oracle, "phi_pq", no_phi)
-        monkeypatch.setattr(oracle, "_exact_order", lambda degree: quadrature.MAX_ORDER + 1)
+        monkeypatch.setattr(oracle, "phi_table", no_phi)
+        monkeypatch.setattr(
+            oracle, "_exact_order", lambda degree: quadrature.MAX_ORDER + 1 if degree == 6 else degree // 2 + 1
+        )
         with pytest.raises(ValueError, match=r"quadrature order must be an integer in \[1, 201\], got 202"):
-            build_subspace(3, 0, 0, F1, P0)
+            build_subspace(3, 1, 1, F1, P1)
+
+
+def _per_degree_entries(n, s, m):
+    """A sector's entries as assembled with one phi_pq call per degree.
+
+    A copy of the assembly that ``build_subspace`` used before one
+    ``phi_table`` pass per factor replaced its per-degree calls.
+    """
+    params = PhysicalParams.atomic(s)
+    k2 = n.twice - 2 - max(abs(m.twice), abs(s.twice))
+    k = k2 // 2
+    nf = n.value
+    scale = params.a * nf
+    moments = []
+    for ps, q in [(range(k + 1), (m.twice - s.twice) // 2), (range(k, -1, -1), (m.twice + s.twice) // 2)]:
+        rule = quadrature.gauss_laguerre((k2 + abs(q) + 2) // 2 + 1)
+        x = scale * rule.nodes
+        w = scale * rule.lifted_weights
+        table = np.array([phi_pq(p, q, x, nf, params) for p in ps])
+        moments += [np.einsum("ik,jk->ij", table * wk, table) for wk in (w, w * x**2)]
+    g0_xi, g2_xi, g0_eta, g2_eta = moments
+    pref = 2.0 / (nf**4 * params.a**3) * params.e_abs * F1.epsilon / 8.0
+    upper = np.triu(pref * (g2_xi * g0_eta - g0_xi * g2_eta))
+    return upper + np.triu(upper, 1).T
 
 
 def _sector_digest():

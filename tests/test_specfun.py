@@ -3,18 +3,21 @@ terminating hypergeometrics and Wigner d-functions."""
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import hyp1f1
 
 from dyonstark.quadrature import gauss_legendre
 from dyonstark.specfun import (
     HalfInteger,
     half,
     hyp1f1_poly,
+    hyp1f1_table,
     ln_factorial,
     wigner_d,
 )
@@ -101,6 +104,24 @@ class TestHyp1F1:
         with pytest.raises(ValueError):
             hyp1f1_poly(2, 0.0, 1.0)
 
+    @pytest.mark.parametrize("kernel", [hyp1f1_poly, hyp1f1_table])
+    @pytest.mark.parametrize(
+        "p, b, rule",
+        [
+            (-1, 2.0, "needs integer p >= 0, got -1"),
+            (2.5, 2.0, "needs integer p >= 0, got 2.5"),
+            (math.nan, 2.0, "needs integer p >= 0, got nan"),
+            (math.inf, 2.0, "needs integer p >= 0, got inf"),
+            (2, 0.0, "needs b > 0, got 0.0"),
+            (2, -math.inf, "needs b > 0, got -inf"),
+            (2, math.nan, "needs a finite b, got nan"),
+            (2, math.inf, "needs a finite b, got inf"),
+        ],
+    )
+    def test_one_validation_for_both_forms(self, kernel, p, b, rule):
+        with pytest.raises(ValueError, match=f"^{kernel.__name__} {re.escape(rule)}$"):
+            kernel(p, b, [0.0, 1.0])
+
     @given(
         st.integers(0, 20),
         st.integers(1, 10),
@@ -161,6 +182,40 @@ class TestHyp1F1:
                     h.update(np.float64(hyp1f1_poly(p, b, x)).tobytes())
                 h.update(hyp1f1_poly(p, b, xs).tobytes())
         assert h.hexdigest() == "889783bb6ecad680d069fccf25aad34f9fca610fc1c68dcb11c40e1b605f4215"
+
+
+class TestHyp1F1Table:
+    """One recurrence pass per table; row k has the bits of hyp1f1_poly(k, b, x)."""
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 3.0, 21.0])
+    def test_rows_are_the_single_degree_calls(self, b):
+        # x from 0 through the oscillatory region x ~ 4k of every degree k <= 199
+        x = np.concatenate([[0.0], np.linspace(0.3, 4.0 * 199 + 10.0, 40)])
+        table = hyp1f1_table(199, b, x)
+        assert table.shape == (200, x.size)
+        for k in range(200):
+            assert table[k].tobytes() == hyp1f1_poly(k, b, x).tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, 2.5, 4.0 * 150 + 0.7])
+    def test_scalar_rows_run_on_python_floats(self, x):
+        table = hyp1f1_table(150, 1.5, x)
+        assert table.shape == (151,)
+        assert table.tobytes() == np.array([hyp1f1_poly(k, 1.5, x) for k in range(151)]).tobytes()
+
+    def test_shape_follows_x(self):
+        x = np.linspace(0.0, 9.0, 6).reshape(3, 2)
+        table = hyp1f1_table(4, 2.0, x)
+        assert table.shape == (5, 3, 2)
+        assert table[3].tobytes() == hyp1f1_poly(3, 2.0, x).tobytes()
+        assert hyp1f1_table(0, 2.0, x).tobytes() == np.ones((1, 3, 2)).tobytes()
+
+    @pytest.mark.parametrize("b", [1.0, 2.5, 8.0])
+    def test_against_scipy(self, b):
+        x = np.linspace(0.0, 4.0 * 30 + 10.0, 61)
+        table = hyp1f1_table(30, b, x)
+        for k in range(31):
+            want = hyp1f1(-k, b, x)
+            assert np.max(np.abs(table[k] - want) / np.maximum(np.abs(want), 1.0)) <= 1e-11
 
 
 class TestWignerD:

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -38,6 +39,7 @@ from dyonstark.states import (
     parabolic_to_cartesian,
     phi_pair_moment,
     phi_pq,
+    phi_table,
     psi_grid,
     radial_R,
     spherical_overlap,
@@ -447,6 +449,38 @@ class TestPhiFactor:
     def test_vanishes_at_origin_for_q_nonzero(self):
         assert phi_pq(1, 1, 0.0, 3, P0) == 0.0
         assert phi_pq(0, -2, 0.0, 2, P0) == 0.0
+
+    @pytest.mark.parametrize("n", [half("3/2"), half("21/2"), half("399/2"), half(200)])
+    @pytest.mark.parametrize("q", [0, 1, -1, 7, -7, 150])
+    def test_table_rows_are_the_single_degree_calls(self, q, n):
+        # the nodes of a sector's rule at this level, and the origin
+        nf = n.value
+        x = np.concatenate([[0.0], nf * gauss_laguerre(120).nodes])
+        table = phi_table(60, q, x, n, P0)
+        assert table.shape == (61, x.size)
+        for p in range(61):
+            assert table[p].tobytes() == phi_pq(p, q, x, n, P0).tobytes()
+        scalar = phi_table(60, q, 3.7 * nf, n, P0)
+        assert scalar.tobytes() == np.array([phi_pq(p, q, 3.7 * nf, n, P0) for p in range(61)]).tobytes()
+
+    @pytest.mark.parametrize("kernel", [phi_pq, phi_table])
+    @pytest.mark.parametrize(
+        "p, q, n, rule",
+        [
+            (-1, 0, 2, "p must be a non-negative integer, got -1"),
+            (1.5, 0, 2, "p must be a non-negative integer, got 1.5"),
+            (0, 1.5, 2, "q must be an integer, got 1.5"),
+            (0, -0.5, 2, "q must be an integer, got -0.5"),
+            (0, math.nan, 2, "q must be an integer, got nan"),
+            (1, 1, 0.0, "n must be positive, got 0.0"),
+            (1, 1, -2, "n must be positive, got -2"),
+            (1, 1, math.nan, "n must be finite, got nan"),
+            (1, 1, math.inf, "n must be finite, got inf"),
+        ],
+    )
+    def test_one_validation_for_both_forms(self, kernel, p, q, n, rule):
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            kernel(p, q, 1.0, n, P0)
 
     def test_norm_integral_is_a_times_n(self):
         # closed form: integral Phi_pq^2 dx = a n, spot-checked at n = 3
