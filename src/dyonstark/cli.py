@@ -26,9 +26,6 @@ from .specfun import HalfInteger, half
 from .stark import FieldConfig
 from .states import ParabolicState, PhysicalParams, SphericalState
 
-WAVEFUNCTION_COLUMNS = ["coord1", "coord2", "phi", "psi_re", "psi_im", "abs2"]
-SPLITTING_COLUMNS = ["n", "s2", "epsilon", "delta_e"]
-
 
 def _parse_half(value: str, name: str):
     try:
@@ -78,10 +75,10 @@ def _emit(text: str, output: str | None) -> None:
             _unwritable(output, exc.strerror or str(exc))
 
 
-def _render(table, columns, fmt, params, field=None, ratio=None, output=None):
+def _render(table, fmt, params, field=None, ratio=None, output=None):
     try:
         if fmt == "csv":
-            text = tables.render_csv(table, columns)
+            text = tables.render_csv(table)
         else:
             text = tables.render_json(table, params, field=field, ratio=ratio)
     except ValueError as exc:
@@ -124,67 +121,50 @@ def spectrum(s_str, n_str, gamma, fmt, output):
         e0 = states.energy_level(n, params)
     except ValueError as exc:
         _fail_validation(exc)
-    table = tables.rows_from_spectrum(shell, e0)
-    _render(table, tables.RECORD_COLUMNS, fmt, params, output=output)
+    _render(tables.rows_from_spectrum(shell, e0), fmt, params, output=output)
 
 
-def _echo_ratio(ratio: float) -> None:
-    # first-order theory is credible while this stays well below one
-    click.echo(f"perturbative ratio |e| eps a^2 n^4 / gamma = {ratio!r}", err=True)
+def _field_command(name: str, epsilon: float, build, doc: str):
+    """A command that renders ``build(n, s, field, params)``, one shell's
+    table in a field, and reports the perturbative ratio on stderr."""
+
+    @main.command(name=name, help=doc)
+    @_common_options
+    @click.option("--n", "n_str", required=True, help="Principal level.")
+    @click.option("--epsilon", type=float, default=epsilon, show_default=True, help="Field strength.")
+    def command(s_str, n_str, gamma, epsilon, fmt, output):
+        s = _parse_half(s_str, "s")
+        n = _parse_half(n_str, "n")
+        try:
+            params = PhysicalParams.atomic(s, gamma_c=gamma)
+            field = FieldConfig(epsilon)
+            table = build(n, s, field, params)
+        except ValueError as exc:
+            _fail_validation(exc)
+        ratio = field.perturbative_ratio(n, params)
+        # first-order theory is credible while this stays well below one
+        click.echo(f"perturbative ratio |e| eps a^2 n^4 / gamma = {ratio!r}", err=True)
+        _render(table, fmt, params, field=field, ratio=ratio, output=output)
+
+    return command
 
 
-def _stark_table(s_str, n_str, gamma, epsilon):
-    s = _parse_half(s_str, "s")
-    n = _parse_half(n_str, "n")
-    try:
-        params = PhysicalParams.atomic(s, gamma_c=gamma)
-        field = FieldConfig(epsilon)
-        records = stark.stark_table(n, s, field, params)
-    except ValueError as exc:
-        _fail_validation(exc)
-    ratio = field.perturbative_ratio(n, params)
-    _echo_ratio(ratio)
-    return params, field, ratio, tables.rows_from_stark_records(records)
+def _shell_table(n, s, field, params):
+    return tables.rows_from_stark_records(stark.stark_table(n, s, field, params))
 
 
-@main.command()
-@_common_options
-@click.option("--n", "n_str", required=True, help="Principal level.")
-@click.option("--epsilon", type=float, default=1.0, show_default=True, help="Field strength.")
-def shifts(s_str, n_str, gamma, epsilon, fmt, output):
-    """First-order Stark shift table for one shell."""
-    params, field, ratio, table = _stark_table(s_str, n_str, gamma, epsilon)
-    _render(table, tables.RECORD_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
+def _splitting_table(n, s, field, params):
+    delta = stark.shell_splitting(n, s, field, params)
+    return {"n": [n.value], "s2": [s.twice], "epsilon": [field.epsilon], "delta_e": [delta]}
 
 
-@main.command()
-@_common_options
-@click.option("--n", "n_str", required=True, help="Principal level.")
-@click.option("--epsilon", type=float, default=0.0, show_default=True, help="Field strength.")
-def dipole(s_str, n_str, gamma, epsilon, fmt, output):
-    """Permanent dipole moments of one shell (e1 at the given field)."""
-    params, field, ratio, table = _stark_table(s_str, n_str, gamma, epsilon)
-    _render(table, tables.RECORD_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
-
-
-@main.command()
-@_common_options
-@click.option("--n", "n_str", required=True, help="Principal level.")
-@click.option("--epsilon", type=float, default=1.0, show_default=True, help="Field strength.")
-def splitting(s_str, n_str, gamma, epsilon, fmt, output):
-    """Distance between the extreme like-m components of a shell."""
-    s = _parse_half(s_str, "s")
-    n = _parse_half(n_str, "n")
-    try:
-        params = PhysicalParams.atomic(s, gamma_c=gamma)
-        field = FieldConfig(epsilon)
-        delta = stark.shell_splitting(n, s, field, params)
-    except ValueError as exc:
-        _fail_validation(exc)
-    table = {"n": [n.value], "s2": [s.twice], "epsilon": [epsilon], "delta_e": [delta]}
-    ratio = field.perturbative_ratio(n, params)
-    _echo_ratio(ratio)
-    _render(table, SPLITTING_COLUMNS, fmt, params, field=field, ratio=ratio, output=output)
+shifts = _field_command("shifts", 1.0, _shell_table, "First-order Stark shift table for one shell.")
+dipole = _field_command(
+    "dipole", 0.0, _shell_table, "Permanent dipole moments of one shell (e1 at the given field)."
+)
+splitting = _field_command(
+    "splitting", 1.0, _splitting_table, "Distance between the extreme like-m components of a shell."
+)
 
 
 @main.command()
@@ -254,7 +234,7 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
         # abs(v) ** 2 on Python complexes: numpy's square can round differently
         "abs2": list(map(pow, map(abs, values.tolist()), repeat(2))),
     }
-    _render(table, WAVEFUNCTION_COLUMNS, fmt, params, output=output)
+    _render(table, fmt, params, output=output)
 
 
 @main.command(name="verify")
@@ -268,7 +248,7 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
 def verify_cmd(max_n_str, only, fmt, output, list_only):
     """Run the named verification checks; exit 3 on any breach."""
     if list_only:
-        _emit("\n".join(verify.check_ids()) + "\n", output)
+        _emit("\n".join(verify.CHECKS) + "\n", output)
         return
     max_n = None
     if max_n_str is not None:
@@ -277,7 +257,7 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
     if unknown:
         _fail_validation(ValueError(f"unknown check ids: {', '.join(unknown)}"))
     # by key or report id, each check once, in first-seen order
-    names = list(dict.fromkeys(verify.check_key(nm) for nm in only or verify.check_ids()))
+    names = list(dict.fromkeys(verify.check_key(nm) for nm in only or verify.CHECKS))
     results = [verify.run_check(nm, max_n=max_n) for nm in names]
     failures = [r.check_id for r in results if not r.passed]
     if fmt == "json":

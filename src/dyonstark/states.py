@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import MAX_ORDER, gauss_laguerre, gauss_legendre, integrate_halfline
-from .specfun import HalfInteger, _is_whole, half, hyp1f1_poly, hyp1f1_table, ln_factorial, wigner_d
+from .specfun import HalfInteger, _check_wigner_domain, _is_whole, half, hyp1f1_poly, hyp1f1_table, ln_factorial, wigner_d
 
 __all__ = [
     "N_MAX",
@@ -190,7 +190,10 @@ class ParabolicState:
         q1, q2 = (m2 - s2) // 2, (m2 + s2) // 2
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "n", HalfInteger(2 * (self.n1 + self.n2 + 1) + abs(q1) + abs(q2)))
+        n = HalfInteger(2 * (self.n1 + self.n2 + 1) + abs(q1) + abs(q2))
+        if n.twice > 2 * N_MAX:  # n >= |s| + 1 holds by construction: only the cap can fail
+            _check_shell(n, self.s)
+        object.__setattr__(self, "n", n)
 
     @property
     def sort_key(self):
@@ -319,6 +322,7 @@ def _angular_norm(j2: int, m2: int, s2: int) -> float:
     cos(theta); the constant makes the full angular factor a unit
     vector under sin(theta) dtheta dphi.
     """
+    _check_wigner_domain(j2)  # every spherical evaluation passes here before any rule
     j, m, s = HalfInteger(j2), HalfInteger(m2), HalfInteger(s2)
     rule = gauss_legendre(j2 + 24)
 

@@ -1,8 +1,8 @@
 """Deterministic CSV/JSON rendering of result tables.
 
 A table is a dict of equal-length columns: ``{"e0": [...], "e1": [...]}``,
-with ``None`` for an empty cell.  Its keys, in order, are the JSON record
-keys; CSV takes its header from the ``columns`` argument.
+with ``None`` for an empty cell.  Its keys, in order, are the CSV header
+and the JSON record keys.
 
 Half-integer quantum numbers are serialized losslessly as doubled
 integers (columns s2, m2, j2).  Energies are rendered with ``repr``,
@@ -99,16 +99,15 @@ def _column(key: str, values: list, empty: str | None = None) -> list:
     return list(map(text.__getitem__, values))
 
 
-def render_csv(table: dict[str, list], columns: list[str] | None = None) -> str:
-    """RFC-4180 text (CRLF line ends, header row first).
+def render_csv(table: dict[str, list]) -> str:
+    """RFC-4180 text (CRLF line ends, the table's keys as the header row).
 
     Cells are ints, floats or empty, so none needs quoting and a row is
     one join; a lone empty cell is written "" as ``csv.writer`` does.
     """
-    columns = columns or RECORD_COLUMNS
-    empty = '""' if len(columns) == 1 else ""
-    cells = [_column(key, table[key], empty) for key in columns]
-    return "\r\n".join([",".join(columns), *map(",".join, zip(*cells, strict=True)), ""])
+    empty = '""' if len(table) == 1 else ""
+    cells = [_column(key, values, empty) for key, values in table.items()]
+    return "\r\n".join([",".join(table), *map(",".join, zip(*cells, strict=True)), ""])
 
 
 def render_json(

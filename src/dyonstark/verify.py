@@ -23,7 +23,7 @@ from .specfun import HalfInteger, half, hyp1f1_table, wigner_d
 from .stark import FieldConfig, bracket_twelfths, shift_quantum
 from .states import ParabolicState, PhysicalParams, SphericalState
 
-__all__ = ["CheckResult", "CHECKS", "run_check", "check_ids", "check_key"]
+__all__ = ["CheckResult", "CHECKS", "run_check", "check_key"]
 
 
 @dataclass
@@ -566,10 +566,6 @@ CHECKS = {
 
 # a report id is ``cNN-<key>`` for a criterion, ``inv-<x>`` for ``<x>-invariants``
 _REPORT_ID = re.compile(r"c\d\d-(.+)|inv-(.+)")
-
-
-def check_ids() -> list[str]:
-    return list(CHECKS)
 
 
 def check_key(name: str) -> str:

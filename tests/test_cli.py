@@ -72,6 +72,21 @@ class TestShiftsCommand:
         assert result.exit_code == 2
         assert "n must satisfy n >= |s| + 1" in result.output
 
+    @pytest.mark.parametrize("value", ["3/2/1", "1/x", "", "abc", "1/", "2.5.1"])
+    def test_malformed_half_integer_names_the_forms(self, runner, value):
+        result = runner.invoke(main, ["spectrum", "--n", value])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "must be an integer, an exact half-integer decimal such as 2.5, or k/2" in result.output
+
+    @pytest.mark.parametrize(
+        "value, message", [("1/3", "denominator 2"), ("nan", "finite"), ("1e400", "finite"), ("1.3", "exact half")]
+    )
+    def test_half_integer_rules_keep_their_messages(self, runner, value, message):
+        result = runner.invoke(main, ["spectrum", "--n", value])
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_non_half_integer_rejected(self, runner):
         result = runner.invoke(main, ["shifts", "--s", "0.3", "--n", "2"])
         assert result.exit_code == 2
@@ -399,6 +414,25 @@ class TestJsonOutput:
         ratio = json.loads(text)["field"]["perturbative_ratio"]
         assert render_json(parse_json_records(text), params, field, ratio) == text
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "spectrum --n 5/2 --s 1/2",
+            "shifts --n 5/2 --s 1/2",
+            "dipole --n 3 --s -1",
+            "splitting --n 7/2 --s 3/2",
+            "wavefunction --n 3 --points 3",
+            "wavefunction --basis spherical --n 3 --s 1 --points 3",
+        ],
+    )
+    def test_csv_header_is_the_json_record_keys(self, runner, args):
+        csv_out = runner.invoke(main, [*args.split(), "--format", "csv"])
+        json_out = runner.invoke(main, [*args.split(), "--format", "json"])
+        assert csv_out.exit_code == json_out.exit_code == 0
+        header = csv_out.stdout.splitlines()[0].split(",")
+        records = json.loads(json_out.stdout)["records"]
+        assert records and all(list(record) == header for record in records)
+
     def test_no_nan_inf_possible(self, runner):
         result = runner.invoke(main, ["spectrum", "--s", "0", "--n", "3", "--format", "json"])
         assert "NaN" not in result.stdout and "Infinity" not in result.stdout
@@ -455,6 +489,13 @@ class TestOtherCommands:
         )
         assert result.exit_code == 0
         assert len(result.stdout.splitlines()) == 1 + 16
+
+    @pytest.mark.parametrize("labels", ["--n 95 --j 94 --m 0", "--n 79/2 --s 1/2 --j 37/2 --m 1/2"])
+    def test_wavefunction_spherical_j_above_the_domain_exits_2(self, runner, labels):
+        result = runner.invoke(main, ["wavefunction", "--basis", "spherical", *labels.split()])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "j must satisfy j <= 18, the domain where the Wigner d-functions keep 1e-10 accuracy" in result.output
 
     def test_wavefunction_large_shell(self, runner):
         result = runner.invoke(

@@ -21,7 +21,12 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # the subprocess does not see pytest's filterwarnings, so it gets its own
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr

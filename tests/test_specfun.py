@@ -6,14 +6,17 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hyp1f1
 
+from dyonstark import specfun
 from dyonstark.quadrature import gauss_legendre
 from dyonstark.specfun import (
+    WIGNER_J_MAX,
     HalfInteger,
     half,
     hyp1f1_poly,
@@ -216,6 +219,56 @@ class TestHyp1F1Table:
         for k in range(31):
             want = hyp1f1(-k, b, x)
             assert np.max(np.abs(table[k] - want) / np.maximum(np.abs(want), 1.0)) <= 1e-11
+
+
+def _jacobi_form(j2: int, m2: int, s2: int, theta: float) -> float:
+    """d^j_{ms}(theta) from its Jacobi polynomial, at 50 digits: it shares no sum with wigner_d.
+
+    d = xi sqrt(k! (k+a+b)! / ((k+a)! (k+b)!)) sin^a(theta/2) cos^b(theta/2) P_k^(a,b)(cos theta)
+    with a = |m-s|, b = |m+s|, k = j - max(|m|, |s|) and xi = 1 for s >= m, else (-1)^(s-m).
+    """
+    a, b = abs(m2 - s2) // 2, abs(m2 + s2) // 2
+    k = (j2 - max(abs(m2), abs(s2))) // 2
+    xi = 1 if s2 >= m2 else (-1) ** ((s2 - m2) // 2)
+    with mpmath.workdps(50):
+        f, t = mpmath.factorial, mpmath.mpf(theta) / 2
+        norm = mpmath.sqrt(f(k) * f(k + a + b) / (f(k + a) * f(k + b)))
+        return float(xi * norm * mpmath.sin(t) ** a * mpmath.cos(t) ** b * mpmath.jacobi(k, a, b, mpmath.cos(2 * t)))
+
+
+def _d_error(j2: int, m2: int, s2: int, theta: float) -> float:
+    return abs(wigner_d(HalfInteger(j2), HalfInteger(m2), HalfInteger(s2), theta) - _jacobi_form(j2, m2, s2, theta))
+
+
+class TestAccuracyDomain:
+    """``WIGNER_J_MAX`` is the largest j at which wigner_d keeps 1e-10 absolute accuracy.
+
+    A sweep of every (m, s) label on 401 angles, against ``_jacobi_form``, put the
+    largest error at 9.2e-11 for j = 18 and 1.3e-10 for j = 37/2; the labels here
+    are that sweep's worst, at its worst angle and 0.01 either side.
+    """
+
+    AT_BOUND = [(36, -2, -2, 1.6334714919537952), (35, 7, -3, 1.4770174416131117), (33, 5, -1, 1.5551665125979326)]
+    ABOVE = [(37, 7, 3, math.pi / 2), (38, 2, 6, 1.6474205378580622)]
+
+    def test_reference_is_the_d_function(self):
+        for j2, m2, s2 in [(0, 0, 0), (1, 1, -1), (2, 0, 2), (5, -3, 1), (6, 4, -2)]:
+            for theta in (0.0, 0.4, 2.9, math.pi):
+                assert _d_error(j2, m2, s2, theta) <= 1e-15
+
+    def test_worst_labels_at_the_bound_meet_the_tolerance(self):
+        assert WIGNER_J_MAX == 18
+        for j2, m2, s2, worst in self.AT_BOUND:
+            assert max(_d_error(j2, m2, s2, worst + d) for d in (-0.01, 0.0, 0.01)) <= 1e-10
+
+    def test_just_above_the_bound_refused_and_inaccurate(self, monkeypatch):
+        for j2, m2, s2, worst in self.ABOVE:
+            with pytest.raises(ValueError, match=rf"^j must satisfy j <= 18, .* \(got j={HalfInteger(j2)}\)$"):
+                wigner_d(HalfInteger(j2), HalfInteger(m2), HalfInteger(s2), worst)
+        # lifted, the sum misses the tolerance there: the bound is the largest that holds
+        monkeypatch.setattr(specfun, "WIGNER_J_MAX", 100)
+        for j2, m2, s2, worst in self.ABOVE:
+            assert min(_d_error(j2, m2, s2, worst + d) for d in (-0.01, 0.0, 0.01)) > 1e-10
 
 
 class TestWignerD:

@@ -207,6 +207,8 @@ class TestEnumeration:
             ParabolicState(0, 0, half("1/2"), half(0))
         with pytest.raises(ValueError, match="n1"):
             ParabolicState(-1, 0, half(0), half(0))
+        with pytest.raises(ValueError, match=r"^n must satisfy n <= 200 \(got n=301\)$"):
+            ParabolicState(300, 0, half(0), half(0))
 
 
 # The label rules restated on exact rationals: the reference shares no
@@ -254,6 +256,9 @@ def _parabolic_error(n1: int, n2: int, m: Fraction, s: Fraction):
             return f"{name} must be a non-negative integer, got {value!r}"
     if (m - s).denominator != 1:
         return f"m - s and m + s must be integers (got m={m}, s={s})"
+    n = n1 + n2 + (abs(m - s) + abs(m + s)) / 2 + 1
+    if n > N_MAX:
+        return f"n must satisfy n <= {N_MAX} (got n={float(n):g})"
     return None
 
 
@@ -337,6 +342,9 @@ class TestLabelRules:
     @example(0, 0, 1, 0)  # m - s a half-integer
     @example(-1, 0, 0, 0)
     @example(0, -1, 0, 0)
+    @example(N_MAX - 1, 0, 0, 0)  # n = N_MAX, accepted
+    @example(N_MAX, 0, 0, 0)  # n > N_MAX
+    @example(0, 0, 2 * N_MAX - 1, -1)  # n = N_MAX + 1/2
     @settings(max_examples=60, deadline=None)
     def test_parabolic_rules_and_derived_labels(self, n1, n2, m2, s2):
         m, s = Fraction(m2, 2), Fraction(s2, 2)
@@ -585,6 +593,25 @@ class TestSphericalPsi:
         state = SphericalState(n=half(2), j=half(1), m=half(0), s=half(1))
         val = spherical_psi(state, 1.0, math.pi, 0.0, P1)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+    @pytest.mark.parametrize("n, j, s", [("79/2", "37/2", "1/2"), ("95", "94", "0")])
+    def test_j_above_the_d_function_domain_refused_before_any_rule(self, monkeypatch, n, j, s):
+        def refuse(order):
+            raise AssertionError("a quadrature rule was built")
+
+        monkeypatch.setattr(states, "gauss_legendre", refuse)
+        monkeypatch.setattr(states, "gauss_laguerre", refuse)
+        state = SphericalState(n=half(n), j=half(j), m=half(s), s=half(s))  # the label itself is valid
+        params = PhysicalParams.atomic(half(s))
+        message = rf"^j must satisfy j <= 18, .* \(got j={j}\)$"
+        for evaluate in (
+            lambda: spherical_psi(state, 1.0, 0.3, 0.0, params),
+            lambda: psi_grid(state, [1.0], [0.3], 0.0, params),
+            lambda: spherical_overlap(state, state, params),
+            lambda: _angular_norm(state.j.twice, state.m.twice, state.s.twice),
+        ):
+            with pytest.raises(ValueError, match=message):
+                evaluate()
 
     def test_angular_norm_matches_monopole_harmonic(self):
         # Wu & Yang: the monopole harmonic constant is sqrt((2j+1)/(4 pi))

@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyonstark import stark, states, tables
-from dyonstark.cli import SPLITTING_COLUMNS, WAVEFUNCTION_COLUMNS
 from dyonstark.stark import FieldConfig
 from dyonstark.states import PhysicalParams
 
 INT_KEYS = ("s2", "n1", "n2", "m2", "j2")
+WAVEFUNCTION_KEYS = ["coord1", "coord2", "phi", "psi_re", "psi_im", "abs2"]
 PARAMS = PhysicalParams.atomic("1/2", gamma_c=0.75)
 FIELD = FieldConfig(0.25)
 
@@ -84,10 +84,10 @@ def _table(rows, columns=tables.RECORD_COLUMNS) -> dict:
     return {key: [row.get(key) for row in rows] for key in columns}
 
 
-def _both(table, columns, ratio=None):
+def _both(table, ratio=None):
     rows = _rows(table)
     assert tables.render_json(table, PARAMS, FIELD, ratio) == reference_json(rows, PARAMS, FIELD, ratio)
-    assert tables.render_csv(table, columns) == reference_csv(rows, columns)
+    assert tables.render_csv(table) == reference_csv(rows, list(table))
 
 
 def _record(**cells) -> dict:
@@ -107,36 +107,34 @@ EDGE = _table([
 
 class TestAgainstReference:
     def test_empty_rows(self):
-        _both(_table([]), tables.RECORD_COLUMNS, ratio=0.5)
-        _both(_table([], WAVEFUNCTION_COLUMNS), WAVEFUNCTION_COLUMNS)
-        _both(_table([{}, {}], WAVEFUNCTION_COLUMNS), WAVEFUNCTION_COLUMNS)
+        _both(_table([]), ratio=0.5)
+        _both(_table([], WAVEFUNCTION_KEYS))
+        _both(_table([{}, {}], WAVEFUNCTION_KEYS))
 
     def test_zero_row_table_has_empty_records(self):
-        for table in ({}, _table([], WAVEFUNCTION_COLUMNS)):
+        for table in ({}, _table([], WAVEFUNCTION_KEYS)):
             assert json.loads(tables.render_json(table, PARAMS))["records"] == []
             assert tables.render_json(table, PARAMS).endswith('  "records": []\n}\n')
-        assert tables.render_csv(_table([], WAVEFUNCTION_COLUMNS), WAVEFUNCTION_COLUMNS) == (
-            ",".join(WAVEFUNCTION_COLUMNS) + "\r\n"
-        )
+        assert tables.render_csv(_table([], WAVEFUNCTION_KEYS)) == ",".join(WAVEFUNCTION_KEYS) + "\r\n"
 
     def test_columns_of_unequal_length_refused(self):
         table = {"e0": [1.0, 2.0], "m2": [1]}
         with pytest.raises(ValueError):
             tables.render_json(table, PARAMS)
         with pytest.raises(ValueError):
-            tables.render_csv(table, ["e0", "m2"])
+            tables.render_csv(table)
         with pytest.raises(ValueError):
             tables.render_json({"e0": [], "m2": [1]}, PARAMS)
 
     def test_none_negative_zero_and_extreme_values(self):
-        _both(EDGE, tables.RECORD_COLUMNS, ratio=1e-300)
+        _both(EDGE, ratio=1e-300)
         assert '"e1": "0.0"' in tables.render_json(EDGE, PARAMS)
         assert '"e0": "1e-300"' in tables.render_json(EDGE, PARAMS)
 
     def test_repeated_values_in_int_and_float_columns(self):
         # a memo keyed by value must not carry a float column's text into an int column
         table = _table([_record(n=2.0, s2=2, n1=1, m2=2, e0=2, e1=True, dipole_z=2.0) for _ in range(3)])
-        _both(table, tables.RECORD_COLUMNS)
+        _both(table)
         assert tables.render_csv(table).splitlines()[1] == "2.0,2,1,,2,,2.0,1.0,2.0"
 
     def test_equal_values_of_mixed_types_in_one_column(self):
@@ -144,28 +142,33 @@ class TestAgainstReference:
         # dict key; each cell must still get the text of its own value
         mixed = [2, 2.0, True, 0.0, -0.0, 1, 2]
         table = {"e0": mixed, "m2": mixed, "dipole_z": mixed[::-1], "e1": [-0.0, *mixed[1:]]}
-        _both(table, ["e0", "m2", "dipole_z", "e1"])
-        assert tables.render_csv(table, ["e0", "m2"]).split("\r\n")[1:-1] == [
+        _both(table)
+        assert tables.render_csv({key: table[key] for key in ("e0", "m2")}).split("\r\n")[1:-1] == [
             "2.0,2", "2.0,2", "1.0,1", "0.0,0", "0.0,0", "1.0,1", "2.0,2",
         ]
 
     def test_library_tables(self):
         records = stark.stark_table("7/2", "1/2", FIELD, PARAMS)
-        _both(tables.rows_from_stark_records(records), tables.RECORD_COLUMNS, ratio=0.01)
+        _both(tables.rows_from_stark_records(records), ratio=0.01)
         shell = states.enumerate_shell_spherical("7/2", "1/2")
-        _both(tables.rows_from_spectrum(shell, states.energy_level("7/2", PARAMS)), tables.RECORD_COLUMNS)
-        _both({"n": [3.0], "s2": [1], "epsilon": [0.25], "delta_e": [-0.0]}, SPLITTING_COLUMNS)
+        _both(tables.rows_from_spectrum(shell, states.energy_level("7/2", PARAMS)))
+        _both({"n": [3.0], "s2": [1], "epsilon": [0.25], "delta_e": [-0.0]})
+
+    def test_header_is_every_key_in_table_order(self):
+        table = {"psi_im": [0.5], "n": [2.0], "m2": [-1]}
+        assert tables.render_csv(table) == "psi_im,n,m2\r\n0.5,2.0,-1\r\n"
+        _both(table)
 
     def test_wavefunction_rows(self):
         rows = [
             {"coord1": x, "coord2": y, "phi": 7.0, "psi_re": x * y - 1.0, "psi_im": -x / 3.0, "abs2": y * y}
             for x in (0.0, 0.5, 1e-310) for y in (0.0, 2.0 / 3.0)
         ]
-        _both(_table(rows, WAVEFUNCTION_COLUMNS), WAVEFUNCTION_COLUMNS)
+        _both(_table(rows, WAVEFUNCTION_KEYS))
 
     def test_lone_empty_cell_is_quoted_as_csv_writes_it(self):
         table = {"e1": [None, 1.5]}
-        assert tables.render_csv(table, ["e1"]) == reference_csv(_rows(table), ["e1"]) == 'e1\r\n""\r\n1.5\r\n'
+        assert tables.render_csv(table) == reference_csv(_rows(table), ["e1"]) == 'e1\r\n""\r\n1.5\r\n'
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -182,8 +185,7 @@ class TestAgainstReference:
         )
     )
     def test_any_finite_rows(self, rows):
-        columns = ["coord1", "m2", "e1", "abs2"]
-        _both(_table(rows, columns), columns)
+        _both(_table(rows, ["coord1", "m2", "e1", "abs2"]))
 
 
 class TestNonFinite:
@@ -201,7 +203,7 @@ class TestNonFinite:
         with pytest.raises(ValueError):
             tables.render_json(table, PARAMS)
         with pytest.raises(ValueError):
-            tables.render_csv(table, ["e1"])
+            tables.render_csv(table)
 
     def test_non_finite_ratio_refused(self):
         with pytest.raises(ValueError):
