@@ -117,11 +117,10 @@ def spectrum(s_str, n_str, gamma, fmt, output):
     n = _parse_half(n_str, "n")
     try:
         params = PhysicalParams.atomic(s, gamma_c=gamma)
-        shell = states.enumerate_shell_spherical(n, s)
-        e0 = states.energy_level(n, params)
+        table = tables.spectrum_table(n, s, params)
     except ValueError as exc:
         _fail_validation(exc)
-    _render(tables.rows_from_spectrum(shell, e0), fmt, params, output=output)
+    _render(table, fmt, params, output=output)
 
 
 def _field_command(name: str, epsilon: float, build, doc: str):
@@ -150,7 +149,7 @@ def _field_command(name: str, epsilon: float, build, doc: str):
 
 
 def _shell_table(n, s, field, params):
-    return tables.rows_from_stark_records(stark.stark_table(n, s, field, params))
+    return tables.shifts_table(n, s, field, params)
 
 
 def _splitting_table(n, s, field, params):

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
-from .specfun import half
+from .specfun import HalfInteger, half
 from .states import (
     ParabolicState,
     PhysicalParams,
@@ -26,7 +28,7 @@ from .states import (
     _check_state_params,
     beta_eigenvalue,
     energy_level,
-    enumerate_shell_parabolic,
+    parabolic_labels,
 )
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "shell_splitting",
     "mean_dipole",
     "dipole_operator_expectation",
+    "shift_columns",
     "stark_table",
 ]
 
@@ -93,8 +96,40 @@ def bracket_twelfths(state: ParabolicState) -> int:
     X = n1 - n2 + (|m-s| - |m+s|)/2.  Shifts are this integer times
     shift_quantum/12, which is what makes exact tie detection possible.
     """
-    x2 = 2 * (state.n1 - state.n2) + abs(state.q1) - abs(state.q2)
-    return 3 * state.n.twice * x2 + state.m.twice * state.s.twice
+    return _label_bracket(state.n.twice, state.s.twice, state.n1, state.n2, state.m.twice)
+
+
+def _label_bracket(n2x: int, s2: int, n1: int, n2: int, m2: int) -> int:
+    """``bracket_twelfths`` of the label (n1, n2, m2) in shell 2n = n2x at 2s = s2.
+
+    m - s and m + s are integers, so |2m - 2s| - |2m + 2s| is even.
+    """
+    x2 = 2 * (n1 - n2) + (abs(m2 - s2) - abs(m2 + s2)) // 2
+    return 3 * n2x * x2 + m2 * s2
+
+
+def _shift(unit: float, bracket: int, epsilon: float) -> float:
+    """The shift of a state with this bracket, ``unit`` being ``shift_unit``.
+
+    epsilon multiplies last, so scaling the field scales the shift with
+    no extra rounding: the shift at field eps equals eps times the shift
+    at unit field, bitwise.
+    """
+    return (unit * (bracket / 12.0)) * epsilon
+
+
+def _dipole(unit: float, bracket: int) -> float:
+    """-d(shift)/d(eps) of ``_shift``; + 0.0 folds -0.0 into 0.0."""
+    return -_shift(unit, bracket, 1.0) + 0.0
+
+
+def _shell_params(n, s, params: PhysicalParams) -> tuple[HalfInteger, HalfInteger]:
+    """(n, s) as half-integers, refused unless s is the params' and n a shell of s."""
+    n, s = half(n), half(s)
+    if s != params.s:
+        raise ValueError(f"s={s} disagrees with params.s={params.s}")
+    _check_shell(n, s)
+    return n, s
 
 
 def integral_I(p: int, q: int, n, params: PhysicalParams) -> float:
@@ -143,7 +178,7 @@ def shift_closed_form(
     field, bitwise.
     """
     _check_state_params(state, params)
-    return (shift_unit(params) * (bracket_twelfths(state) / 12.0)) * field.epsilon
+    return _shift(shift_unit(params), bracket_twelfths(state), field.epsilon)
 
 
 def shell_splitting(n, s, field: FieldConfig, params: PhysicalParams) -> float:
@@ -154,10 +189,7 @@ def shell_splitting(n, s, field: FieldConfig, params: PhysicalParams) -> float:
     maximal |n1 - n2|, in which the m-linear fine term cancels.
     Equals the largest within-m-sector spread over the shell.
     """
-    n, s = half(n), half(s)
-    if s != params.s:
-        raise ValueError(f"s={s} disagrees with params.s={params.s}")
-    _check_shell(n, s)
+    n, s = _shell_params(n, s, params)
     # n (n - |s| - 1) via doubled integers, exact
     prod = n.twice * (n - abs(s) - 1).twice / 4.0
     return (2.0 * shift_unit(params) * prod) * field.epsilon
@@ -170,7 +202,7 @@ def mean_dipole(state: ParabolicState, params: PhysicalParams) -> float:
     which is -dE1/d eps identically.
     """
     _check_state_params(state, params)
-    return -(shift_unit(params) * (bracket_twelfths(state) / 12.0)) + 0.0
+    return _dipole(shift_unit(params), bracket_twelfths(state))
 
 
 def dipole_operator_expectation(state: ParabolicState, params: PhysicalParams) -> float:
@@ -191,29 +223,37 @@ def dipole_operator_expectation(state: ParabolicState, params: PhysicalParams) -
     )
 
 
+def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, list]:
+    """The n1, n2, m2, e0, e1 and dipole_z columns of one shell, one row
+    per state, computed from the labels with no state object.
+
+    Rows are sorted by the shift (compared exactly through the integer
+    bracket, so equal shifts are true ties) and then by (n1, n2, m); with
+    no field every shift is 0, and the order is (n1, n2, m) alone.
+    """
+    n, s = _shell_params(n, s, params)
+    rows = [(_label_bracket(n.twice, s.twice, *label), *label) for label in parabolic_labels(n, s)]
+    if field.epsilon > 0:
+        rows.sort(key=itemgetter(0))  # stable: the labels are already in (n1, n2, m) order
+    brackets, n1, n2, m2 = map(list, zip(*rows))
+    unit = shift_unit(params)
+    return {
+        "n1": n1,
+        "n2": n2,
+        "m2": m2,
+        "e0": [energy_level(n, params)] * len(rows),
+        "e1": list(map(_shift, repeat(unit), brackets, repeat(field.epsilon))),
+        "dipole_z": list(map(_dipole, repeat(unit), brackets)),
+    }
+
+
 def stark_table(
     n, s, field: FieldConfig, params: PhysicalParams
 ) -> list[StarkShiftRecord]:
-    """One record per shell state, deterministically ordered.
-
-    Sorting is by the shift (compared exactly through the integer
-    bracket, so equal shifts are true ties) and then by (n1, n2, m).
-    """
-    states = enumerate_shell_parabolic(n, s)
-    e0 = energy_level(n, params)
-    records = [
-        StarkShiftRecord(
-            state=st,
-            e0=e0,
-            e1=shift_closed_form(st, field, params),
-            dipole_z=mean_dipole(st, params),
-        )
-        for st in states
+    """One record per shell state, in ``shift_columns`` order."""
+    columns = shift_columns(n, s, field, params)
+    s = half(s)
+    return [
+        StarkShiftRecord(ParabolicState(n1, n2, HalfInteger(m2), s), e0, e1, dipole_z)
+        for n1, n2, m2, e0, e1, dipole_z in zip(*columns.values())
     ]
-
-    def key(rec: StarkShiftRecord):
-        shift_rank = bracket_twelfths(rec.state) if field.epsilon > 0 else 0
-        return (shift_rank, rec.state.n1, rec.state.n2, rec.state.m.twice)
-
-    records.sort(key=key)
-    return records

@@ -37,7 +37,9 @@ __all__ = [
     "ParabolicState",
     "ParabolicPoint",
     "energy_level",
+    "spherical_labels",
     "enumerate_shell_spherical",
+    "parabolic_labels",
     "enumerate_shell_parabolic",
     "beta_eigenvalue",
     "radial_R",
@@ -222,19 +224,29 @@ def energy_level(n, params: PhysicalParams) -> float:
     return -params.mu * params.gamma_c**2 / (2.0 * params.hbar**2 * nf * nf)
 
 
-def enumerate_shell_spherical(n, s) -> list[SphericalState]:
-    """All (j, m) labels of shell n; cardinality n^2 - s^2."""
+def spherical_labels(n, s) -> list[tuple[int, int]]:
+    """All (2j, 2m) labels of shell n, in ``sort_key`` order; n^2 - s^2 of them."""
     n, s = half(n), half(s)
     _check_shell(n, s)
     return [
-        SphericalState(n=n, j=j, m=HalfInteger(m2), s=s)
-        for j in map(HalfInteger, range(abs(s.twice), n.twice - 1, 2))
-        for m2 in range(-j.twice, j.twice + 1, 2)
+        (j2, m2)
+        for j2 in range(abs(s.twice), n.twice - 1, 2)
+        for m2 in range(-j2, j2 + 1, 2)
     ]
 
 
-def enumerate_shell_parabolic(n, s) -> list[ParabolicState]:
-    """All (n1, n2, m) labels of shell n, in ``sort_key`` order.
+def enumerate_shell_spherical(n, s) -> list[SphericalState]:
+    """All (j, m) states of shell n, in ``sort_key`` order
+    (``spherical_labels``)."""
+    n, s = half(n), half(s)
+    return [
+        SphericalState(n=n, j=HalfInteger(j2), m=HalfInteger(m2), s=s)
+        for j2, m2 in spherical_labels(n, s)
+    ]
+
+
+def parabolic_labels(n, s) -> list[tuple[int, int, int]]:
+    """All (n1, n2, 2m) labels of shell n, in ``sort_key`` order.
 
     The shell is built directly from n = n1 + n2 + max(|m|, |s|) + 1:
     for each n1 and n2 <= n - |s| - 1 - n1, k = n - 1 - n1 - n2 fixes
@@ -247,13 +259,20 @@ def enumerate_shell_parabolic(n, s) -> list[ParabolicState]:
     n_r = (n - abs(s) - 1).as_int()
     s_abs2 = abs(s.twice)
     low_m = range(-s_abs2, s_abs2 + 1, 2)
-    states = []
+    labels = []
     for n1 in range(n_r + 1):
         for n2 in range(n_r - n1 + 1):
             k2 = n.twice - 2 * (1 + n1 + n2)
-            for m_twice in (-k2, k2) if k2 > s_abs2 else low_m:
-                states.append(ParabolicState(n1=n1, n2=n2, m=HalfInteger(m_twice), s=s))
-    return states
+            for m2 in (-k2, k2) if k2 > s_abs2 else low_m:
+                labels.append((n1, n2, m2))
+    return labels
+
+
+def enumerate_shell_parabolic(n, s) -> list[ParabolicState]:
+    """All (n1, n2, m) states of shell n, in ``sort_key`` order
+    (``parabolic_labels``)."""
+    s = half(s)
+    return [ParabolicState(n1, n2, HalfInteger(m2), s) for n1, n2, m2 in parabolic_labels(n, s)]
 
 
 def beta_eigenvalue(state: ParabolicState, params: PhysicalParams) -> float:

@@ -26,11 +26,14 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
 
-from .stark import FieldConfig, StarkShiftRecord
-from .states import PhysicalParams, SphericalState
+from .specfun import half
+from .stark import FieldConfig, StarkShiftRecord, shift_columns
+from .states import PhysicalParams, SphericalState, energy_level, spherical_labels
 
 __all__ = [
     "RECORD_COLUMNS",
+    "shifts_table",
+    "spectrum_table",
     "rows_from_stark_records",
     "rows_from_spectrum",
     "render_csv",
@@ -41,7 +44,47 @@ __all__ = [
 RECORD_COLUMNS = ["n", "s2", "n1", "n2", "m2", "j2", "e0", "e1", "dipole_z"]
 
 
+def shifts_table(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, list]:
+    """The ``shifts``/``dipole`` table of one shell: ``stark.shift_columns``
+    with the shell's n and s2 on every row and no j2."""
+    n, s = half(n), half(s)
+    columns = shift_columns(n, s, field, params)
+    count = len(columns["e0"])
+    return {
+        "n": [n.value] * count,
+        "s2": [s.twice] * count,
+        "n1": columns["n1"],
+        "n2": columns["n2"],
+        "m2": columns["m2"],
+        "j2": [None] * count,
+        "e0": columns["e0"],
+        "e1": columns["e1"],
+        "dipole_z": columns["dipole_z"],
+    }
+
+
+def spectrum_table(n, s, params: PhysicalParams) -> dict[str, list]:
+    """The ``spectrum`` table of one shell: its (j, m) labels in
+    ``sort_key`` order, each at the shell energy."""
+    n, s = half(n), half(s)
+    labels = spherical_labels(n, s)
+    e0 = energy_level(n, params)
+    empty = [None] * len(labels)
+    return {
+        "n": [n.value] * len(labels),
+        "s2": [s.twice] * len(labels),
+        "n1": empty,
+        "n2": empty,
+        "m2": [m2 for _, m2 in labels],
+        "j2": [j2 for j2, _ in labels],
+        "e0": [e0] * len(labels),
+        "e1": empty,
+        "dipole_z": empty,
+    }
+
+
 def rows_from_stark_records(records: list[StarkShiftRecord]) -> dict[str, list]:
+    """The ``shifts_table`` of ``stark_table`` records, read off their states."""
     shell = [rec.state for rec in records]
     return {
         "n": [st.n.value for st in shell],
@@ -57,6 +100,7 @@ def rows_from_stark_records(records: list[StarkShiftRecord]) -> dict[str, list]:
 
 
 def rows_from_spectrum(shell: list[SphericalState], e0: float) -> dict[str, list]:
+    """The ``spectrum_table`` of a list of spherical states at energy e0."""
     shell = sorted(shell, key=lambda x: x.sort_key)
     empty = [None] * len(shell)
     return {

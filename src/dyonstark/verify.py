@@ -129,19 +129,23 @@ def _rel(err: float, scale: float) -> float:
 
 
 def check_hydrogen_regression(max_n=None) -> CheckResult:
-    """s=0, n=2 shifts are {-3, 0, 0, +3} a|e|eps from both routes."""
+    """s=0, n=2 shifts are {-3, 0, 0, +3} a|e|eps from both routes.
+
+    A cap below n = 2 leaves no shell to compare.
+    """
     bounds = _Bounds(analytic=1e-12, oracle=1e-6)
     params = PhysicalParams.atomic(0)
     field = FieldConfig(1.0)
     expected = np.array([-3.0, 0.0, 0.0, 3.0])
-    analytic = np.sort(
-        [stark.shift_closed_form(st, field, params) for st in states.enumerate_shell_parabolic(2, 0)]
-    )
-    numeric = np.sort(
-        np.concatenate([ev for _, ev in oracle.oracle_shifts(2, 0, field, params)])
-    )
-    for name, got in (("analytic", analytic), ("oracle", numeric)):
-        bounds.add(name, _rel(float(np.max(np.abs(got - expected))), 3.0), cases=len(got))
+    if max_n is None or float(max_n) >= 2:
+        analytic = np.sort(
+            [stark.shift_closed_form(st, field, params) for st in states.enumerate_shell_parabolic(2, 0)]
+        )
+        numeric = np.sort(
+            np.concatenate([ev for _, ev in oracle.oracle_shifts(2, 0, field, params)])
+        )
+        for name, got in (("analytic", analytic), ("oracle", numeric)):
+            bounds.add(name, _rel(float(np.max(np.abs(got - expected))), 3.0), cases=len(got))
     return bounds.result("c01-hydrogen-regression", "relative to 3 a|e|eps")
 
 
@@ -222,6 +226,11 @@ def check_degeneracy_removal(max_n=None) -> CheckResult:
     )
 
 
+# (gamma, eps) pairs at which c06 compares the splitting formula's float;
+# at (1, 1) every factor is a short dyadic number and no rounding occurs
+_SPLITTING_SCALES = ((1.0, 1.0), (0.7, 0.3), (3.1, 2.9e-4))
+
+
 def check_shell_splitting(max_n=None) -> CheckResult:
     """Splitting formula equals the extreme like-m component distance.
 
@@ -231,8 +240,13 @@ def check_shell_splitting(max_n=None) -> CheckResult:
     For s = 0 this coincides with the full-shell max - min, which is
     also asserted; for s != 0 the full-shell spread is wider and gets
     reported in the notes.
+
+    Rounding the formula to twelfths forgives any relative error below
+    1/(24 n (n - |s| - 1)), so the float the formula returns is also held
+    to shift_quantum times the exact spread, at each (gamma, eps) of
+    ``_SPLITTING_SCALES``.
     """
-    bounds = _Bounds(sector=0.0, full=0.0)
+    bounds = _Bounds(sector=0.0, full=0.0, formula=1e-15)
     notes = []
     for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5, 2, -1, -0.5], 6.0, max_n):
         n, s = shell[0].n, params.s
@@ -243,6 +257,11 @@ def check_shell_splitting(max_n=None) -> CheckResult:
             sectors.setdefault(st.m.twice, []).append(bracket_twelfths(st))
         sector_spread = max(max(b) - min(b) for b in sectors.values())
         bounds.add("sector", abs(sector_spread - formula_twelfths))
+        for gamma, epsilon in _SPLITTING_SCALES:
+            scaled, scaled_field = PhysicalParams.atomic(s, gamma_c=gamma), FieldConfig(epsilon)
+            want = shift_quantum(scaled_field, scaled) * (sector_spread / 12.0)
+            got = stark.shell_splitting(n, s, scaled_field, scaled)
+            bounds.add("formula", _rel(abs(got - want), want), cases=0)
         if sector_spread != formula_twelfths:
             notes.append(f"n={n}, s={s}: sector spread {sector_spread} != formula {formula_twelfths}")
         all_b = [b for brackets in sectors.values() for b in brackets]

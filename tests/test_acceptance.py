@@ -97,6 +97,30 @@ def test_check_without_cases_fails():
     assert "cases=0" in empty.line()
 
 
+@pytest.mark.parametrize("max_n", [-1, 0, 1, 1.5])
+def test_hydrogen_regression_checks_no_shell_below_n_2(max_n):
+    result = run_check("hydrogen-regression", max_n=max_n)
+    assert not result.passed
+    assert result.cases == 0
+
+
+def test_shell_splitting_fails_on_a_formula_off_by_5e_4(monkeypatch):
+    # rounded to twelfths, the formula 5e-4 off still gives the exact spread
+    # at n = 4, 5 and 6, so only the float comparison sees it
+    shell_splitting = verify.stark.shell_splitting
+
+    def off(n, s, field, params):
+        value = shell_splitting(n, s, field, params)
+        return value * (1.0 + 5e-4) if half(n).value >= 4 else value
+
+    monkeypatch.setattr(verify.stark, "shell_splitting", off)
+    result = run_check("shell-splitting")
+    assert not result.passed
+    assert "sector 0 (exact)" in result.detail
+    assert result.tol == 1e-15
+    assert result.max_err == pytest.approx(5e-4, rel=1e-6)
+
+
 def _drop_last_sector(sectors):
     # a one-sector shell (n = 1) keeps its sector: c04 needs one to bound off-diagonals
     return sectors[:-1] if len(sectors) > 1 else sectors

@@ -179,6 +179,31 @@ class TestOutputPins:
                 "shifts --n 80 --s -2 --epsilon 0.75 --format csv",
                 "bb4724938786d58a5a1047091c92e6e9307ce3eb7a60dca8f5a383ffe5de12fc",
             ),
+            # the top shells at both kinds of s, as the object-per-state path wrote them
+            (
+                "shifts --n 200 --s 2 --epsilon 0.5 --format csv",
+                "edd33f7c4f867a9f573b4ddec482fc9512973e0c8c083691d5f36f9f4f92b23b",
+            ),
+            (
+                "shifts --n 399/2 --s -3/2 --epsilon 0.5 --format json",
+                "c6c2aaef9a50b8d5b5c51364e7ac325c5049b7c64f661d1ae349d76881e361d7",
+            ),
+            (
+                "dipole --n 200 --s 2 --format json",
+                "a4851f8adba256a3c2a1f5e650e4ffbd59f7496220514565ee84129e6b18ca14",
+            ),
+            (
+                "dipole --n 399/2 --s -3/2 --format csv",
+                "2c24d35b06f7a85b3568669e61700dd2eb4431127298f2b924bea3ccfacaa4c0",
+            ),
+            (
+                "spectrum --n 200 --s 2 --format json",
+                "fdfd86529f54aaac4c487a5d9353b4d6b5ce3c3d0ca8729565eb8327529e4d45",
+            ),
+            (
+                "spectrum --n 399/2 --s -3/2 --format csv",
+                "0e620275b91ba292c6f287d2d9399040ce4865235f6b608551d9831c2119c1f2",
+            ),
         ],
     )
     def test_table_bytes(self, runner, args, digest):
@@ -196,26 +221,34 @@ def no_work(monkeypatch):
 
     for module, name in (
         (dyonstark.verify, "run_check"),
-        (dyonstark.stark, "stark_table"),
+        (dyonstark.tables, "shifts_table"),
+        (dyonstark.tables, "spectrum_table"),
         (dyonstark.stark, "shell_splitting"),
-        (dyonstark.states, "enumerate_shell_spherical"),
         (dyonstark.states, "psi_grid"),
     ):
         monkeypatch.setattr(module, name, refuse)
 
 
+WORK_COMMANDS = [
+    ["spectrum", "--n", "2"],
+    ["wavefunction", "--n", "2", "--points", "3"],
+    ["verify", "--max-n", "2", "--check", "shell-cardinality"],
+    ["shifts", "--n", "2"],
+    ["dipole", "--n", "2"],
+    ["splitting", "--n", "2"],
+]
+
+
 class TestUnwritableOutput:
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["spectrum", "--n", "2"],
-            ["wavefunction", "--n", "2", "--points", "3"],
-            ["verify", "--max-n", "2", "--check", "shell-cardinality"],
-            ["shifts", "--n", "2"],
-            ["dipole", "--n", "2"],
-            ["splitting", "--n", "2"],
-        ],
-    )
+    @pytest.mark.parametrize("command", WORK_COMMANDS)
+    def test_the_guard_stops_the_work(self, runner, tmp_path, no_work, command):
+        # with a writable --output the work is reached, so the refusals below
+        # show that --output was checked before it
+        result = runner.invoke(main, [*command, "--output", str(tmp_path / "x.csv")])
+        assert isinstance(result.exception, AssertionError)
+        assert "the work ran before --output was checked" in str(result.exception)
+
+    @pytest.mark.parametrize("command", WORK_COMMANDS)
     @pytest.mark.parametrize("target, reason", [("", "Is a directory"), ("missing/x.csv", "No such file")])
     def test_exits_2_without_traceback(self, runner, tmp_path, no_work, command, target, reason):
         path = tmp_path / target
@@ -646,6 +679,7 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--max-n", "0"])
         assert result.exit_code == 3
         failures = json.loads(result.stdout.splitlines()[-1].removeprefix("failures: "))
+        assert "c01-hydrogen-regression" in failures
         assert "c02-integral-closed-forms" in failures
         assert "c03-shift-formula-identity" in failures
         assert "c08-shell-cardinality" in failures

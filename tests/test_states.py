@@ -34,6 +34,7 @@ from dyonstark.states import (
     enumerate_shell_parabolic,
     enumerate_shell_spherical,
     parabolic_hamiltonian_residual,
+    parabolic_labels,
     parabolic_overlap,
     parabolic_psi,
     parabolic_to_cartesian,
@@ -106,7 +107,7 @@ class TestEnergy:
 
 
 def _scan_shell_parabolic(n, s):
-    """Reference shell: every (n1, n2, m) with n1, n2 <= n - |s| - 1 and
+    """Reference shell: every (n1, n2, 2m) with n1, n2 <= n - |s| - 1 and
     |m| <= n whose principal level n1 + n2 + (|m-s| + |m+s|)/2 + 1 is n,
     sorted by (n1, n2, m).  An O(n^3) scan over candidate labels."""
     n_r = (n - abs(s) - 1).as_int()
@@ -117,8 +118,7 @@ def _scan_shell_parabolic(n, s):
                 q_sum2 = abs(m_twice - s.twice) + abs(m_twice + s.twice)
                 if 2 * (n1 + n2 + 1) + q_sum2 // 2 == n.twice:
                     labels.append((n1, n2, m_twice))
-    labels.sort()
-    return [ParabolicState(n1, n2, HalfInteger(m_twice), s) for n1, n2, m_twice in labels]
+    return sorted(labels)
 
 
 class TestEnumeration:
@@ -160,7 +160,11 @@ class TestEnumeration:
         s = HalfInteger(s_twice)
         for k in range(15):
             n = abs(s) + 1 + k
-            assert enumerate_shell_parabolic(n, s) == _scan_shell_parabolic(n, s)
+            labels = _scan_shell_parabolic(n, s)
+            assert parabolic_labels(n, s) == labels
+            assert enumerate_shell_parabolic(n, s) == [
+                ParabolicState(n1, n2, HalfInteger(m2), s) for n1, n2, m2 in labels
+            ]
 
     def test_builds_only_shell_labels(self, monkeypatch):
         built = []

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyonstark import stark, states, tables
+from dyonstark.specfun import half
 from dyonstark.stark import FieldConfig
 from dyonstark.states import PhysicalParams
 
@@ -148,10 +149,8 @@ class TestAgainstReference:
         ]
 
     def test_library_tables(self):
-        records = stark.stark_table("7/2", "1/2", FIELD, PARAMS)
-        _both(tables.rows_from_stark_records(records), ratio=0.01)
-        shell = states.enumerate_shell_spherical("7/2", "1/2")
-        _both(tables.rows_from_spectrum(shell, states.energy_level("7/2", PARAMS)))
+        _both(tables.shifts_table("7/2", "1/2", FIELD, PARAMS), ratio=0.01)
+        _both(tables.spectrum_table("7/2", "1/2", PARAMS))
         _both({"n": [3.0], "s2": [1], "epsilon": [0.25], "delta_e": [-0.0]})
 
     def test_header_is_every_key_in_table_order(self):
@@ -208,3 +207,53 @@ class TestNonFinite:
     def test_non_finite_ratio_refused(self):
         with pytest.raises(ValueError):
             tables.render_json(_table([]), PARAMS, FIELD, math.inf)
+
+
+# every (n, s) of these with n - |s| - 1 a non-negative integer: the smallest
+# shells and the benchmark's.  The object path takes about a second over the
+# 40,000 states of a top shell, so the top shells' bytes are pinned instead
+# (tests/test_cli.py::TestOutputPins)
+SHELLS = [
+    (n, s)
+    for n in ["1", "5/2", "35", "73/2", "60"]
+    for s in ["0", "1/2", "-1/2", "1", "-3/2", "2"]
+    if (half(n) - abs(half(s)) - 1).twice % 2 == 0 and half(n) > abs(half(s))
+]
+
+
+def _object_records(shell, field, params):
+    """The shifts table of a shell built state by state: shift_closed_form
+    and mean_dipole per ParabolicState, sorted by (bracket, n1, n2, m)."""
+
+    def key(st):
+        return (stark.bracket_twelfths(st) if field.epsilon > 0 else 0, st.n1, st.n2, st.m.twice)
+
+    e0 = states.energy_level(shell[0].n, params)
+    return [
+        stark.StarkShiftRecord(st, e0, stark.shift_closed_form(st, field, params), stark.mean_dipole(st, params))
+        for st in sorted(shell, key=key)
+    ]
+
+
+def _same_bytes(got, want, params, field=None):
+    assert got == want
+    assert tables.render_csv(got) == tables.render_csv(want)
+    assert tables.render_json(got, params, field, 0.5) == tables.render_json(want, params, field, 0.5)
+
+
+class TestColumnTables:
+    """The column builders against the object path they replace in the CLI."""
+
+    @pytest.mark.parametrize("n, s", SHELLS)
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5])
+    def test_shifts_table_is_the_object_table(self, n, s, epsilon):
+        params, field = PhysicalParams.atomic(s), FieldConfig(epsilon)
+        records = _object_records(states.enumerate_shell_parabolic(n, s), field, params)
+        _same_bytes(tables.shifts_table(n, s, field, params), tables.rows_from_stark_records(records), params, field)
+        assert stark.stark_table(n, s, field, params) == records
+
+    @pytest.mark.parametrize("n, s", SHELLS)
+    def test_spectrum_table_is_the_object_table(self, n, s):
+        params = PhysicalParams.atomic(s)
+        want = tables.rows_from_spectrum(states.enumerate_shell_spherical(n, s), states.energy_level(n, params))
+        _same_bytes(tables.spectrum_table(n, s, params), want, params)
