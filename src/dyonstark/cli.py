@@ -200,7 +200,7 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
         # 0 at integer s, 1/2 at half-integer s: the smallest m >= 0 the shell allows
         m = _parse_half(m_str, "m") if m_str is not None else HalfInteger(s.twice % 2)
         if basis == "parabolic":
-            states._check_shell(n, s)
+            states._shell(n, s, params)
             if n1 is None and n2 is None and m_str is None:
                 # the shell's first state in enumeration order
                 state = ParabolicState(0, 0, 1 - n, s)

@@ -46,9 +46,9 @@ from .stark import FieldConfig
 from .states import (
     ParabolicState,
     PhysicalParams,
-    _check_shell,
     _check_state_params,
     _exact_order,
+    _shell,
     phi_pair_moment,
     phi_table,
 )
@@ -65,17 +65,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubspaceMatrix:
-    """The perturbation restricted to one degenerate (n, m) sector."""
+    """The perturbation restricted to one degenerate (n, m) sector; row i is the label n1 = i."""
 
     n: HalfInteger
     m: HalfInteger
     s: HalfInteger
-    basis: tuple[ParabolicState, ...]
     entries: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.entries)
 
     @property
     def largest_offdiagonal(self) -> float:
@@ -119,19 +118,17 @@ def matrix_element_V(
 
 def build_subspace(n, s, m, field: FieldConfig, params: PhysicalParams) -> SubspaceMatrix:
     """Assemble the symmetric V matrix over the (n, m) sector, from its labels."""
-    n, s, m = half(n), half(s), half(m)
-    _check_shell(n, s)
+    n, s = _shell(n, s, params)
+    m = half(m)
     k2 = n.twice - 2 - max(abs(m.twice), abs(s.twice))  # 2 (n1 + n2)
     if k2 < 0 or (m.twice - s.twice) % 2:
         raise ValueError(f"shell n={n}, s={s} has no states with m={m}")
     k = k2 // 2
-    basis = tuple(ParabolicState(n1, k - n1, m, s) for n1 in range(k + 1))
-    _check_state_params(basis[0], params)
     entries = np.zeros((k + 1, k + 1))
     if field.epsilon != 0.0:
         nf = n.value
         scale = params.a * nf
-        qs = (basis[0].q1, basis[0].q2)
+        qs = ((m.twice - s.twice) // 2, (m.twice + s.twice) // 2)  # m - s, m + s
         # both rules first: a sector past the order cap raises before any moment
         rules = [gauss_laguerre(_exact_order(k2 + abs(q) + 2)) for q in qs]
         moments = []
@@ -146,7 +143,7 @@ def build_subspace(n, s, m, field: FieldConfig, params: PhysicalParams) -> Subsp
         pref = 2.0 / (nf**4 * params.a**3) * params.e_abs * field.epsilon / 8.0
         upper = np.triu(pref * (g2_xi * g0_eta - g0_xi * g2_eta))
         entries = upper + np.triu(upper, 1).T
-    return SubspaceMatrix(n=n, m=m, s=s, basis=basis, entries=entries)
+    return SubspaceMatrix(n=n, m=m, s=s, entries=entries)
 
 
 def shell_sectors(n, s, field: FieldConfig, params: PhysicalParams) -> list[SubspaceMatrix]:
@@ -154,8 +151,7 @@ def shell_sectors(n, s, field: FieldConfig, params: PhysicalParams) -> list[Subs
 
     This is the one loop over a shell's m = -(n - 1), ..., n - 1.
     """
-    n, s = half(n), half(s)
-    _check_shell(n, s)  # the m range below is empty for n < 1
+    n, s = _shell(n, s, params)  # the m range below is empty for n < 1
     return [
         build_subspace(n, s, HalfInteger(m2), field, params)
         for m2 in range(2 - n.twice, n.twice - 1, 2)

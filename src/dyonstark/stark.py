@@ -24,8 +24,8 @@ from .specfun import HalfInteger, half
 from .states import (
     ParabolicState,
     PhysicalParams,
-    _check_shell,
     _check_state_params,
+    _shell,
     beta_eigenvalue,
     energy_level,
     parabolic_labels,
@@ -123,15 +123,6 @@ def _dipole(unit: float, bracket: int) -> float:
     return -_shift(unit, bracket, 1.0) + 0.0
 
 
-def _shell_params(n, s, params: PhysicalParams) -> tuple[HalfInteger, HalfInteger]:
-    """(n, s) as half-integers, refused unless s is the params' and n a shell of s."""
-    n, s = half(n), half(s)
-    if s != params.s:
-        raise ValueError(f"s={s} disagrees with params.s={params.s}")
-    _check_shell(n, s)
-    return n, s
-
-
 def integral_I(p: int, q: int, n, params: PhysicalParams) -> float:
     """Closed form of integral Phi_pq^2 dx: a*n for every p, q."""
     if p < 0 or p != int(p):
@@ -189,7 +180,7 @@ def shell_splitting(n, s, field: FieldConfig, params: PhysicalParams) -> float:
     maximal |n1 - n2|, in which the m-linear fine term cancels.
     Equals the largest within-m-sector spread over the shell.
     """
-    n, s = _shell_params(n, s, params)
+    n, s = _shell(n, s, params)
     # n (n - |s| - 1) via doubled integers, exact
     prod = n.twice * (n - abs(s) - 1).twice / 4.0
     return (2.0 * shift_unit(params) * prod) * field.epsilon
@@ -231,7 +222,7 @@ def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str,
     bracket, so equal shifts are true ties) and then by (n1, n2, m); with
     no field every shift is 0, and the order is (n1, n2, m) alone.
     """
-    n, s = _shell_params(n, s, params)
+    n, s = _shell(n, s, params)
     rows = [(_label_bracket(n.twice, s.twice, *label), *label) for label in parabolic_labels(n, s)]
     if field.epsilon > 0:
         rows.sort(key=itemgetter(0))  # stable: the labels are already in (n1, n2, m) order

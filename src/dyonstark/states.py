@@ -112,7 +112,12 @@ class PhysicalParams:
         return cls(hbar=1.0, mu=1.0, gamma_c=gamma_c, e_abs=1.0, s=half(s))
 
 
-def _check_shell(n: HalfInteger, s: HalfInteger) -> None:
+def _shell(n, s, params: PhysicalParams | None = None) -> tuple[HalfInteger, HalfInteger]:
+    """(n, s) as half-integers, refused unless s is the params' (if given) and
+    n a shell of s up to N_MAX: the one gate of every shell entry point."""
+    n, s = half(n), half(s)
+    if params is not None and s != params.s:
+        raise ValueError(f"s={s} disagrees with params.s={params.s}")
     k2 = n.twice - abs(s.twice) - 2  # 2 (n - |s| - 1)
     if k2 % 2 or k2 < 0:
         raise ValueError(
@@ -121,6 +126,7 @@ def _check_shell(n: HalfInteger, s: HalfInteger) -> None:
         )
     if n.twice > 2 * N_MAX:
         raise ValueError(f"n must satisfy n <= {N_MAX} (got n={n.value:g})")
+    return n, s
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ class SphericalState:
     def __post_init__(self):
         for name in ("n", "j", "m", "s"):
             object.__setattr__(self, name, half(getattr(self, name)))
-        _check_shell(self.n, self.s)
+        _shell(self.n, self.s)
         j2, m2, s2 = self.j.twice, self.m.twice, self.s.twice
         if not (abs(s2) <= j2 <= self.n.twice - 2) or (j2 - s2) % 2:
             raise ValueError(
@@ -194,7 +200,7 @@ class ParabolicState:
         object.__setattr__(self, "q2", q2)
         n = HalfInteger(2 * (self.n1 + self.n2 + 1) + abs(q1) + abs(q2))
         if n.twice > 2 * N_MAX:  # n >= |s| + 1 holds by construction: only the cap can fail
-            _check_shell(n, self.s)
+            _shell(n, self.s)
         object.__setattr__(self, "n", n)
 
     @property
@@ -218,16 +224,14 @@ class ParabolicPoint:
 
 def energy_level(n, params: PhysicalParams) -> float:
     """Unperturbed shell energy -mu gamma^2 / (2 hbar^2 n^2)."""
-    n = half(n)
-    _check_shell(n, params.s)
+    n, _ = _shell(n, params.s)
     nf = n.value
     return -params.mu * params.gamma_c**2 / (2.0 * params.hbar**2 * nf * nf)
 
 
 def spherical_labels(n, s) -> list[tuple[int, int]]:
     """All (2j, 2m) labels of shell n, in ``sort_key`` order; n^2 - s^2 of them."""
-    n, s = half(n), half(s)
-    _check_shell(n, s)
+    n, s = _shell(n, s)
     return [
         (j2, m2)
         for j2 in range(abs(s.twice), n.twice - 1, 2)
@@ -254,8 +258,7 @@ def parabolic_labels(n, s) -> list[tuple[int, int, int]]:
     integer when k = |s|.  The cardinality is n^2 - s^2, as for the
     spherical enumeration.
     """
-    n, s = half(n), half(s)
-    _check_shell(n, s)
+    n, s = _shell(n, s)
     n_r = (n - abs(s) - 1).as_int()
     s_abs2 = abs(s.twice)
     low_m = range(-s_abs2, s_abs2 + 1, 2)

@@ -26,9 +26,8 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
 
-from .specfun import half
 from .stark import FieldConfig, StarkShiftRecord, shift_columns
-from .states import PhysicalParams, SphericalState, energy_level, spherical_labels
+from .states import PhysicalParams, SphericalState, _shell, energy_level, spherical_labels
 
 __all__ = [
     "RECORD_COLUMNS",
@@ -47,7 +46,7 @@ RECORD_COLUMNS = ["n", "s2", "n1", "n2", "m2", "j2", "e0", "e1", "dipole_z"]
 def shifts_table(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, list]:
     """The ``shifts``/``dipole`` table of one shell: ``stark.shift_columns``
     with the shell's n and s2 on every row and no j2."""
-    n, s = half(n), half(s)
+    n, s = _shell(n, s, params)
     columns = shift_columns(n, s, field, params)
     count = len(columns["e0"])
     return {
@@ -66,7 +65,7 @@ def shifts_table(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, 
 def spectrum_table(n, s, params: PhysicalParams) -> dict[str, list]:
     """The ``spectrum`` table of one shell: its (j, m) labels in
     ``sort_key`` order, each at the shell energy."""
-    n, s = half(n), half(s)
+    n, s = _shell(n, s, params)
     labels = spherical_labels(n, s)
     e0 = energy_level(n, params)
     empty = [None] * len(labels)

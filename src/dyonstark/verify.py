@@ -10,7 +10,6 @@ breached; the pytest acceptance module asserts them one by one.
 from __future__ import annotations
 
 import math
-import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -537,11 +536,8 @@ def check_oracle_invariants(max_n=None) -> CheckResult:
     bounds = _Bounds(elements=1e-10)
     for params, field, shell in _parabolic_shells([0, 1, 0.5], 3.0, max_n):
         scale = params.a * params.e_abs * field.epsilon
-        # every entry of the shell's table-assembled sectors, by state pair
-        sector = {}
-        for sub in oracle.shell_sectors(shell[0].n, params.s, field, params):
-            for a, row in zip(sub.basis, sub.entries):
-                sector.update({(a, b): v for b, v in zip(sub.basis, row)})
+        # the shell's table-assembled sectors by m; row i of a sector is n1 = i
+        sector = {sub.m.twice: sub.entries for sub in oracle.shell_sectors(shell[0].n, params.s, field, params)}
         for i, a in enumerate(shell):
             for b in shell[i:]:
                 v1 = oracle.matrix_element_V(a, b, field, params)
@@ -550,7 +546,7 @@ def check_oracle_invariants(max_n=None) -> CheckResult:
                 v3 = oracle.matrix_element_V(a, b, field, params, quad_order=64)
                 bounds.add("elements", abs(v3 - v1) / max(abs(v3), scale))
                 if a.m == b.m:
-                    bounds.add("elements", abs(sector[a, b] - v1) / max(abs(v1), scale))
+                    bounds.add("elements", abs(sector[a.m.twice][a.n1, b.n1] - v1) / max(abs(v1), scale))
         diag_sum = sum(oracle.matrix_element_V(a, a, field, params) for a in shell)
         analytic_sum = sum(stark.shift_closed_form(a, field, params) for a in shell)
         bounds.add("elements", abs(diag_sum - analytic_sum) / max(abs(analytic_sum), scale))
@@ -583,16 +579,15 @@ CHECKS = {
 }
 
 
-# a report id is ``cNN-<key>`` for a criterion, ``inv-<x>`` for ``<x>-invariants``
-_REPORT_ID = re.compile(r"c\d\d-(.+)|inv-(.+)")
-
-
 def check_key(name: str) -> str:
-    """The CHECKS key that ``name`` selects: a key itself or a report id."""
-    m = _REPORT_ID.fullmatch(name)
-    if m is None:
-        return name
-    return m[1] or f"{m[2]}-invariants"
+    """The CHECKS key that ``name`` selects: a key itself or the report id its
+    check prints, ``inv-<x>`` for ``<x>-invariants`` and ``cNN-<key>`` for the
+    NNth criterion; any other name is returned as it is."""
+    for number, key in enumerate(CHECKS, 1):
+        suite = key.removesuffix("-invariants")
+        if name == (f"inv-{suite}" if suite != key else f"c{number:02d}-{key}"):
+            return key
+    return name
 
 
 def run_check(name: str, max_n=None) -> CheckResult:

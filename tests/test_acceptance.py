@@ -129,7 +129,7 @@ def _drop_last_sector(sectors):
 def _grow_largest_sector(sectors):
     big = max(range(len(sectors)), key=lambda i: sectors[i].dimension)
     sub = sectors[big]
-    grown = replace(sub, basis=(*sub.basis, sub.basis[-1]), entries=np.pad(sub.entries, (0, 1)))
+    grown = replace(sub, entries=np.pad(sub.entries, (0, 1)))
     return [*sectors[:big], grown, *sectors[big + 1:]]
 
 
@@ -240,6 +240,62 @@ def test_states_invariants_fail_on_a_wrong_coordinate_map(monkeypatch):
     assert not result.passed
     assert result.tol == 1e-12
     assert result.max_err >= 1e-10 / 3.0
+
+
+def _times(factor):
+    """The defect that scales a function's value by ``factor``."""
+    return lambda f: lambda *args: f(*args) * factor
+
+
+# one defect in the code each check covers, at the smallest --max-n that
+# reaches it: (check, cap, module, name, wrap), the module's ``name``
+# replaced by ``wrap(name)``
+MUTANTS = {
+    "c01 sector entries 1e-5 high": (
+        "hydrogen-regression", 2, verify.oracle, "shell_sectors",
+        lambda f: lambda *args: [replace(sub, entries=sub.entries * (1.0 + 1e-5)) for sub in f(*args)],
+    ),
+    "c02 1e-6 |q| in the x^2 moment's bracket": (
+        "integral-closed-forms", 1, verify.stark, "integral_II",
+        lambda f: lambda p, q, n, params: f(p, q, n, params) + 2.0 * (params.a * n) ** 3 * 1e-6 * abs(q),
+    ),
+    "c03 bracket without its m s term": (
+        "shift-formula-identity", 1.5, verify.stark, "bracket_twelfths",
+        lambda f: lambda st: f(st) - st.m.twice * st.s.twice,
+    ),
+    "c05 bracket blind to the sign of m": (
+        "degeneracy-removal", 1.5, verify, "bracket_twelfths",
+        lambda f: lambda st: verify.stark._label_bracket(st.n.twice, st.s.twice, st.n1, st.n2, abs(st.m.twice)),
+    ),
+    "c07 separation constant 1e-9 high": (
+        "dipole-consistency", 1.5, verify.stark, "beta_eigenvalue", _times(1.0 + 1e-9)
+    ),
+    "c08 parabolic shell short of its last label": (
+        "shell-cardinality", 1, verify.states, "enumerate_shell_parabolic", lambda f: lambda n, s: f(n, s)[:-1]
+    ),
+    "c09 angular constant 1% high": ("wavefunction-suites", 1, verify.states, "_angular_norm", _times(1.01)),
+    "inv-quadrature Laguerre weights 1e-9 heavy": (
+        "quadrature-invariants", 0, verify.quadrature, "gauss_laguerre",
+        lambda f: lambda order: (lambda rule: replace(rule, weights=rule.weights * (1.0 + 1e-9)))(f(order)),
+    ),
+    "inv-stark shift with a field-squared term": (
+        "stark-invariants", 2, verify.stark, "_shift",
+        lambda f: lambda unit, bracket, epsilon: f(unit, bracket, epsilon) * (1.0 + 1e-9 * epsilon),
+    ),
+    # a permutation of a sector's labels keeps its eigenvalues, so c04 passes
+    "inv-oracle sector rows reversed": (
+        "oracle-invariants", 2, verify.oracle, "shell_sectors",
+        lambda f: lambda *args: [replace(sub, entries=sub.entries[::-1, ::-1]) for sub in f(*args)],
+    ),
+}
+
+
+@pytest.mark.parametrize("check_id, max_n, module, name, wrap", MUTANTS.values(), ids=MUTANTS)
+def test_check_fails_on_its_mutant(monkeypatch, check_id, max_n, module, name, wrap):
+    assert run_check(check_id, max_n=max_n).passed
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    result = run_check(check_id, max_n=max_n)
+    assert not result.passed, result.line()
 
 
 class TestBounds:

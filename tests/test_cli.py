@@ -650,6 +650,11 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--check", "inv-no-such"])
         assert result.exit_code == 2
         assert "unknown check ids: inv-no-such" in result.output
+        # a criterion's key under another number is no report id: c04 is oracle-equivalence
+        for check_id in ("c99-oracle-equivalence", "c01-oracle-equivalence"):
+            result = runner.invoke(main, ["verify", "--max-n", "2", "--check", check_id])
+            assert result.exit_code == 2
+            assert f"unknown check ids: {check_id}" in result.output
 
     def test_json_format(self, runner):
         result = runner.invoke(

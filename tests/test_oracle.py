@@ -177,6 +177,12 @@ def _shells(s_raw, n_max):
         n = n + 1
 
 
+def _sector_states(sub):
+    """The states of a sector's rows: row i is (n1, n2) = (i, k - i)."""
+    k = sub.dimension - 1
+    return [ParabolicState(n1, k - n1, sub.m, sub.s) for n1 in range(k + 1)]
+
+
 class TestSectorTables:
     """Sectors assembled from one table of Phi per factor and its Gram moments."""
 
@@ -188,9 +194,10 @@ class TestSectorTables:
             for m in {st.m for st in enumerate_shell_parabolic(n, s)}:
                 sub = build_subspace(n, s, m, F1, params)
                 assert np.array_equal(sub.entries, sub.entries.T)
-                for i, a in enumerate(sub.basis):
+                basis = _sector_states(sub)
+                for i, a in enumerate(basis):
                     for k in range(i, sub.dimension):
-                        v = matrix_element_V(a, sub.basis[k], F1, params)
+                        v = matrix_element_V(a, basis[k], F1, params)
                         assert abs(sub.entries[i, k] - v) <= 1e-12 * max(abs(v), scale)
 
     @pytest.mark.parametrize("n_raw, s_raw", [("12", "2"), ("51/2", "-3/2")])
@@ -220,7 +227,7 @@ class TestSectorTables:
         assert not np.any(sub.entries)
 
     def test_mismatched_params_raise(self):
-        with pytest.raises(ValueError, match="state has s=0 but params carry s=1; they must agree"):
+        with pytest.raises(ValueError, match="^s=0 disagrees with params.s=1$"):
             build_subspace(3, 0, 0, F1, P1)
 
     @pytest.mark.parametrize(
@@ -286,7 +293,7 @@ def _sector_digest():
         for m, eigen in oracle_shifts(n, s, F1, params):
             sub = build_subspace(n, s, m, F1, params)
             h.update(f"{m} {[v.hex() for v in eigen]}\n".encode())
-            h.update(f"{[(b.n1, b.n2, b.m.twice) for b in sub.basis]}\n".encode())
+            h.update(f"{[(b.n1, b.n2, b.m.twice) for b in _sector_states(sub)]}\n".encode())
             h.update(f"{[v.hex() for v in sub.entries.ravel()]}\n".encode())
     return h.hexdigest()
 
@@ -306,7 +313,7 @@ class TestSectorLabels:
             assert {st.m for st in shell} == set(ms)
             for m in ms:
                 sub = build_subspace(n, s, m, FieldConfig(0.0), params)
-                assert list(sub.basis) == [st for st in shell if st.m == m]
+                assert _sector_states(sub) == [st for st in shell if st.m == m]
                 assert sub.dimension == (n - max(abs(m), abs(s))).as_int()
 
     @pytest.mark.parametrize("n_raw, s_raw, ms", [("200", "0", ["150"]), ("399/2", "3/2", ["1/2", "-1/2"])])
@@ -315,7 +322,7 @@ class TestSectorLabels:
         shell = enumerate_shell_parabolic(n, s)
         for m in map(half, ms):
             sub = build_subspace(n, s, m, FieldConfig(0.0), PhysicalParams.atomic(s))
-            assert list(sub.basis) == [st for st in shell if st.m == m]
+            assert _sector_states(sub) == [st for st in shell if st.m == m]
 
     def test_same_bits_as_the_shell_enumeration(self):
         # recorded when sectors were still grouped from the enumerated shell
@@ -347,10 +354,23 @@ class TestSectorLabels:
         assert [sub.m.twice for sub in sectors] == list(range(-top, top + 1, 2))
         for sub in sectors:
             alone = build_subspace(n, s, sub.m, F1, params)
-            assert sub.basis == alone.basis
+            assert (sub.n, sub.m, sub.s) == (alone.n, alone.m, alone.s)
             assert np.array_equal(sub.entries, alone.entries)
             off = np.abs(sub.entries - np.diag(np.diag(sub.entries)))
             assert sub.largest_offdiagonal == (off.max() if sub.dimension > 1 else 0.0)
+
+    def test_sectors_build_no_state_object(self, monkeypatch):
+        post_init, built = ParabolicState.__post_init__, []
+
+        def counting(state):
+            built.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(ParabolicState, "__post_init__", counting)
+        sectors = shell_sectors(6, 1, F1, P1)
+        assert built == []
+        # the count sees a state built from a sector's labels
+        assert len(_sector_states(sectors[0])) == len(built) == 1
 
     def test_shell_sectors_check_the_shell(self):
         with pytest.raises(ValueError, match=re.escape(f"{self.SHELL_RULE} (got n=1/2, s=0)")):

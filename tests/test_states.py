@@ -17,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from dyonstark import states
+from dyonstark import oracle, stark, states, tables
 from dyonstark.quadrature import gauss_laguerre, gauss_legendre, integrate_halfline
 from dyonstark.specfun import HalfInteger, half
-from dyonstark.stark import integral_I, integral_II
+from dyonstark.stark import FieldConfig, integral_I, integral_II
 from dyonstark.states import (
     N_MAX,
     ParabolicPoint,
@@ -308,9 +308,26 @@ class TestLabelRules:
     def test_shell_rule(self, labels):
         n2, s2 = labels
         _accepts_exactly(
-            lambda: states._check_shell(HalfInteger(n2), HalfInteger(s2)),
+            lambda: states._shell(HalfInteger(n2), HalfInteger(s2)),
             _shell_error(Fraction(n2, 2), Fraction(s2, 2)),
         )
+
+    # every entry point that takes (n, s) with params, each through the one gate
+    SHELL_ENTRIES = {
+        "shift_columns": lambda n, s, params: stark.shift_columns(n, s, FieldConfig(1.0), params),
+        "shell_splitting": lambda n, s, params: stark.shell_splitting(n, s, FieldConfig(1.0), params),
+        "shifts_table": lambda n, s, params: tables.shifts_table(n, s, FieldConfig(1.0), params),
+        "spectrum_table": tables.spectrum_table,
+        "build_subspace": lambda n, s, params: oracle.build_subspace(n, s, 0, FieldConfig(1.0), params),
+        "shell_sectors": lambda n, s, params: oracle.shell_sectors(n, s, FieldConfig(1.0), params),
+    }
+
+    @pytest.mark.parametrize("entry", SHELL_ENTRIES.values(), ids=SHELL_ENTRIES)
+    @pytest.mark.parametrize("n, s", [(3, 1), (half("5/2"), half("1/2")), (0, 1), (201, 1)])
+    def test_s_of_the_params_first(self, entry, n, s):
+        # s is checked against the params before (n, s) against the shell rules
+        with pytest.raises(ValueError, match=f"^s={half(s)} disagrees with params.s=0$"):
+            entry(n, s, PhysicalParams.atomic(0))
 
     @given(_spherical_labels())
     @example((4, 2, 0, 0))  # accepted

@@ -252,6 +252,12 @@ class TestColumnTables:
         _same_bytes(tables.shifts_table(n, s, field, params), tables.rows_from_stark_records(records), params, field)
         assert stark.stark_table(n, s, field, params) == records
 
+    def test_spectrum_table_refuses_an_s_that_is_not_the_params(self):
+        # rendered, these rows (s2 = 2) would sit under a header with params.s2 = 0
+        params = PhysicalParams.atomic(0)
+        with pytest.raises(ValueError, match="^s=1 disagrees with params.s=0$"):
+            tables.render_json(tables.spectrum_table(3, 1, params), params)
+
     @pytest.mark.parametrize("n, s", SHELLS)
     def test_spectrum_table_is_the_object_table(self, n, s):
         params = PhysicalParams.atomic(s)
