@@ -205,12 +205,11 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
                 # the shell's first state in enumeration order
                 state = ParabolicState(0, 0, 1 - n, s)
             else:
-                state = ParabolicState(n1 or 0, n2 or 0, m, s)
-                if state.n != n:
-                    raise ValueError(
-                        f"(n1={state.n1}, n2={state.n2}, m={state.m}) belongs to shell "
-                        f"n={state.n}, not n={n}"
-                    )
+                n1, n2 = n1 or 0, n2 or 0
+                level = states._label_level(n1, n2, m, s)  # a state past the cap names only the cap
+                if level != n:
+                    raise ValueError(f"(n1={n1}, n2={n2}, m={m}) belongs to shell n={level}, not n={n}")
+                state = ParabolicState(n1, n2, m, s)
             c1 = c2 = np.linspace(0.0, extent * params.a, points)
         else:
             j = _parse_half(j_str if j_str is not None else str(abs(s).value), "j")

@@ -1,7 +1,7 @@
 """Independent verification path for the Stark closed forms.
 
 Nothing here trusts the analytic shift formulas: matrix elements of
-V = |e| eps (xi - eta)/2 between unperturbed parabolic states are
+V = eps (xi - eta)/2 (atomic units) between unperturbed parabolic states are
 evaluated by Gauss-Laguerre quadrature over the full volume measure
 dV = (xi + eta)/4 dxi deta dphi, assembled into one dense symmetric
 matrix per (shell, m) sector, and diagonalized with the in-house
@@ -46,7 +46,7 @@ from .stark import FieldConfig
 from .states import (
     ParabolicState,
     PhysicalParams,
-    _check_state_params,
+    _check_s,
     _exact_order,
     _shell,
     phi_pair_moment,
@@ -90,7 +90,7 @@ def matrix_element_V(
     params: PhysicalParams,
     quad_order: int | None = None,
 ) -> float:
-    """<a| |e| eps (xi - eta)/2 |b> over dV, by product quadrature.
+    """<a| eps (xi - eta)/2 |b> over dV, by product quadrature.
 
     States with different m are orthogonal through the phi integral and
     short-circuit to exactly zero.  Different s is a caller error: the
@@ -100,8 +100,8 @@ def matrix_element_V(
     """
     if a.s != b.s:
         raise ValueError(f"states carry different monopole numbers: {a.s} vs {b.s}")
-    _check_state_params(a, params)
-    _check_state_params(b, params)
+    _check_s(a.s, params)
+    _check_s(b.s, params)
     if a.m != b.m:
         return 0.0
     if field.epsilon == 0.0:
@@ -112,7 +112,7 @@ def matrix_element_V(
     g2_xi = phi_pair_moment(a.n1, b.n1, q1, 2, n_a, n_b, params, quad_order)
     g0_eta = phi_pair_moment(a.n2, b.n2, q2, 0, n_a, n_b, params, quad_order)
     g2_eta = phi_pair_moment(a.n2, b.n2, q2, 2, n_a, n_b, params, quad_order)
-    pref = 2.0 / (n_a**2 * n_b**2 * params.a**3) * params.e_abs * field.epsilon / 8.0
+    pref = 2.0 / (n_a**2 * n_b**2 * params.a**3) * field.epsilon / 8.0
     return pref * (g2_xi * g0_eta - g0_xi * g2_eta)
 
 
@@ -140,7 +140,7 @@ def build_subspace(n, s, m, field: FieldConfig, params: PhysicalParams) -> Subsp
             # G_k = F diag(w x^k) F^T for k = 0, 2; einsum sums in a fixed order, without BLAS
             moments += [np.einsum("ik,jk->ij", table * wk, table) for wk in (w, w * x**2)]
         g0_xi, g2_xi, g0_eta, g2_eta = moments
-        pref = 2.0 / (nf**4 * params.a**3) * params.e_abs * field.epsilon / 8.0
+        pref = 2.0 / (nf**4 * params.a**3) * field.epsilon / 8.0
         upper = np.triu(pref * (g2_xi * g0_eta - g0_xi * g2_eta))
         entries = upper + np.triu(upper, 1).T
     return SubspaceMatrix(n=n, m=m, s=s, entries=entries)

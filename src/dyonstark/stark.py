@@ -1,12 +1,11 @@
 """Closed-form first-order Stark theory for the charge-dyon system.
 
-A uniform electric field epsilon along +x3 adds |e| epsilon z to the
-Hamiltonian.  In the parabolic basis the perturbation is diagonal
-within every degenerate shell, so first-order shifts come out in
-closed form:
+A uniform electric field epsilon along +x3 adds epsilon z to the
+Hamiltonian (atomic units hbar = mu = |e| = 1, coupling gamma).  In the
+parabolic basis the perturbation is diagonal within every degenerate
+shell, so first-order shifts come out in closed form:
 
-    E1 = (3 hbar^2 |e| eps / 2 mu gamma) [ n (n1 - n2 + (|m-s|-|m+s|)/2)
-                                           + m s / 3 ]
+    E1 = (3 eps / 2 gamma) [ n (n1 - n2 + (|m-s|-|m+s|)/2) + m s / 3 ]
 
 The bracket is an exact integer multiple of 1/12 once doubled quantum
 numbers are used, so ties, injectivity and extreme components are all
@@ -24,7 +23,7 @@ from .specfun import HalfInteger, half
 from .states import (
     ParabolicState,
     PhysicalParams,
-    _check_state_params,
+    _check_s,
     _shell,
     beta_eigenvalue,
     energy_level,
@@ -60,13 +59,13 @@ class FieldConfig:
             raise ValueError(f"epsilon must be a finite non-negative number, got {self.epsilon}")
 
     def perturbative_ratio(self, n, params: PhysicalParams) -> float:
-        """|e| eps a^2 n^4 / gamma: first-order shift over level spacing.
+        """eps a^2 n^4 / gamma: first-order shift over level spacing.
 
         Reported as a diagnostic only; first-order theory is credible
         while this stays well below one.  No hard cap is enforced.
         """
         nf = float(half(n).value)
-        return params.e_abs * self.epsilon * params.a**2 * nf**4 / params.gamma_c
+        return self.epsilon * params.a**2 * nf**4 / params.gamma_c
 
 
 @dataclass(frozen=True)
@@ -80,12 +79,12 @@ class StarkShiftRecord:
 
 
 def shift_unit(params: PhysicalParams) -> float:
-    """3 hbar^2 |e| / (2 mu gamma): the shift scale per unit field."""
-    return 3.0 * params.hbar**2 * params.e_abs / (2.0 * params.mu * params.gamma_c)
+    """3 / (2 gamma): the shift scale per unit field."""
+    return 3.0 / (2.0 * params.gamma_c)
 
 
 def shift_quantum(field: FieldConfig, params: PhysicalParams) -> float:
-    """3 hbar^2 |e| eps / (2 mu gamma): the scale of every shift."""
+    """3 eps / (2 gamma): the scale of every shift."""
     return shift_unit(params) * field.epsilon
 
 
@@ -147,16 +146,16 @@ def shift_integral_form(
 ) -> float:
     """First-order shift assembled from the two closed-form integrals.
 
-    (|e| eps / 4 a^3 n^4) (II_{n1,m-s} I_{n2,m+s} - I_{n1,m-s} II_{n2,m+s})
+    (eps / 4 a^3 n^4) (II_{n1,m-s} I_{n2,m+s} - I_{n1,m-s} II_{n2,m+s})
     """
-    _check_state_params(state, params)
+    _check_s(state.s, params)
     nf = state.n.value
     term = integral_II(state.n1, state.q1, nf, params) * integral_I(
         state.n2, state.q2, nf, params
     ) - integral_I(state.n1, state.q1, nf, params) * integral_II(
         state.n2, state.q2, nf, params
     )
-    return params.e_abs * field.epsilon / (4.0 * params.a**3 * nf**4) * term
+    return field.epsilon / (4.0 * params.a**3 * nf**4) * term
 
 
 def shift_closed_form(
@@ -168,14 +167,14 @@ def shift_closed_form(
     no extra rounding: e1 at field eps equals eps times e1 at unit
     field, bitwise.
     """
-    _check_state_params(state, params)
+    _check_s(state.s, params)
     return _shift(shift_unit(params), bracket_twelfths(state), field.epsilon)
 
 
 def shell_splitting(n, s, field: FieldConfig, params: PhysicalParams) -> float:
     """Distance between the extreme shell components at like m.
 
-    Delta E_n = (3 hbar^2 |e| eps / mu gamma) n (n - |s| - 1): the
+    Delta E_n = (3 eps / gamma) n (n - |s| - 1): the
     separation of the mirror pair (n1, n2, m) <-> (n2, n1, m) with
     maximal |n1 - n2|, in which the m-linear fine term cancels.
     Equals the largest within-m-sector spread over the shell.
@@ -189,29 +188,25 @@ def shell_splitting(n, s, field: FieldConfig, params: PhysicalParams) -> float:
 def mean_dipole(state: ParabolicState, params: PhysicalParams) -> float:
     """Permanent dipole moment along x3 of the unperturbed state.
 
-    d_z = -(3 hbar^2 |e| / 2 mu gamma) [n (n1 - n2 + (|m-s|-|m+s|)/2) + m s/3],
+    d_z = -(3 / 2 gamma) [n (n1 - n2 + (|m-s|-|m+s|)/2) + m s/3],
     which is -dE1/d eps identically.
     """
-    _check_state_params(state, params)
+    _check_s(state.s, params)
     return _dipole(shift_unit(params), bracket_twelfths(state))
 
 
 def dipole_operator_expectation(state: ParabolicState, params: PhysicalParams) -> float:
     """Dipole along x3 evaluated from conserved-operator eigenvalues.
 
-    d_z = |e| [3 gamma / (4 E0) I3 - hbar^2 s / (2 mu gamma) (J3/hbar)],
-    with I3 the dimensionless Runge-Lenz projection hbar beta / gamma
-    (equal to beta itself in units hbar = gamma = 1) and J3/hbar = m.
-    Must reproduce mean_dipole state by state.
+    d_z = 3 gamma / (4 E0) I3 - s / (2 gamma) J3,
+    with I3 the dimensionless Runge-Lenz projection beta / gamma and
+    J3 = m.  Must reproduce mean_dipole state by state.
     """
-    _check_state_params(state, params)
+    _check_s(state.s, params)
     e0 = energy_level(state.n, params)
-    i3 = params.hbar * beta_eigenvalue(state, params) / params.gamma_c
+    i3 = beta_eigenvalue(state, params) / params.gamma_c
     j3 = state.m.value
-    return params.e_abs * (
-        3.0 * params.gamma_c / (4.0 * e0) * i3
-        - params.hbar**2 * state.s.value / (2.0 * params.mu * params.gamma_c) * j3
-    )
+    return 3.0 * params.gamma_c / (4.0 * e0) * i3 - state.s.value / (2.0 * params.gamma_c) * j3
 
 
 def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, list]:

@@ -68,24 +68,18 @@ N_MAX = MAX_ORDER - 1
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Unit system and coupling of the bound charge-dyon pair.
+    """Coulomb coupling gamma_c and monopole number s of the charge-dyon pair.
 
-    gamma_c is the Coulomb coupling (energy times length), e_abs the
-    magnitude of the bound charge, s the monopole number.  The length
-    scale a = hbar^2 / (mu * gamma_c) is always derived, never stored.
+    Units are atomic, hbar = mu = |e| = 1; the length scale a = 1 / gamma_c
+    is always derived, never stored.
     """
 
-    hbar: float = 1.0
-    mu: float = 1.0
     gamma_c: float = 1.0
-    e_abs: float = 1.0
     s: HalfInteger = HalfInteger(0)
 
     def __post_init__(self):
-        for name in ("hbar", "mu", "gamma_c", "e_abs"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        if not (isinstance(self.gamma_c, (int, float)) and self.gamma_c > 0 and math.isfinite(self.gamma_c)):
+            raise ValueError(f"gamma_c must be a positive finite number, got {self.gamma_c!r}")
         # energies go as gamma^2 and wavefunction norms as a^-3/2, so these
         # scales must be representable for any result to be
         try:
@@ -95,29 +89,34 @@ class PhysicalParams:
             in_range = False
         if not in_range:
             raise ValueError(
-                "results must be finite, so a = hbar^2 / (mu gamma_c), a^3, a^-3 and gamma_c^2 "
-                "must be finite and nonzero "
-                f"(got hbar={self.hbar!r}, mu={self.mu!r}, gamma_c={self.gamma_c!r})"
+                "results must be finite, so a = 1 / gamma_c, a^3, a^-3 and gamma_c^2 "
+                f"must be finite and nonzero (got gamma_c={self.gamma_c!r})"
             )
         object.__setattr__(self, "s", half(self.s))
 
     @property
     def a(self) -> float:
         """Bohr radius of the pair."""
-        return self.hbar**2 / (self.mu * self.gamma_c)
+        return 1.0 / self.gamma_c
 
     @classmethod
     def atomic(cls, s=0, gamma_c: float = 1.0) -> "PhysicalParams":
-        """hbar = mu = |e| = 1 with a free coupling (default 1)."""
-        return cls(hbar=1.0, mu=1.0, gamma_c=gamma_c, e_abs=1.0, s=half(s))
+        """Monopole number s with a free coupling (default 1)."""
+        return cls(gamma_c=gamma_c, s=half(s))
+
+
+def _check_s(s: HalfInteger, params: PhysicalParams) -> None:
+    """Refuse an s that is not the params': the one s rule of every entry point."""
+    if s != params.s:
+        raise ValueError(f"s={s} disagrees with params.s={params.s}")
 
 
 def _shell(n, s, params: PhysicalParams | None = None) -> tuple[HalfInteger, HalfInteger]:
     """(n, s) as half-integers, refused unless s is the params' (if given) and
     n a shell of s up to N_MAX: the one gate of every shell entry point."""
     n, s = half(n), half(s)
-    if params is not None and s != params.s:
-        raise ValueError(f"s={s} disagrees with params.s={params.s}")
+    if params is not None:
+        _check_s(s, params)
     k2 = n.twice - abs(s.twice) - 2  # 2 (n - |s| - 1)
     if k2 % 2 or k2 < 0:
         raise ValueError(
@@ -182,30 +181,33 @@ class ParabolicState:
     s: HalfInteger
 
     def __post_init__(self):
-        if not isinstance(self.n1, (int, np.integer)) or self.n1 < 0:
-            raise ValueError(f"n1 must be a non-negative integer, got {self.n1!r}")
-        if not isinstance(self.n2, (int, np.integer)) or self.n2 < 0:
-            raise ValueError(f"n2 must be a non-negative integer, got {self.n2!r}")
+        n = _label_level(self.n1, self.n2, self.m, self.s)
+        if n.twice > 2 * N_MAX:  # n >= |s| + 1 holds by construction: only the cap can fail
+            _shell(n, self.s)
         object.__setattr__(self, "n1", int(self.n1))
         object.__setattr__(self, "n2", int(self.n2))
         object.__setattr__(self, "m", half(self.m))
         object.__setattr__(self, "s", half(self.s))
         m2, s2 = self.m.twice, self.s.twice
-        if (m2 - s2) % 2:
-            raise ValueError(
-                f"m - s and m + s must be integers (got m={self.m}, s={self.s})"
-            )
-        q1, q2 = (m2 - s2) // 2, (m2 + s2) // 2
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        n = HalfInteger(2 * (self.n1 + self.n2 + 1) + abs(q1) + abs(q2))
-        if n.twice > 2 * N_MAX:  # n >= |s| + 1 holds by construction: only the cap can fail
-            _shell(n, self.s)
+        object.__setattr__(self, "q1", (m2 - s2) // 2)
+        object.__setattr__(self, "q2", (m2 + s2) // 2)
         object.__setattr__(self, "n", n)
 
     @property
     def sort_key(self):
         return (self.n1, self.n2, self.m.twice)
+
+
+def _label_level(n1, n2, m, s) -> HalfInteger:
+    """n = n1 + n2 + (|m-s| + |m+s|)/2 + 1 of a valid parabolic label, uncapped."""
+    for name, v in (("n1", n1), ("n2", n2)):
+        if not isinstance(v, (int, np.integer)) or v < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+    m, s = half(m), half(s)
+    m2, s2 = m.twice, s.twice
+    if (m2 - s2) % 2:
+        raise ValueError(f"m - s and m + s must be integers (got m={m}, s={s})")
+    return HalfInteger(2 * (int(n1) + int(n2) + 1) + (abs(m2 - s2) + abs(m2 + s2)) // 2)
 
 
 @dataclass(frozen=True)
@@ -223,10 +225,10 @@ class ParabolicPoint:
 
 
 def energy_level(n, params: PhysicalParams) -> float:
-    """Unperturbed shell energy -mu gamma^2 / (2 hbar^2 n^2)."""
+    """Unperturbed shell energy -gamma^2 / (2 n^2)."""
     n, _ = _shell(n, params.s)
     nf = n.value
-    return -params.mu * params.gamma_c**2 / (2.0 * params.hbar**2 * nf * nf)
+    return -params.gamma_c**2 / (2.0 * nf * nf)
 
 
 def spherical_labels(n, s) -> list[tuple[int, int]]:
@@ -282,21 +284,14 @@ def beta_eigenvalue(state: ParabolicState, params: PhysicalParams) -> float:
     """Separation constant of the parabolic problem.
 
     Inverting the definitions of n1 and n2 gives
-    beta = (kappa hbar / mu) (n1 - n2 + (|m-s| - |m+s|)/2) with
-    kappa = sqrt(-2 mu E0) / hbar = 1 / (a n).
+    beta = kappa (n1 - n2 + (|m-s| - |m+s|)/2) with
+    kappa = sqrt(-2 E0) = 1 / (a n).
     """
-    _check_state_params(state, params)
+    _check_s(state.s, params)
     e0 = energy_level(state.n, params)
-    kappa = math.sqrt(-2.0 * params.mu * e0) / params.hbar
+    kappa = math.sqrt(-2.0 * e0)
     x2 = 2 * (state.n1 - state.n2) + abs(state.q1) - abs(state.q2)  # 2X, exact
-    return (kappa * params.hbar / params.mu) * (x2 / 2.0)
-
-
-def _check_state_params(state, params: PhysicalParams) -> None:
-    if state.s != params.s:
-        raise ValueError(
-            f"state has s={state.s} but params carry s={params.s}; they must agree"
-        )
+    return kappa * (x2 / 2.0)
 
 
 def radial_R(n, j, r, params: PhysicalParams):
@@ -437,7 +432,7 @@ def _product_form(state, params: PhysicalParams):
     spherical one; f1 and f2 are the scalar-or-array kernels of one
     coordinate each.
     """
-    _check_state_params(state, params)
+    _check_s(state.s, params)
     if isinstance(state, ParabolicState):
         nf = state.n.value
         const = math.sqrt(2.0) / (nf**2 * params.a**1.5)
@@ -563,8 +558,8 @@ def spherical_overlap(
     n_a + n_b, and d_a d_b is a polynomial in cos(theta) of degree
     j_a + j_b <= n_a + n_b - 2, so one order integrates both exactly.
     """
-    _check_state_params(a_state, params)
-    _check_state_params(b_state, params)
+    _check_s(a_state.s, params)
+    _check_s(b_state.s, params)
     if a_state.m != b_state.m:
         return 0.0
     order = _exact_order((a_state.n + b_state.n).as_int())
@@ -600,8 +595,8 @@ def parabolic_overlap(
     params: PhysicalParams,
 ) -> float:
     """<psi_a | psi_b> under dV = (xi + eta)/4 dxi deta dphi."""
-    _check_state_params(a_state, params)
-    _check_state_params(b_state, params)
+    _check_s(a_state.s, params)
+    _check_s(b_state.s, params)
     if a_state.m != b_state.m:
         return 0.0
     q1, q2 = a_state.q1, a_state.q2
@@ -623,14 +618,13 @@ _RESIDUAL_AXIS_MARGIN = 1.0
 def parabolic_hamiltonian_residual(state: ParabolicState, params: PhysicalParams) -> float:
     """Bound on the relative residual |H psi - E psi| / |E psi|, one factor at a time.
 
-    With psi = f1(xi) f2(eta) and k = hbar^2 / (2 mu), the parabolic
-    Hamiltonian separates as
+    With psi = f1(xi) f2(eta), the parabolic Hamiltonian separates as
 
         (xi + eta)(H - E) f1 f2 = (h1 - lam f1) f2 + f1 (h2 + lam f2),
-        h_i(x) = -4 k (x f_i'' + f_i') + (k q_i^2 / x - gamma - E x) f_i,
+        h_i(x) = -2 (x f_i'' + f_i') + (q_i^2 / (2 x) - gamma - E x) f_i,
 
     with q1 = m - s, q2 = m + s and the separation constant
-    lam = hbar * ``beta_eigenvalue``.  Each factor is the one ``psi_grid``
+    lam = ``beta_eigenvalue``.  Each factor is the one ``psi_grid``
     prints, evaluated once on a 1-D axis, and its derivatives come from
     fourth-order five-point stencils, which drop the two end points of
     the axis.  The result is r1 + r2 with
@@ -659,16 +653,15 @@ def parabolic_hamiltonian_residual(state: ParabolicState, params: PhysicalParams
     z = h * np.arange(1, _RESIDUAL_GRID_POINTS + 1)
     x = z[2:-2]  # the stencil centres
     interior = x >= _RESIDUAL_AXIS_MARGIN * an
-    k = params.hbar**2 / (2.0 * params.mu)
     e0 = energy_level(state.n, params)
-    lam = params.hbar * beta_eigenvalue(state, params)
+    lam = beta_eigenvalue(state, params)
 
     def factor_residual(f, q, lam_i):
         """max |h_i - lam_i f_i| / (|E| x |f_i|) over the factor's kept points."""
         d1 = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
         d2 = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) / (12.0 * h * h)
         v = f[2:-2]
-        hf = -4.0 * k * (x * d2 + d1) + (k * q * q / x - params.gamma_c - e0 * x - lam_i) * v
+        hf = -2.0 * (x * d2 + d1) + (0.5 * q * q / x - params.gamma_c - e0 * x - lam_i) * v
         keep = interior & (np.abs(v) >= _RESIDUAL_SUPPORT_CUT * np.max(np.abs(f)))
         if not np.any(keep):
             raise RuntimeError("no usable interior points; widen the grid")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import oracle, quadrature, stark, states
+from . import oracle, quadrature, stark, states, tables
 from .eigen import jacobi_eigenvalues
 from .specfun import HalfInteger, half, hyp1f1_table, wigner_d
 from .stark import FieldConfig, bracket_twelfths, shift_quantum
@@ -118,6 +118,15 @@ def _parabolic_shells(s_values, n_cap: float, max_n=None):
         yield PhysicalParams.atomic(s), field, states.enumerate_shell_parabolic(n, s)
 
 
+def _printed(column: str, shell, field: FieldConfig, params: PhysicalParams) -> list[float]:
+    """The printed ``shifts`` table's ``column`` for each state of the shell, by
+    label; NaN for a state without a row, and for all if the row count is off."""
+    table = tables.shifts_table(shell[0].n, params.s, field, params)
+    labels = zip(table["n1"], table["n2"], table["m2"])
+    rows = dict(zip(labels, table[column])) if len(table[column]) == len(shell) else {}
+    return [rows.get((st.n1, st.n2, st.m.twice), math.nan) for st in shell]
+
+
 def _rel(err: float, scale: float) -> float:
     return err / max(scale, 1e-300)
 
@@ -166,15 +175,16 @@ def check_integral_closed_forms(max_n=None) -> CheckResult:
 
 
 def check_shift_formula_identity(max_n=None) -> CheckResult:
-    """Integral-form shift equals closed-form shift on every state."""
-    bounds = _Bounds(identity=1e-12)
+    """Integral-form and printed shifts equal the closed form on every state."""
+    bounds = _Bounds(identity=1e-12, table=0.0)
     for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5, 2, 2.5, 3, -0.5, -1.5, -3], 8.0, max_n):
         scale_floor = shift_quantum(field, params) / 12.0
-        for st in shell:
+        for st, printed in zip(shell, _printed("e1", shell, field, params)):
             a = stark.shift_integral_form(st, field, params)
             b = stark.shift_closed_form(st, field, params)
             bounds.add("identity", _rel(abs(a - b), max(abs(b), scale_floor)))
-    return bounds.result("c03-shift-formula-identity", "every state, n <= 8, |s| <= 3")
+            bounds.add("table", abs(printed - b), cases=0)
+    return bounds.result("c03-shift-formula-identity", "every state and its printed e1, n <= 8, |s| <= 3")
 
 
 def check_oracle_equivalence(max_n=None) -> CheckResult:
@@ -275,18 +285,19 @@ def check_shell_splitting(max_n=None) -> CheckResult:
 
 
 def check_dipole_consistency(max_n=None) -> CheckResult:
-    """mean = -dE1/deps exactly; the operator route equals the mean to rounding."""
-    bounds = _Bounds(operator=1e-12, slope=0.0)
+    """mean = -dE1/deps and the printed dipole_z exactly; the operator route to rounding."""
+    bounds = _Bounds(operator=1e-12, slope=0.0, table=0.0)
     f2 = FieldConfig(2.0)
     for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5, -0.5, -1], 4.0, max_n):
         scale_floor = shift_quantum(field, params) / 12.0
-        for st in shell:
+        for st, printed in zip(shell, _printed("dipole_z", shell, field, params)):
             d_mean = stark.mean_dipole(st, params)
             slope = -(stark.shift_closed_form(st, f2, params) - stark.shift_closed_form(st, field, params))
             bounds.add("slope", abs(slope - d_mean), cases=0)
+            bounds.add("table", abs(printed - d_mean), cases=0)
             d_op = stark.dipole_operator_expectation(st, params)
             bounds.add("operator", _rel(abs(d_op - d_mean), max(abs(d_mean), scale_floor)))
-    return bounds.result("c07-dipole-consistency", "operator and finite-difference slope against the mean")
+    return bounds.result("c07-dipole-consistency", "operator, slope and printed dipole_z against the mean")
 
 
 def check_shell_cardinality(max_n=None) -> CheckResult:
@@ -526,7 +537,7 @@ def check_stark_invariants(max_n=None) -> CheckResult:
             mirror = ParabolicState(st.n2, st.n1, -st.m, st.s)
             bounds.add("mirror", abs(bracket_twelfths(mirror) + bracket_twelfths(st)), cases=0)
             if params.s.twice == 0:
-                hydrogen = 1.5 * params.a * params.e_abs * field.epsilon * st.n.value * (st.n1 - st.n2)
+                hydrogen = 1.5 * params.a * field.epsilon * st.n.value * (st.n1 - st.n2)
                 bounds.add("hydrogen", abs(e1 - hydrogen) / max(abs(hydrogen), 1.0), cases=0)
     return bounds.result("inv-stark", "exact linearity, mirror antisymmetry, hydrogen limit")
 
@@ -535,7 +546,7 @@ def check_oracle_invariants(max_n=None) -> CheckResult:
     """Hermiticity, derived order against a 64-node rule, sector tables, trace identity."""
     bounds = _Bounds(elements=1e-10)
     for params, field, shell in _parabolic_shells([0, 1, 0.5], 3.0, max_n):
-        scale = params.a * params.e_abs * field.epsilon
+        scale = params.a * field.epsilon
         # the shell's table-assembled sectors by m; row i of a sector is n1 = i
         sector = {sub.m.twice: sub.entries for sub in oracle.shell_sectors(shell[0].n, params.s, field, params)}
         for i, a in enumerate(shell):

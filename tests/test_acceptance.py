@@ -247,6 +247,11 @@ def _times(factor):
     return lambda f: lambda *args: f(*args) * factor
 
 
+def _negated(key):
+    """The defect that negates one column of ``shift_columns``."""
+    return lambda f: lambda *args: (lambda columns: {**columns, key: [-v for v in columns[key]]})(f(*args))
+
+
 # one defect in the code each check covers, at the smallest --max-n that
 # reaches it: (check, cap, module, name, wrap), the module's ``name``
 # replaced by ``wrap(name)``
@@ -263,12 +268,18 @@ MUTANTS = {
         "shift-formula-identity", 1.5, verify.stark, "bracket_twelfths",
         lambda f: lambda st: f(st) - st.m.twice * st.s.twice,
     ),
+    "c03 printed e1 column negated": (
+        "shift-formula-identity", 1.5, verify.tables, "shift_columns", _negated("e1")
+    ),
     "c05 bracket blind to the sign of m": (
         "degeneracy-removal", 1.5, verify, "bracket_twelfths",
         lambda f: lambda st: verify.stark._label_bracket(st.n.twice, st.s.twice, st.n1, st.n2, abs(st.m.twice)),
     ),
     "c07 separation constant 1e-9 high": (
         "dipole-consistency", 1.5, verify.stark, "beta_eigenvalue", _times(1.0 + 1e-9)
+    ),
+    "c07 printed dipole_z column negated": (
+        "dipole-consistency", 1.5, verify.tables, "shift_columns", _negated("dipole_z")
     ),
     "c08 parabolic shell short of its last label": (
         "shell-cardinality", 1, verify.states, "enumerate_shell_parabolic", lambda f: lambda n, s: f(n, s)[:-1]

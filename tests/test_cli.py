@@ -514,6 +514,21 @@ class TestOtherCommands:
         assert result.exit_code == 2
         assert "belongs to shell" in result.output
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["--m", "1000"], "(n1=0, n2=0, m=1000) belongs to shell n=1001, not n=3"),
+            (["--n2", "1000"], "(n1=0, n2=1000, m=0) belongs to shell n=1001, not n=3"),
+        ],
+        ids=["m", "n2"],
+    )
+    def test_wavefunction_labels_above_the_cap_name_their_shell(self, runner, labels, message):
+        # the labels' shell is past the cap, but the rule they break is --n's
+        result = runner.invoke(main, ["wavefunction", "--n", "3", *labels])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {message}\n"
+
     def test_wavefunction_spherical(self, runner):
         result = runner.invoke(
             main,

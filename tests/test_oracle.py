@@ -92,7 +92,7 @@ class TestSubspace:
     def test_offdiagonals_vanish(self):
         # the parabolic basis diagonalizes V inside a shell
         for n, s, params in ((3, half(0), P0), (4, half(0), P0), (3, half(1), P1)):
-            scale = params.a * params.e_abs * F1.epsilon
+            scale = params.a * F1.epsilon
             assert offdiagonal_report(n, s, F1, params) <= 1e-9 * scale
 
     def test_offdiagonal_scales_linearly(self):
@@ -190,7 +190,7 @@ class TestSectorTables:
     def test_entries_match_the_element_route(self, s_raw):
         for n, s in _shells(s_raw, 6):
             params = PhysicalParams.atomic(s)
-            scale = params.a * params.e_abs * F1.epsilon
+            scale = params.a * F1.epsilon
             for m in {st.m for st in enumerate_shell_parabolic(n, s)}:
                 sub = build_subspace(n, s, m, F1, params)
                 assert np.array_equal(sub.entries, sub.entries.T)
@@ -273,7 +273,7 @@ def _per_degree_entries(n, s, m):
         table = np.array([phi_pq(p, q, x, nf, params) for p in ps])
         moments += [np.einsum("ik,jk->ij", table * wk, table) for wk in (w, w * x**2)]
     g0_xi, g2_xi, g0_eta, g2_eta = moments
-    pref = 2.0 / (nf**4 * params.a**3) * params.e_abs * F1.epsilon / 8.0
+    pref = 2.0 / (nf**4 * params.a**3) * F1.epsilon / 8.0
     upper = np.triu(pref * (g2_xi * g0_eta - g0_xi * g2_eta))
     return upper + np.triu(upper, 1).T
 

@@ -55,17 +55,26 @@ P1 = PhysicalParams.atomic(1)
 
 class TestPhysicalParams:
     def test_bohr_radius_is_derived(self):
-        p = PhysicalParams(hbar=2.0, mu=0.5, gamma_c=4.0, e_abs=1.0, s=half(0))
-        assert p.a == pytest.approx(2.0**2 / (0.5 * 4.0))
+        p = PhysicalParams(gamma_c=4.0, s=half(0))
+        assert p.a == 0.25
+
+    def test_fields_are_the_coupling_and_the_monopole_number(self):
+        assert [f.name for f in dataclasses.fields(PhysicalParams)] == ["gamma_c", "s"]
+
+    @pytest.mark.parametrize("unit", ["hbar", "mu", "e_abs"])
+    def test_units_are_not_parameters(self, unit):
+        with pytest.raises(TypeError, match=unit):
+            PhysicalParams(**{unit: 1.0})
 
     def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            PhysicalParams(hbar=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^gamma_c must be a positive finite number, got 0.0$"):
+            PhysicalParams(gamma_c=0.0)
+        with pytest.raises(ValueError, match="^gamma_c must be a positive finite number, got -1.0$"):
             PhysicalParams(gamma_c=-1.0)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"gamma_c": 1e103}, {"gamma_c": 1e-103}, {"gamma_c": 1e-320}, {"hbar": 1e200}, {"mu": 1e-300}]
+        "kwargs",
+        [{"gamma_c": 1e103}, {"gamma_c": 1e-103}, {"gamma_c": 1e-320}, {"gamma_c": 1e300}, {"gamma_c": 1e-300}],
     )
     def test_derived_scales_must_be_representable(self, kwargs):
         with pytest.raises(ValueError, match="a\\^3, a\\^-3 and gamma_c\\^2 must be finite and nonzero"):
@@ -665,7 +674,7 @@ def _product_residual(state, params):
     z = h * np.arange(1, 701)
     x = z[2:-2]
     keep = x >= an
-    k = params.hbar**2 / (2.0 * params.mu)
+    k = 0.5  # hbar^2 / (2 mu) in atomic units
     e0 = energy_level(state.n, params)
 
     def factor(f, q):
@@ -782,10 +791,10 @@ class TestParabolicPsi:
         "state", [ParabolicState(1, 0, 0, 0), ParabolicState(1, 0, half("-1/2"), half("1/2"))]
     )
     def test_schroedinger_residual_at_generic_units(self, state):
-        # hbar, mu and gamma all differ from 1, so the separation constant
-        # hbar * beta is told apart from beta, hbar^2 beta / mu or gamma beta;
-        # both states have X != 0, so beta itself is nonzero
-        params = PhysicalParams(hbar=1.7, mu=0.6, gamma_c=2.3, e_abs=1.9, s=state.s)
+        # gamma differs from 1, so the separation constant beta is told apart
+        # from gamma beta or beta / gamma; both states have X != 0, so beta
+        # itself is nonzero
+        params = PhysicalParams(gamma_c=2.3, s=state.s)
         assert beta_eigenvalue(state, params) != 0.0
         r = parabolic_hamiltonian_residual(state, params)
         assert r <= 1e-6
@@ -801,7 +810,7 @@ class TestParabolicPsi:
         assert peak < 2**20
 
     def test_state_params_mismatch_raises(self):
-        with pytest.raises(ValueError, match="must agree"):
+        with pytest.raises(ValueError, match="^s=0 disagrees with params.s=1$"):
             parabolic_psi(ParabolicState(0, 0, 0, 0), ParabolicPoint(1.0, 1.0), P1)
 
 
@@ -865,7 +874,7 @@ class TestPsiGrid:
         assert psi_grid(state, [1.0], [1.0], 7.0, params)[0, 0] == pytest.approx(reduced, rel=1e-14)
 
     def test_state_params_mismatch_raises(self):
-        with pytest.raises(ValueError, match="must agree"):
+        with pytest.raises(ValueError, match="^s=0 disagrees with params.s=1$"):
             psi_grid(ParabolicState(0, 0, 0, 0), [1.0], [1.0], 0.0, P1)
 
 

@@ -44,10 +44,10 @@ def reference_json(rows, params, field=None, ratio=None) -> str:
 
     doc = {
         "params": {
-            "hbar": params.hbar,
-            "mu": params.mu,
+            "hbar": 1.0,
+            "mu": 1.0,
             "gamma": params.gamma_c,
-            "e_abs": params.e_abs,
+            "e_abs": 1.0,
             "s2": params.s.twice,
             "a": params.a,
         },
