@@ -224,13 +224,13 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
         _fail_validation(exc)
     values = psi.ravel()
     table = {
-        "coord1": np.repeat(c1, len(c2)).tolist(),
-        "coord2": np.tile(c2, len(c1)).tolist(),
-        "phi": [phi] * values.size,
-        "psi_re": values.real.tolist(),
-        "psi_im": values.imag.tolist(),
+        "coord1": np.repeat(c1, len(c2)),
+        "coord2": np.tile(c2, len(c1)),
+        "phi": np.full(values.size, phi),
+        "psi_re": values.real,
+        "psi_im": values.imag,
         # abs(v) ** 2 on Python complexes: numpy's square can round differently
-        "abs2": list(map(pow, map(abs, values.tolist()), repeat(2))),
+        "abs2": np.array(list(map(pow, map(abs, values.tolist()), repeat(2)))),
     }
     _render(table, fmt, params, output=output)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,15 +72,24 @@ class PhysicalParams:
     """Coulomb coupling gamma_c and monopole number s of the charge-dyon pair.
 
     Units are atomic, hbar = mu = |e| = 1; the length scale a = 1 / gamma_c
-    is always derived, never stored.
+    is always derived, never stored.  gamma_c may be any real number but a
+    bool (numpy scalars included) and is stored as a Python float.
     """
 
     gamma_c: float = 1.0
     s: HalfInteger = HalfInteger(0)
 
     def __post_init__(self):
-        if not (isinstance(self.gamma_c, (int, float)) and self.gamma_c > 0 and math.isfinite(self.gamma_c)):
+        # a bool is an int to Python, but True is no coupling
+        if isinstance(self.gamma_c, bool) or not isinstance(self.gamma_c, numbers.Real):
+            raise ValueError(f"gamma_c must be a real number other than a bool, got {self.gamma_c!r}")
+        try:
+            gamma_c = float(self.gamma_c)
+        except OverflowError:  # an int past the float range
+            gamma_c = math.inf
+        if not (gamma_c > 0 and math.isfinite(gamma_c)):
             raise ValueError(f"gamma_c must be a positive finite number, got {self.gamma_c!r}")
+        object.__setattr__(self, "gamma_c", gamma_c)
         # energies go as gamma^2 and wavefunction norms as a^-3/2, so these
         # scales must be representable for any result to be
         try:

@@ -1,7 +1,8 @@
 """Deterministic CSV/JSON rendering of result tables.
 
-A table is a dict of equal-length columns: ``{"e0": [...], "e1": [...]}``,
-with ``None`` for an empty cell.  Its keys, in order, are the CSV header
+A table is a dict of equal-length columns: ``{"e0": [...], "e1": [...]}``.
+A column is a list, with ``None`` for an empty cell, or a 1-D float
+array, which has none.  The table's keys, in order, are the CSV header
 and the JSON record keys.
 
 Half-integer quantum numbers are serialized losslessly as doubled
@@ -13,9 +14,11 @@ round-trips are exact.  JSON never contains NaN or Inf.
 The renderers work one column at a time: a column's distinct values are
 formatted once, and every pass over its cells (the lookups, the CSV
 joins, the JSON record template) is a ``map`` or ``zip`` that runs in C;
-only the quoting of the short e0/e1 columns loops in Python.  A
-wavefunction grid is tens of thousands of cells, and a Python-level loop
-per cell costs more than computing the grid.
+only the quoting of the short e0/e1 columns loops in Python.  An array
+column, such as a wavefunction grid's, finds its distinct values with
+one ``np.unique`` sort and lays out their texts by its inverse index.  A
+grid is tens of thousands of cells, and a Python-level loop per cell
+costs more than computing the grid.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import math
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
+
+import numpy as np
 
 from .stark import FieldConfig, StarkShiftRecord, shift_columns
 from .states import PhysicalParams, SphericalState, _shell, energy_level, spherical_labels
@@ -119,13 +124,25 @@ _INT_KEYS = frozenset(("s2", "n1", "n2", "m2", "j2"))
 _DECIMAL_KEYS = frozenset(("e0", "e1"))  # decimal strings in JSON: exact round trip
 
 
-def _column(key: str, values: list, empty: str | None = None) -> list:
+def _column(key: str, values: list | np.ndarray, empty: str | None = None) -> list:
     """The text of each cell of one column, ``empty`` for an empty one.
 
-    Each distinct value is formatted once.  Values that compare equal
-    convert to the same int or float (-0.0 folds into 0.0), so sharing
-    one text among them is exact.
+    A column is a list, whose cells may be ``None``, or a 1-D float
+    array, which has no empty cell.  Each distinct value is formatted
+    once.  Values that compare equal convert to the same int or float
+    (-0.0 folds into 0.0), so sharing one text among them is exact.
     """
+    if isinstance(values, np.ndarray):
+        # one sort in C finds the distinct values and each cell's index among them
+        if key in _INT_KEYS:
+            distinct, inverse = np.unique(values, return_inverse=True)
+            texts = list(map(str, map(int, distinct.tolist())))
+        else:
+            distinct, inverse = np.unique(values + 0.0, return_inverse=True)
+            if not np.isfinite(distinct).all():
+                raise ValueError("refusing to serialize a non-finite number")
+            texts = list(map(repr, distinct.tolist()))
+        return np.array(texts, dtype=object)[inverse].tolist()
     distinct = dict.fromkeys(values)
     distinct.pop(None, None)
     if key in _INT_KEYS:
@@ -142,7 +159,7 @@ def _column(key: str, values: list, empty: str | None = None) -> list:
     return list(map(text.__getitem__, values))
 
 
-def render_csv(table: dict[str, list]) -> str:
+def render_csv(table: dict[str, list | np.ndarray]) -> str:
     """RFC-4180 text (CRLF line ends, the table's keys as the header row).
 
     Cells are ints, floats or empty, so none needs quoting and a row is
@@ -154,7 +171,7 @@ def render_csv(table: dict[str, list]) -> str:
 
 
 def render_json(
-    table: dict[str, list],
+    table: dict[str, list | np.ndarray],
     params: PhysicalParams,
     field: FieldConfig | None = None,
     ratio: float | None = None,

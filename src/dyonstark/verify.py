@@ -307,15 +307,23 @@ def check_shell_cardinality(max_n=None) -> CheckResult:
     label must derive the shell's n, and the labels must be distinct
     and in ``sort_key`` order; and each m sector must have as many
     parabolic as spherical labels, which is the condition for a unitary
-    change of basis whichever way the two lists were built.
+    change of basis whichever way the two lists were built.  The printed
+    ``spectrum`` table must list the spherical states in that order, each
+    with the shell's n, s2 and energy.
     """
-    bounds = _Bounds(shell=0.0, sector=0.0)
+    bounds = _Bounds(shell=0.0, sector=0.0, table=0.0)
     for s_twice in range(-6, 7):
         s = HalfInteger(s_twice)
+        params = PhysicalParams.atomic(s)
         for n, _ in _shells([s], abs(s).value + 8, max_n):
             expected = (n.twice**2 - s.twice**2) // 4
             sph = states.enumerate_shell_spherical(n, s)
             par = states.enumerate_shell_parabolic(n, s)
+            table = tables.spectrum_table(n, s, params)
+            rows = list(zip(table["n"], table["s2"], table["j2"], table["m2"], table["e0"]))
+            e0 = states.energy_level(n, params)
+            want = [(n.value, s.twice, st.j.twice, st.m.twice, e0) for st in sph]
+            bounds.add("table", float(rows != want), cases=0)
             keys = [st.sort_key for st in par]
             shell_ok = (
                 len(sph) == expected == len(par)
@@ -327,7 +335,7 @@ def check_shell_cardinality(max_n=None) -> CheckResult:
             par_m = Counter(st.m.twice for st in par)
             for m_twice in sph_m.keys() | par_m.keys():
                 bounds.add("sector", abs(sph_m[m_twice] - par_m[m_twice]))
-    return bounds.result("c08-shell-cardinality", "m sectors, |s| <= 3, n <= |s| + 8")
+    return bounds.result("c08-shell-cardinality", "m sectors and the spectrum table, |s| <= 3, n <= |s| + 8")
 
 
 def _gs_angular_reference(s: HalfInteger, m: HalfInteger, theta):

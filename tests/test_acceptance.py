@@ -248,7 +248,7 @@ def _times(factor):
 
 
 def _negated(key):
-    """The defect that negates one column of ``shift_columns``."""
+    """The defect that negates one column of a table: ``shift_columns`` or ``spectrum_table``."""
     return lambda f: lambda *args: (lambda columns: {**columns, key: [-v for v in columns[key]]})(f(*args))
 
 
@@ -283,6 +283,10 @@ MUTANTS = {
     ),
     "c08 parabolic shell short of its last label": (
         "shell-cardinality", 1, verify.states, "enumerate_shell_parabolic", lambda f: lambda n, s: f(n, s)[:-1]
+    ),
+    # n = 1 has only m = 0, so the first shell a negated m shows in is n = 3/2
+    "c08 printed spectrum m2 column negated": (
+        "shell-cardinality", 1.5, verify.tables, "spectrum_table", _negated("m2")
     ),
     "c09 angular constant 1% high": ("wavefunction-suites", 1, verify.states, "_angular_norm", _times(1.01)),
     "inv-quadrature Laguerre weights 1e-9 heavy": (

@@ -159,6 +159,16 @@ class TestOutputPins:
                 "wavefunction --basis spherical --n 3 --s 1 --points 7",
                 "fad1d256455ff148b7dc7923c0a90afbeb946d8783516c580b7190abb796c65b",
             ),
+            # 200 x 200 grids as the list renderer wrote them: a symmetric grid
+            # whose psi_im is all zero, and a phi = 0 grid with -0.0 in psi_re
+            (
+                "wavefunction --n 3 --points 200 --format json",
+                "339f63b32b0d39f49c119d1bb4d43a0da114b86471719f868ba9c21421cb19a1",
+            ),
+            (
+                "wavefunction --basis spherical --n 8 --j 5 --m 3 --points 200 --format csv",
+                "29c2e320d37bb64f26320f8d6d627ff37eb1c4874e846de4c2e4de5e0308e074",
+            ),
             (
                 "spectrum --n 23/2 --s -3/2 --gamma 0.75 --format csv",
                 "732dd4ef8192dcbf73429bf462ded827e4d59c5f6d0a726c8c82407904c5c734",

@@ -72,6 +72,22 @@ class TestPhysicalParams:
         with pytest.raises(ValueError, match="^gamma_c must be a positive finite number, got -1.0$"):
             PhysicalParams(gamma_c=-1.0)
 
+    @pytest.mark.parametrize("gamma_c", [True, False, np.True_])
+    def test_bool_coupling_refused_by_its_rule(self, gamma_c):
+        with pytest.raises(ValueError, match="^gamma_c must be a real number other than a bool, got"):
+            PhysicalParams(gamma_c=gamma_c)
+
+    @pytest.mark.parametrize("gamma_c", [np.float32(2.0), np.int64(2), 2, Fraction(2)])
+    def test_real_coupling_stored_as_a_float(self, gamma_c):
+        params = PhysicalParams(gamma_c=gamma_c)
+        assert type(params.gamma_c) is float and params.gamma_c == 2.0
+        head = tables.render_json({}, params)
+        assert '"gamma": 2.0,' in head and '"a": 0.5' in head
+
+    def test_coupling_past_the_float_range_refused(self):
+        with pytest.raises(ValueError, match="^gamma_c must be a positive finite number"):
+            PhysicalParams(gamma_c=10**400)
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"gamma_c": 1e103}, {"gamma_c": 1e-103}, {"gamma_c": 1e-320}, {"gamma_c": 1e300}, {"gamma_c": 1e-300}],

@@ -9,9 +9,11 @@ import csv
 import io
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyonstark import stark, states, tables
@@ -185,6 +187,47 @@ class TestAgainstReference:
     )
     def test_any_finite_rows(self, rows):
         _both(_table(rows, ["coord1", "m2", "e1", "abs2"]))
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 0.5]
+
+
+class TestArrayColumns:
+    """A 1-D float array renders as the list of its values does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from(EXTREMES) | st.floats(allow_nan=False, allow_infinity=False)] * 3),
+            max_size=12,
+        )
+    )
+    @example([(x, x, -x) for x in EXTREMES * 2])
+    def test_array_table_renders_as_its_lists(self, rows):
+        lists = {key: [row[i] for row in rows] for i, key in enumerate(["coord1", "psi_re", "e1"])}
+        arrays = {key: np.array(values, dtype=float) for key, values in lists.items()}
+        _both(lists)
+        assert tables.render_csv(arrays) == tables.render_csv(lists)
+        assert tables.render_json(arrays, PARAMS, FIELD, 0.5) == tables.render_json(lists, PARAMS, FIELD, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_without_warning(self, bad):
+        table = {"coord1": np.array([0.0, 1.0, 1.0]), "abs2": np.array([2.0, bad, 2.0])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^refusing to serialize a non-finite number$"):
+                tables.render_csv(table)
+            with pytest.raises(ValueError, match="^refusing to serialize a non-finite number$"):
+                tables.render_json(table, PARAMS)
+
+    def test_int_key_array_prints_ints(self):
+        table = {"m2": np.array([2.0, -0.0, -3.0, 2.0]), "n1": np.array([2**53 + 1, 0, 1, 0]), "n": np.arange(4)}
+        assert tables.render_csv(table) == (
+            "m2,n1,n\r\n2,9007199254740993,0.0\r\n0,0,1.0\r\n-3,1,2.0\r\n2,0,3.0\r\n"
+        )
+        records = json.loads(tables.render_json(table, PARAMS))["records"]
+        assert [type(r["m2"]) for r in records] == [int] * 4
+        assert [r["n1"] for r in records] == [2**53 + 1, 0, 1, 0]
 
 
 class TestNonFinite:
