@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 
 import click
 import numpy as np
@@ -64,27 +64,36 @@ def _writable_output(ctx, param, output: str) -> str:
     _unwritable(output, os.strerror(code))
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(pieces, output: str | None) -> None:
+    """Write the text pieces in order to stdout or to ``output``."""
     if output in (None, "-"):
-        click.get_text_stream("stdout").write(text)
+        stream = click.get_text_stream("stdout")
+        try:
+            stream.writelines(pieces)
+            stream.flush()
+        except OSError as exc:
+            if exc.errno != errno.EPIPE:  # a reader that stops early, as head does, is no error
+                _fail_validation(ValueError(f"cannot write stdout: {exc.strerror or exc}"))
     else:
         try:
             with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             _unwritable(output, exc.strerror or str(exc))
 
 
 def _render(table, fmt, params, field=None, ratio=None, output=None):
+    if fmt == "csv":
+        pieces = tables.csv_pieces(table)
+    else:
+        pieces = tables.json_pieces(table, params, field=field, ratio=ratio)
     try:
-        if fmt == "csv":
-            text = tables.render_csv(table)
-        else:
-            text = tables.render_json(table, params, field=field, ratio=ratio)
+        # the first piece comes only after every cell is checked
+        first = next(pieces)
     except ValueError as exc:
         # the renderers refuse NaN and Inf, which finite inputs reach by overflow
         _fail_validation(ValueError(f"results must be finite, but these inputs overflow them ({exc})"))
-    _emit(text, output)
+    _emit(chain([first], pieces), output)
 
 
 _output_option = click.option(
@@ -141,6 +150,13 @@ def _field_command(name: str, epsilon: float, build, doc: str):
         except ValueError as exc:
             _fail_validation(exc)
         ratio = field.perturbative_ratio(n, params)
+        if not math.isfinite(ratio):
+            _fail_validation(
+                ValueError(
+                    "results must be finite, but these inputs overflow the perturbative ratio "
+                    f"|e| eps a^2 n^4 / gamma = {ratio!r}"
+                )
+            )
         # first-order theory is credible while this stays well below one
         click.echo(f"perturbative ratio |e| eps a^2 n^4 / gamma = {ratio!r}", err=True)
         _render(table, fmt, params, field=field, ratio=ratio, output=output)
@@ -246,7 +262,7 @@ def wavefunction(s_str, n_str, gamma, basis, n1, n2, j_str, m_str, points, exten
 def verify_cmd(max_n_str, only, fmt, output, list_only):
     """Run the named verification checks; exit 3 on any breach."""
     if list_only:
-        _emit("\n".join(verify.CHECKS) + "\n", output)
+        _emit(["\n".join(verify.CHECKS) + "\n"], output)
         return
     max_n = None
     if max_n_str is not None:
@@ -287,13 +303,13 @@ def verify_cmd(max_n_str, only, fmt, output, list_only):
             ],
             "failures": failures,
         }
-        _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", output)
+        _emit([json.dumps(doc, indent=2, allow_nan=False) + "\n"], output)
     else:
         lines = [r.line() for r in results]
         lines.append(f"{len(results) - len(failures)}/{len(results)} checks passed")
         if failures:
             lines.append("failures: " + json.dumps(failures))
-        _emit("\n".join(lines) + "\n", output)
+        _emit(["\n".join(lines) + "\n"], output)
     if failures:
         sys.exit(3)
 

@@ -11,14 +11,20 @@ the shortest decimal string that parses back to the identical float,
 so identical configurations produce byte-identical output and JSON
 round-trips are exact.  JSON never contains NaN or Inf.
 
-The renderers work one column at a time: a column's distinct values are
-formatted once, and every pass over its cells (the lookups, the CSV
-joins, the JSON record template) is a ``map`` or ``zip`` that runs in C;
-only the quoting of the short e0/e1 columns loops in Python.  An array
-column, such as a wavefunction grid's, finds its distinct values with
-one ``np.unique`` sort and lays out their texts by its inverse index.  A
-grid is tens of thousands of cells, and a Python-level loop per cell
-costs more than computing the grid.
+A table is rendered in two stages.  First, before any text exists, each
+column is checked (equal lengths, no NaN or Inf) and each of its
+distinct values is formatted once; a list column finds them with a dict,
+an array column, such as a wavefunction grid's, with one ``np.unique``
+sort whose inverse index lays out their texts.  Then the rows are laid
+out ``BLOCK_ROWS`` at a time, and ``csv_pieces``/``json_pieces`` yield
+each block's lines or records as one piece, which the CLI writes before
+laying out the next.  Every pass over the cells (the lookups, the CSV
+joins, the JSON record template) is a ``map``, a ``zip`` or a numpy
+index, which runs in C: a grid is tens of thousands of cells, and a
+Python-level loop per cell costs more than computing the grid.  No
+table is ever one string on its way to the output, so a 512 x 512 JSON
+grid peaks at about 100 MiB of RSS, not 256 MiB.  ``render_csv`` and
+``render_json`` join the pieces.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ __all__ = [
     "spectrum_table",
     "rows_from_stark_records",
     "rows_from_spectrum",
+    "BLOCK_ROWS",
+    "csv_pieces",
+    "json_pieces",
     "render_csv",
     "render_json",
     "parse_json_records",
@@ -123,14 +132,18 @@ def rows_from_spectrum(shell: list[SphericalState], e0: float) -> dict[str, list
 _INT_KEYS = frozenset(("s2", "n1", "n2", "m2", "j2"))
 _DECIMAL_KEYS = frozenset(("e0", "e1"))  # decimal strings in JSON: exact round trip
 
+BLOCK_ROWS = 4096  # rows laid out and written per piece
 
-def _column(key: str, values: list | np.ndarray, empty: str | None = None) -> list:
-    """The text of each cell of one column, ``empty`` for an empty one.
 
-    A column is a list, whose cells may be ``None``, or a 1-D float
-    array, which has no empty cell.  Each distinct value is formatted
-    once.  Values that compare equal convert to the same int or float
-    (-0.0 folds into 0.0), so sharing one text among them is exact.
+def _column(key: str, values: list | np.ndarray, empty: str, quote: bool = False):
+    """The texts of one column's cells, as a function of a row range.
+
+    A column is a list, whose cells may be ``None`` (written ``empty``),
+    or a 1-D float array, which has no empty cell.  Each distinct value
+    is checked and formatted once, here, before any row is laid out;
+    ``quote`` wraps each text in double quotes.  Values that compare
+    equal convert to the same int or float (-0.0 folds into 0.0), so
+    sharing one text among them is exact.
     """
     if isinstance(values, np.ndarray):
         # one sort in C finds the distinct values and each cell's index among them
@@ -142,7 +155,10 @@ def _column(key: str, values: list | np.ndarray, empty: str | None = None) -> li
             if not np.isfinite(distinct).all():
                 raise ValueError("refusing to serialize a non-finite number")
             texts = list(map(repr, distinct.tolist()))
-        return np.array(texts, dtype=object)[inverse].tolist()
+        if quote:
+            texts = [f'"{text}"' for text in texts]
+        texts = np.array(texts, dtype=object)
+        return lambda lo, hi: texts[inverse[lo:hi]].tolist()
     distinct = dict.fromkeys(values)
     distinct.pop(None, None)
     if key in _INT_KEYS:
@@ -152,11 +168,42 @@ def _column(key: str, values: list | np.ndarray, empty: str | None = None) -> li
         if not all(map(math.isfinite, floats)):
             raise ValueError("refusing to serialize a non-finite number")
         texts = list(map(repr, map(add, floats, repeat(0.0))))
+    if quote:
+        texts = [f'"{text}"' for text in texts]
     if len(texts) == len(values):
-        return texts  # no empty cell and no repeat: already in cell order
+        return lambda lo, hi: texts[lo:hi]  # no empty cell and no repeat: already in cell order
     text = dict(zip(distinct, texts))
     text[None] = empty
-    return list(map(text.__getitem__, values))
+    return lambda lo, hi: list(map(text.__getitem__, values[lo:hi]))
+
+
+def _blocks(table: dict[str, list | np.ndarray], empty: str, quoted=frozenset()):
+    """The table's rows, as one iterator of cell-text tuples per block of
+    ``BLOCK_ROWS`` rows.
+
+    Every column is checked and its distinct values formatted before the
+    first block is returned, so a refusal comes before any output.
+    """
+    lengths = {len(values) for values in table.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length: {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 0
+    columns = [_column(key, values, empty, key in quoted) for key, values in table.items()]
+    return (
+        zip(*[column(lo, lo + BLOCK_ROWS) for column in columns]) for lo in range(0, rows, BLOCK_ROWS)
+    )
+
+
+def csv_pieces(table: dict[str, list | np.ndarray]):
+    """``render_csv``'s text in pieces: the header line, then the lines
+    of one block of rows per piece.
+
+    Every check is made before the first piece is returned.
+    """
+    blocks = _blocks(table, '""' if len(table) == 1 else "")
+    yield ",".join(table) + "\r\n"
+    for cells in blocks:
+        yield "\r\n".join(map(",".join, cells)) + "\r\n"
 
 
 def render_csv(table: dict[str, list | np.ndarray]) -> str:
@@ -165,20 +212,20 @@ def render_csv(table: dict[str, list | np.ndarray]) -> str:
     Cells are ints, floats or empty, so none needs quoting and a row is
     one join; a lone empty cell is written "" as ``csv.writer`` does.
     """
-    empty = '""' if len(table) == 1 else ""
-    cells = [_column(key, values, empty) for key, values in table.items()]
-    return "\r\n".join([",".join(table), *map(",".join, zip(*cells, strict=True)), ""])
+    return "".join(csv_pieces(table))
 
 
-def render_json(
+def json_pieces(
     table: dict[str, list | np.ndarray],
     params: PhysicalParams,
     field: FieldConfig | None = None,
     ratio: float | None = None,
-) -> str:
-    """The table as ``json.dumps(doc, indent=2)`` writes its records, one
-    dict per row, without its pure-Python encoder: only the header goes
-    through ``json.dumps``."""
+):
+    """``render_json``'s text in pieces: the header up to the records,
+    the records of one block of rows per piece, then the closing lines.
+
+    Every check is made before the first piece is returned.
+    """
     head = json.dumps(
         {
             "params": {
@@ -198,19 +245,30 @@ def render_json(
         indent=2,
         allow_nan=False,
     )
-    cells = [
-        ["null" if text is None else f'"{text}"' for text in _column(key, values)]
-        if key in _DECIMAL_KEYS
-        else _column(key, values, "null")
-        for key, values in table.items()
-    ]
+    blocks = _blocks(table, "null", _DECIMAL_KEYS)
     template = "    {\n" + ",\n".join(
         f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in table
     ) + "\n    }"
-    records = list(map(template.__mod__, zip(*cells, strict=True)))
-    if not records:
-        return head + "\n"
-    return head.removesuffix("[]\n}") + "[\n" + ",\n".join(records) + "\n  ]\n}\n"
+    first = next(blocks, None)
+    if first is None:
+        yield head + "\n"
+        return
+    yield head.removesuffix("[]\n}") + "[\n" + ",\n".join(map(template.__mod__, first))
+    for cells in blocks:
+        yield ",\n" + ",\n".join(map(template.__mod__, cells))
+    yield "\n  ]\n}\n"
+
+
+def render_json(
+    table: dict[str, list | np.ndarray],
+    params: PhysicalParams,
+    field: FieldConfig | None = None,
+    ratio: float | None = None,
+) -> str:
+    """The table as ``json.dumps(doc, indent=2)`` writes its records, one
+    dict per row, without its pure-Python encoder: only the header goes
+    through ``json.dumps``."""
+    return "".join(json_pieces(table, params, field, ratio))
 
 
 def parse_json_records(text: str) -> dict[str, list]:

@@ -4,9 +4,13 @@ import hashlib
 import importlib.metadata
 import json
 import math
+import os
 import platform
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +19,16 @@ from click.testing import CliRunner
 import dyonstark.cli
 import dyonstark.stark
 import dyonstark.states
+import dyonstark.tables
 import dyonstark.verify
 from dyonstark.cli import main
 from dyonstark.specfun import half
 from dyonstark.stark import FieldConfig, stark_table
 from dyonstark.states import PhysicalParams
 from dyonstark.tables import RECORD_COLUMNS, parse_json_records, render_json
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -347,6 +355,71 @@ class TestNonFinite:
         assert "RuntimeWarning" not in result.stderr
         assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", ["shifts", "splitting"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_infinite_perturbative_ratio_refused_in_both_formats(self, runner, command, fmt):
+        # eps n^4 = 1.6e309 overflows, while the n = 200 shifts themselves stay finite
+        result = runner.invoke(main, [command, "--n", "200", "--epsilon", "1e300", "--format", fmt])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "overflow the perturbative ratio |e| eps a^2 n^4 / gamma = inf" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_value_in_the_last_block_refused_before_any_output(
+        self, runner, monkeypatch, tmp_path, fmt
+    ):
+        grid = dyonstark.states.psi_grid
+
+        def last_point_overflows(*args, **kwargs):
+            psi = grid(*args, **kwargs)
+            psi[-1, -1] = complex(math.inf, 0.0)
+            return psi
+
+        monkeypatch.setattr(dyonstark.states, "psi_grid", last_point_overflows)
+        points = 91  # 8281 rows: the last of three blocks holds the overflowing row
+        assert 2 * dyonstark.tables.BLOCK_ROWS < points**2 < 3 * dyonstark.tables.BLOCK_ROWS
+        args = ["wavefunction", "--n", "3", "--points", str(points), "--format", fmt]
+        path = tmp_path / "grid.out"
+        for output in ([], ["--output", str(path)]):
+            result = runner.invoke(main, args + output)
+            assert result.exit_code == 2
+            assert "results must be finite" in result.stderr
+            assert result.stdout == ""
+        assert not path.exists()
+
+
+def _cli_process(args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-m", "dyonstark.cli", *args], env=env, **kwargs)
+
+
+class TestStdoutErrors:
+    """Writing stdout fails in a real process, so these run the CLI in one."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("args", [["shifts", "--n", "200"], ["shifts", "--n", "2"], ["verify", "--list"]])
+    def test_full_device_exits_2_without_traceback(self, args):
+        with open("/dev/full", "w") as full:
+            proc = _cli_process(args, stdout=full, stderr=subprocess.PIPE, text=True)
+            _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert "error: cannot write stdout: No space left on device" in stderr
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
+
+    def test_reader_that_stops_early_gets_a_silent_exit_0(self):
+        # as with `dyonstark wavefunction ... | head -1`: the grid is some 2 MB,
+        # far past what the pipe holds once its reader has gone
+        args = ["wavefunction", "--n", "3", "--points", "100", "--format", "json"]
+        proc = _cli_process(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""
 
 
 class TestBasisOptions:

@@ -128,6 +128,12 @@ class TestAgainstReference:
             tables.render_csv(table)
         with pytest.raises(ValueError):
             tables.render_json({"e0": [], "m2": [1]}, PARAMS)
+        # refused before the first piece, though only the last block is short
+        table = {"e0": [1.0] * (tables.BLOCK_ROWS + 1), "m2": [1] * tables.BLOCK_ROWS}
+        with pytest.raises(ValueError, match="^columns of unequal length"):
+            next(tables.csv_pieces(table))
+        with pytest.raises(ValueError, match="^columns of unequal length"):
+            next(tables.json_pieces(table, PARAMS))
 
     def test_none_negative_zero_and_extreme_values(self):
         _both(EDGE, ratio=1e-300)
@@ -228,6 +234,50 @@ class TestArrayColumns:
         records = json.loads(tables.render_json(table, PARAMS))["records"]
         assert [type(r["m2"]) for r in records] == [int] * 4
         assert [r["n1"] for r in records] == [2**53 + 1, 0, 1, 0]
+
+
+B = tables.BLOCK_ROWS
+
+
+def _block_table(rows: int) -> dict:
+    """List and array columns whose values repeat across blocks, with -0.0
+    in both kinds and empty cells in the lists."""
+    k = np.arange(rows)
+    return {
+        "n": [3.5] * rows,
+        "m2": [i % 7 - 3 for i in range(rows)],
+        "e0": [i / 7.0 - 300.0 for i in range(rows)],  # no repeat and no empty cell
+        "e1": [None if i % 5 == 0 else -0.0 if i % 5 == 1 else (i % 11) * 0.1 for i in range(rows)],
+        "coord1": np.repeat(np.linspace(0.0, 3.0, (rows + 29) // 30), 30)[:rows],
+        "psi_re": np.where(k % 3 == 0, -0.0, np.sin(k % 13)),
+        "abs2": k * 1e-300,  # no repeat
+    }
+
+
+class TestBlocks:
+    """Rows are laid out and written one block of ``BLOCK_ROWS`` at a time."""
+
+    @pytest.mark.parametrize("rows", [B - 1, B, B + 1, 2 * B + 1])
+    def test_block_edges_render_as_the_reference(self, rows):
+        table = _block_table(rows)
+        _both(table, ratio=0.5)
+        csv_pieces = list(tables.csv_pieces(table))
+        json_pieces = list(tables.json_pieces(table, PARAMS, FIELD, 0.5))
+        assert "".join(csv_pieces) == tables.render_csv(table)
+        assert "".join(json_pieces) == tables.render_json(table, PARAMS, FIELD, 0.5)
+        assert [piece.count("\r\n") for piece in csv_pieces[1:]] == [min(B, rows - lo) for lo in range(0, rows, B)]
+        assert [piece.count("\n    {\n") for piece in json_pieces[:-1]] == [
+            min(B, rows - lo) for lo in range(0, rows, B)
+        ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_in_the_last_block_refused_before_the_first_piece(self, bad):
+        table = _block_table(2 * B + 1)
+        table["e1"][-1] = bad
+        with pytest.raises(ValueError, match="^refusing to serialize a non-finite number$"):
+            next(tables.csv_pieces(table))
+        with pytest.raises(ValueError, match="^refusing to serialize a non-finite number$"):
+            next(tables.json_pieces(table, PARAMS))
 
 
 class TestNonFinite:
