@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter
+
+import numpy as np
 
 from .specfun import HalfInteger, half
 from .states import (
@@ -98,17 +98,19 @@ def bracket_twelfths(state: ParabolicState) -> int:
     return _label_bracket(state.n.twice, state.s.twice, state.n1, state.n2, state.m.twice)
 
 
-def _label_bracket(n2x: int, s2: int, n1: int, n2: int, m2: int) -> int:
+def _label_bracket(n2x: int, s2: int, n1, n2, m2):
     """``bracket_twelfths`` of the label (n1, n2, m2) in shell 2n = n2x at 2s = s2.
 
+    The labels are ints, or int64 arrays for a bracket per element.
     m - s and m + s are integers, so |2m - 2s| - |2m + 2s| is even.
     """
     x2 = 2 * (n1 - n2) + (abs(m2 - s2) - abs(m2 + s2)) // 2
     return 3 * n2x * x2 + m2 * s2
 
 
-def _shift(unit: float, bracket: int, epsilon: float) -> float:
-    """The shift of a state with this bracket, ``unit`` being ``shift_unit``.
+def _shift(unit: float, bracket, epsilon: float):
+    """The shift of a state with this bracket, ``unit`` being ``shift_unit``;
+    an int64 array of brackets gives a float array of shifts.
 
     epsilon multiplies last, so scaling the field scales the shift with
     no extra rounding: the shift at field eps equals eps times the shift
@@ -117,7 +119,7 @@ def _shift(unit: float, bracket: int, epsilon: float) -> float:
     return (unit * (bracket / 12.0)) * epsilon
 
 
-def _dipole(unit: float, bracket: int) -> float:
+def _dipole(unit: float, bracket):
     """-d(shift)/d(eps) of ``_shift``; + 0.0 folds -0.0 into 0.0."""
     return -_shift(unit, bracket, 1.0) + 0.0
 
@@ -209,27 +211,37 @@ def dipole_operator_expectation(state: ParabolicState, params: PhysicalParams) -
     return 3.0 * params.gamma_c / (4.0 * e0) * i3 - state.s.value / (2.0 * params.gamma_c) * j3
 
 
-def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, list]:
+def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, list | np.ndarray]:
     """The n1, n2, m2, e0, e1 and dipole_z columns of one shell, one row
-    per state, computed from the labels with no state object.
+    per state, computed from the label arrays with no state object.
 
-    Rows are sorted by the shift (compared exactly through the integer
-    bracket, so equal shifts are true ties) and then by (n1, n2, m); with
-    no field every shift is 0, and the order is (n1, n2, m) alone.
+    n1, n2 and m2 are int64 arrays, e1 and dipole_z float arrays, and e0
+    is a list: the shell energy on every row.  ``_label_bracket``,
+    ``_shift`` and ``_dipole`` act elementwise on the arrays, so each
+    bracket is exact in int64 and each shift has the bits of the scalar
+    forms.  Rows are sorted by the shift (compared exactly through the
+    integer bracket, so equal shifts are true ties) and then by
+    (n1, n2, m); with no field every shift is 0, and the order is
+    (n1, n2, m) alone.
     """
     n, s = _shell(n, s, params)
-    rows = [(_label_bracket(n.twice, s.twice, *label), *label) for label in parabolic_labels(n, s)]
+    n1, n2, m2 = parabolic_labels(n, s)
+    brackets = _label_bracket(n.twice, s.twice, n1, n2, m2)
     if field.epsilon > 0:
-        rows.sort(key=itemgetter(0))  # stable: the labels are already in (n1, n2, m) order
-    brackets, n1, n2, m2 = map(list, zip(*rows))
+        order = np.argsort(brackets, kind="stable")  # the labels are already in (n1, n2, m) order
+        brackets, n1, n2, m2 = brackets[order], n1[order], n2[order], m2[order]
     unit = shift_unit(params)
+    # a huge field or a tiny coupling overflows the shifts; the CLI refuses
+    # such inputs with exit 2, so numpy need not warn first
+    with np.errstate(over="ignore"):
+        e1, dipole_z = _shift(unit, brackets, field.epsilon), _dipole(unit, brackets)
     return {
         "n1": n1,
         "n2": n2,
         "m2": m2,
-        "e0": [energy_level(n, params)] * len(rows),
-        "e1": list(map(_shift, repeat(unit), brackets, repeat(field.epsilon))),
-        "dipole_z": list(map(_dipole, repeat(unit), brackets)),
+        "e0": [energy_level(n, params)] * brackets.size,
+        "e1": e1,
+        "dipole_z": dipole_z,
     }
 
 
@@ -238,8 +250,11 @@ def stark_table(
 ) -> list[StarkShiftRecord]:
     """One record per shell state, in ``shift_columns`` order."""
     columns = shift_columns(n, s, field, params)
+    labels = zip(columns["n1"].tolist(), columns["n2"].tolist(), columns["m2"].tolist())
     s = half(s)
     return [
         StarkShiftRecord(ParabolicState(n1, n2, HalfInteger(m2), s), e0, e1, dipole_z)
-        for n1, n2, m2, e0, e1, dipole_z in zip(*columns.values())
+        for (n1, n2, m2), e0, e1, dipole_z in zip(
+            labels, columns["e0"], columns["e1"].tolist(), columns["dipole_z"].tolist()
+        )
     ]

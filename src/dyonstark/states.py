@@ -241,14 +241,26 @@ def energy_level(n, params: PhysicalParams) -> float:
     return -params.gamma_c**2 / (2.0 * nf * nf)
 
 
-def spherical_labels(n, s) -> list[tuple[int, int]]:
-    """All (2j, 2m) labels of shell n, in ``sort_key`` order; n^2 - s^2 of them."""
+def _runs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(run, position) of every element of consecutive runs of these sizes:
+    run i covers ``sizes[i]`` elements, at positions 0, 1, ... within it."""
+    run = np.arange(sizes.size).repeat(sizes)
+    return run, np.arange(run.size) - (sizes.cumsum() - sizes)[run]
+
+
+def spherical_labels(n, s) -> tuple[np.ndarray, np.ndarray]:
+    """The (2j, 2m) labels of shell n as two int64 arrays, in ``sort_key``
+    order; n^2 - s^2 of them.
+
+    j runs over |s|, |s| + 1, ..., n - 1, and each j holds the 2j + 1
+    values m = -j, ..., j: one run per j, laid out by ``_runs`` with no
+    Python loop over the labels.
+    """
     n, s = _shell(n, s)
-    return [
-        (j2, m2)
-        for j2 in range(abs(s.twice), n.twice - 1, 2)
-        for m2 in range(-j2, j2 + 1, 2)
-    ]
+    j2 = np.arange(abs(s.twice), n.twice - 1, 2)
+    run, pos = _runs(j2 + 1)
+    j2 = j2[run]
+    return j2, 2 * pos - j2
 
 
 def enumerate_shell_spherical(n, s) -> list[SphericalState]:
@@ -257,37 +269,43 @@ def enumerate_shell_spherical(n, s) -> list[SphericalState]:
     n, s = half(n), half(s)
     return [
         SphericalState(n=n, j=HalfInteger(j2), m=HalfInteger(m2), s=s)
-        for j2, m2 in spherical_labels(n, s)
+        for j2, m2 in zip(*(labels.tolist() for labels in spherical_labels(n, s)))
     ]
 
 
-def parabolic_labels(n, s) -> list[tuple[int, int, int]]:
-    """All (n1, n2, 2m) labels of shell n, in ``sort_key`` order.
+def parabolic_labels(n, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n1, n2, 2m) labels of shell n as three int64 arrays, in
+    ``sort_key`` order.
 
     The shell is built directly from n = n1 + n2 + max(|m|, |s|) + 1:
     for each n1 and n2 <= n - |s| - 1 - n1, k = n - 1 - n1 - n2 fixes
     |m| = k when k > |s|, and allows every |m| <= |s| with m - s an
     integer when k = |s|.  The cardinality is n^2 - s^2, as for the
-    spherical enumeration.
+    spherical enumeration.  The (n1, n2) pairs are runs, one per n1, and
+    the labels of each pair a run again, both laid out by ``_runs`` with
+    no Python loop over the labels.
     """
     n, s = _shell(n, s)
     n_r = (n - abs(s) - 1).as_int()
     s_abs2 = abs(s.twice)
-    low_m = range(-s_abs2, s_abs2 + 1, 2)
-    labels = []
-    for n1 in range(n_r + 1):
-        for n2 in range(n_r - n1 + 1):
-            k2 = n.twice - 2 * (1 + n1 + n2)
-            for m2 in (-k2, k2) if k2 > s_abs2 else low_m:
-                labels.append((n1, n2, m2))
-    return labels
+    # the (n1, n2) pairs: n1 = 0..n_r, then n2 = 0..n_r - n1
+    n1, n2 = _runs(np.arange(n_r + 1, 0, -1))
+    k2 = n.twice - 2 * (1 + n1 + n2)
+    # m runs from -k: to k in one step of 2k where k > |s|, and in 2|s|
+    # steps of 1 where k = |s|
+    two = k2 > s_abs2
+    pair, pos = _runs(np.where(two, 2, s_abs2 + 1))
+    return n1[pair], n2[pair], pos * np.where(two, 2 * k2, 2)[pair] - k2[pair]
 
 
 def enumerate_shell_parabolic(n, s) -> list[ParabolicState]:
     """All (n1, n2, m) states of shell n, in ``sort_key`` order
     (``parabolic_labels``)."""
     s = half(s)
-    return [ParabolicState(n1, n2, HalfInteger(m2), s) for n1, n2, m2 in parabolic_labels(n, s)]
+    return [
+        ParabolicState(n1, n2, HalfInteger(m2), s)
+        for n1, n2, m2 in zip(*(labels.tolist() for labels in parabolic_labels(n, s)))
+    ]
 
 
 def beta_eigenvalue(state: ParabolicState, params: PhysicalParams) -> float:

@@ -1,9 +1,10 @@
 """Deterministic CSV/JSON rendering of result tables.
 
 A table is a dict of equal-length columns: ``{"e0": [...], "e1": [...]}``.
-A column is a list, with ``None`` for an empty cell, or a 1-D float
-array, which has none.  The table's keys, in order, are the CSV header
-and the JSON record keys.
+A column is a list, with ``None`` for an empty cell, or a 1-D array,
+which has none: int64 for a shell's labels (n1, n2, m2, j2), float for
+its shifts and for a wavefunction grid.  The table's keys, in order, are
+the CSV header and the JSON record keys.
 
 Half-integer quantum numbers are serialized losslessly as doubled
 integers (columns s2, m2, j2).  Energies are rendered with ``repr``,
@@ -14,17 +15,17 @@ round-trips are exact.  JSON never contains NaN or Inf.
 A table is rendered in two stages.  First, before any text exists, each
 column is checked (equal lengths, no NaN or Inf) and each of its
 distinct values is formatted once; a list column finds them with a dict,
-an array column, such as a wavefunction grid's, with one ``np.unique``
-sort whose inverse index lays out their texts.  Then the rows are laid
-out ``BLOCK_ROWS`` at a time, and ``csv_pieces``/``json_pieces`` yield
-each block's lines or records as one piece, which the CLI writes before
-laying out the next.  Every pass over the cells (the lookups, the CSV
-joins, the JSON record template) is a ``map``, a ``zip`` or a numpy
-index, which runs in C: a grid is tens of thousands of cells, and a
-Python-level loop per cell costs more than computing the grid.  No
-table is ever one string on its way to the output, so a 512 x 512 JSON
-grid peaks at about 100 MiB of RSS, not 256 MiB.  ``render_csv`` and
-``render_json`` join the pieces.
+an array column, such as a wavefunction grid's or a shell's labels and
+shifts, with one ``np.unique`` sort whose inverse index lays out their
+texts.  Then the rows are laid out ``BLOCK_ROWS`` at a time, and
+``csv_pieces``/``json_pieces`` yield each block's lines or records as
+one piece, which the CLI writes before laying out the next.  Every pass
+over the cells (the lookups, the CSV joins, the JSON record template) is
+a ``map``, a ``zip`` or a numpy index, which runs in C: a grid is tens
+of thousands of cells, and a Python-level loop per cell costs more than
+computing the grid.  No table is ever one string on its way to the
+output, so a 512 x 512 JSON grid peaks at about 100 MiB of RSS, not
+256 MiB.  ``render_csv`` and ``render_json`` join the pieces.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ __all__ = [
 RECORD_COLUMNS = ["n", "s2", "n1", "n2", "m2", "j2", "e0", "e1", "dipole_z"]
 
 
-def shifts_table(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, list]:
-    """The ``shifts``/``dipole`` table of one shell: ``stark.shift_columns``
-    with the shell's n and s2 on every row and no j2."""
+def shifts_table(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, list | np.ndarray]:
+    """The ``shifts``/``dipole`` table of one shell: ``stark.shift_columns``,
+    its label and shift arrays as they are, with the shell's n and s2 on
+    every row and no j2."""
     n, s = _shell(n, s, params)
     columns = shift_columns(n, s, field, params)
     count = len(columns["e0"])
@@ -76,21 +78,21 @@ def shifts_table(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, 
     }
 
 
-def spectrum_table(n, s, params: PhysicalParams) -> dict[str, list]:
-    """The ``spectrum`` table of one shell: its (j, m) labels in
-    ``sort_key`` order, each at the shell energy."""
+def spectrum_table(n, s, params: PhysicalParams) -> dict[str, list | np.ndarray]:
+    """The ``spectrum`` table of one shell: its (j, m) label arrays in
+    ``sort_key`` order, each row at the shell energy."""
     n, s = _shell(n, s, params)
-    labels = spherical_labels(n, s)
-    e0 = energy_level(n, params)
-    empty = [None] * len(labels)
+    j2, m2 = spherical_labels(n, s)
+    count = j2.size
+    empty = [None] * count
     return {
-        "n": [n.value] * len(labels),
-        "s2": [s.twice] * len(labels),
+        "n": [n.value] * count,
+        "s2": [s.twice] * count,
         "n1": empty,
         "n2": empty,
-        "m2": [m2 for _, m2 in labels],
-        "j2": [j2 for j2, _ in labels],
-        "e0": [e0] * len(labels),
+        "m2": m2,
+        "j2": j2,
+        "e0": [energy_level(n, params)] * count,
         "e1": empty,
         "dipole_z": empty,
     }
@@ -139,7 +141,7 @@ def _column(key: str, values: list | np.ndarray, empty: str, quote: bool = False
     """The texts of one column's cells, as a function of a row range.
 
     A column is a list, whose cells may be ``None`` (written ``empty``),
-    or a 1-D float array, which has no empty cell.  Each distinct value
+    or a 1-D int or float array, which has no empty cell.  Each distinct value
     is checked and formatted once, here, before any row is laid out;
     ``quote`` wraps each text in double quotes.  Values that compare
     equal convert to the same int or float (-0.0 folds into 0.0), so

@@ -122,8 +122,8 @@ def _printed(column: str, shell, field: FieldConfig, params: PhysicalParams) -> 
     """The printed ``shifts`` table's ``column`` for each state of the shell, by
     label; NaN for a state without a row, and for all if the row count is off."""
     table = tables.shifts_table(shell[0].n, params.s, field, params)
-    labels = zip(table["n1"], table["n2"], table["m2"])
-    rows = dict(zip(labels, table[column])) if len(table[column]) == len(shell) else {}
+    labels = zip(table["n1"].tolist(), table["n2"].tolist(), table["m2"].tolist())
+    rows = dict(zip(labels, table[column].tolist())) if len(table[column]) == len(shell) else {}
     return [rows.get((st.n1, st.n2, st.m.twice), math.nan) for st in shell]
 
 
@@ -320,7 +320,7 @@ def check_shell_cardinality(max_n=None) -> CheckResult:
             sph = states.enumerate_shell_spherical(n, s)
             par = states.enumerate_shell_parabolic(n, s)
             table = tables.spectrum_table(n, s, params)
-            rows = list(zip(table["n"], table["s2"], table["j2"], table["m2"], table["e0"]))
+            rows = list(zip(table["n"], table["s2"], table["j2"].tolist(), table["m2"].tolist(), table["e0"]))
             e0 = states.energy_level(n, params)
             want = [(n.value, s.twice, st.j.twice, st.m.twice, e0) for st in sph]
             bounds.add("table", float(rows != want), cases=0)

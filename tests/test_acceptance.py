@@ -249,7 +249,7 @@ def _times(factor):
 
 def _negated(key):
     """The defect that negates one column of a table: ``shift_columns`` or ``spectrum_table``."""
-    return lambda f: lambda *args: (lambda columns: {**columns, key: [-v for v in columns[key]]})(f(*args))
+    return lambda f: lambda *args: (lambda columns: {**columns, key: -columns[key]})(f(*args))
 
 
 # one defect in the code each check covers, at the smallest --max-n that

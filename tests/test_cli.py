@@ -222,6 +222,25 @@ class TestOutputPins:
                 "spectrum --n 399/2 --s -3/2 --format csv",
                 "0e620275b91ba292c6f287d2d9399040ce4865235f6b608551d9831c2119c1f2",
             ),
+            # the CI cap commands as the per-row table builders wrote them
+            (
+                "shifts --n 200",
+                "fafd9d875422f03dc47f850f48a7f08ce26cad2f05e630f835f30a2fa6cda619",
+            ),
+            (
+                "dipole --n 399/2 --s 1/2 --format json",
+                "41e83ec9d1d4075fe38c384eab9932c1a110b64893e0f916ef7e8feef003ed55",
+            ),
+            (
+                "spectrum --n 200 --s -3",
+                "4638ea6c5574aff8100e207ca061dbfaab7270c56166b261237f97a4ac70478c",
+            ),
+            # exact bracket ties, (0, 0, m = -9) with (3, 0, m = 6) among them:
+            # tied rows keep their (n1, n2, m) order
+            (
+                "shifts --n 10 --s 2 --format json",
+                "2dac80937b0e1ff415b5a5610eb86b583e0da8cec6aaa905ce475f8a92b17f84",
+            ),
         ],
     )
     def test_table_bytes(self, runner, args, digest):
@@ -334,6 +353,15 @@ class TestNonFinite:
             ("wavefunction --n 2 --phi inf", "--phi must be a finite number"),
             ("shifts --n 2 --epsilon 1e308 --format json", "results must be finite"),
             ("dipole --n 2 --gamma 1e-320", "results must be finite"),
+            # the shifts themselves overflow as well as the ratio
+            (
+                "shifts --n 20 --gamma 1e-100 --epsilon 1e250 --format csv",
+                "overflow the perturbative ratio |e| eps a^2 n^4 / gamma = inf",
+            ),
+            (
+                "shifts --n 20 --gamma 1e-100 --epsilon 1e250 --format json",
+                "overflow the perturbative ratio |e| eps a^2 n^4 / gamma = inf",
+            ),
         ],
     )
     def test_exits_2_without_traceback(self, runner, args, message):
@@ -341,6 +369,7 @@ class TestNonFinite:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert message in result.stderr
+        assert "RuntimeWarning" not in result.stderr
         assert "Traceback" not in result.output
         assert result.stdout == ""
 

@@ -2,13 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyonstark.specfun import half
+from dyonstark.specfun import HalfInteger, half
 from dyonstark.stark import (
     FieldConfig,
+    _dipole,
+    _shift,
     bracket_twelfths,
     dipole_operator_expectation,
     integral_I,
@@ -17,7 +20,9 @@ from dyonstark.stark import (
     shell_splitting,
     shift_closed_form,
     shift_integral_form,
+    shift_columns,
     shift_quantum,
+    shift_unit,
     stark_table,
 )
 from dyonstark.states import ParabolicState, PhysicalParams, enumerate_shell_parabolic
@@ -220,6 +225,50 @@ class TestStarkTable:
         rec2 = stark_table(2, 0, FieldConfig(2.0), P0)
         for a, b in zip(rec1, rec2):
             assert b.e1 == 2.0 * a.e1
+
+
+def _column_rows(n, s, field):
+    """(bracket, n1, n2, m2, e1, dipole_z) of each ``shift_columns`` row, the
+    bracket from the row's state."""
+    table = shift_columns(n, s, field, PhysicalParams.atomic(s))
+    columns = [table[key] for key in ("n1", "n2", "m2", "e1", "dipole_z")]
+    assert [column.dtype for column in columns] == [np.int64] * 3 + [np.float64] * 2
+    rows = zip(*(column.tolist() for column in columns))
+    return [
+        (bracket_twelfths(ParabolicState(n1, n2, HalfInteger(m2), half(s))), n1, n2, m2, e1, dipole_z)
+        for n1, n2, m2, e1, dipole_z in rows
+    ]
+
+
+class TestShiftColumns:
+    """The array columns against the scalar shift of each row's state."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize(
+        "n, s", [("1", "0"), ("5/2", "1/2"), ("7", "3"), ("10", "2"), ("41/2", "-3/2"), ("60", "-1")]
+    )
+    def test_e1_and_dipole_are_the_scalar_forms_bit_for_bit(self, n, s, epsilon):
+        n, s = half(n), half(s)
+        unit = shift_unit(PhysicalParams.atomic(s))
+        rows = _column_rows(n, s, FieldConfig(epsilon))
+        assert len(rows) == (n.twice**2 - s.twice**2) // 4
+        for bracket, _, _, _, e1, dipole_z in rows:
+            assert e1.hex() == _shift(unit, bracket, epsilon).hex()
+            assert dipole_z.hex() == _dipole(unit, bracket).hex()
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])
+    @pytest.mark.parametrize("n, s", [(10, 2), (7, 3)])
+    def test_tied_brackets_keep_label_order(self, n, s, epsilon):
+        rows = _column_rows(n, s, FieldConfig(epsilon))
+        keys = [row[:4] for row in rows]
+        assert keys == sorted(keys)
+        brackets = [key[0] for key in keys]
+        assert len(set(brackets)) < len(brackets)  # the shell has ties to order
+        if (n, s) == (10, 2):
+            labels = [key[1:] for key in keys]
+            # the bracket 168 of (0, 0, m = -9) and of (3, 0, m = 6)
+            assert brackets[labels.index((0, 0, -18))] == brackets[labels.index((3, 0, 12))] == 168
+            assert labels.index((0, 0, -18)) < labels.index((3, 0, 12))
 
 
 class TestValidation:

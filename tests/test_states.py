@@ -43,6 +43,7 @@ from dyonstark.states import (
     phi_table,
     psi_grid,
     radial_R,
+    spherical_labels,
     spherical_overlap,
     spherical_psi,
     volume_element,
@@ -134,16 +135,33 @@ class TestEnergy:
 def _scan_shell_parabolic(n, s):
     """Reference shell: every (n1, n2, 2m) with n1, n2 <= n - |s| - 1 and
     |m| <= n whose principal level n1 + n2 + (|m-s| + |m+s|)/2 + 1 is n,
-    sorted by (n1, n2, m).  An O(n^3) scan over candidate labels."""
+    sorted by (n1, n2, m).  An O(n^3) scan over candidate labels, one
+    (n2, m) plane of them per n1, so that the cap shells take milliseconds."""
     n_r = (n - abs(s) - 1).as_int()
+    n2, m_twice = np.meshgrid(np.arange(n_r + 1), np.arange(-n.twice, n.twice + 1, 2), indexing="ij")
+    q_sum2 = np.abs(m_twice - s.twice) + np.abs(m_twice + s.twice)
     labels = []
     for n1 in range(n_r + 1):
-        for n2 in range(n_r + 1):
-            for m_twice in range(-n.twice, n.twice + 1, 2):
-                q_sum2 = abs(m_twice - s.twice) + abs(m_twice + s.twice)
-                if 2 * (n1 + n2 + 1) + q_sum2 // 2 == n.twice:
-                    labels.append((n1, n2, m_twice))
+        hit = 2 * (n1 + n2 + 1) + q_sum2 // 2 == n.twice
+        labels += zip(itertools.repeat(n1), n2[hit].tolist(), m_twice[hit].tolist())
     return sorted(labels)
+
+
+def _nested_spherical_labels(n, s):
+    """Reference (2j, 2m) labels: j = |s|, ..., n - 1, then m = -j, ..., j."""
+    return [(j2, m2) for j2 in range(abs(s.twice), n.twice - 1, 2) for m2 in range(-j2, j2 + 1, 2)]
+
+
+def _assert_label_arrays(n, s):
+    """Both label enumerations of the shell are int64 arrays of n^2 - s^2
+    rows, equal to the reference scans."""
+    rows = (n.twice**2 - s.twice**2) // 4
+    for labels, want in (
+        (parabolic_labels(n, s), _scan_shell_parabolic(n, s)),
+        (spherical_labels(n, s), _nested_spherical_labels(n, s)),
+    ):
+        assert [(a.dtype, a.shape) for a in labels] == [(np.int64, (rows,))] * len(labels)
+        assert list(zip(*(a.tolist() for a in labels))) == want
 
 
 class TestEnumeration:
@@ -183,13 +201,17 @@ class TestEnumeration:
     @pytest.mark.parametrize("s_twice", range(-12, 13))
     def test_direct_build_matches_scan(self, s_twice):
         s = HalfInteger(s_twice)
-        for k in range(15):
+        for k in range(20):  # every shell with n <= 20, and more
             n = abs(s) + 1 + k
+            _assert_label_arrays(n, s)
             labels = _scan_shell_parabolic(n, s)
-            assert parabolic_labels(n, s) == labels
             assert enumerate_shell_parabolic(n, s) == [
                 ParabolicState(n1, n2, HalfInteger(m2), s) for n1, n2, m2 in labels
             ]
+
+    @pytest.mark.parametrize("n, s", [("200", "0"), ("399/2", "1/2"), ("399/2", "-1/2"), ("200", "3"), ("200", "-3")])
+    def test_label_arrays_match_the_scans_at_the_cap(self, n, s):
+        _assert_label_arrays(half(n), half(s))
 
     def test_builds_only_shell_labels(self, monkeypatch):
         built = []

@@ -328,8 +328,17 @@ def _object_records(shell, field, params):
     ]
 
 
+def _cells(column):
+    """A column's cells as Python values: an array's through ``tolist``."""
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
 def _same_bytes(got, want, params, field=None):
-    assert got == want
+    assert list(got) == list(want)
+    for key in want:
+        cells, wanted = _cells(got[key]), _cells(want[key])
+        assert cells == wanted, key
+        assert list(map(type, cells)) == list(map(type, wanted)), key
     assert tables.render_csv(got) == tables.render_csv(want)
     assert tables.render_json(got, params, field, 0.5) == tables.render_json(want, params, field, 0.5)
 
