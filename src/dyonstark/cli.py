@@ -170,7 +170,8 @@ def _shell_table(n, s, field, params):
 
 def _splitting_table(n, s, field, params):
     delta = stark.shell_splitting(n, s, field, params)
-    return {"n": [n.value], "s2": [s.twice], "epsilon": [field.epsilon], "delta_e": [delta]}
+    row = {"n": n.value, "s2": s.twice, "epsilon": field.epsilon, "delta_e": delta}
+    return {key: np.array([value]) for key, value in row.items()}
 
 
 shifts = _field_command("shifts", 1.0, _shell_table, "First-order Stark shift table for one shell.")

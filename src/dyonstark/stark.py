@@ -211,12 +211,12 @@ def dipole_operator_expectation(state: ParabolicState, params: PhysicalParams) -
     return 3.0 * params.gamma_c / (4.0 * e0) * i3 - state.s.value / (2.0 * params.gamma_c) * j3
 
 
-def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, list | np.ndarray]:
+def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, np.ndarray]:
     """The n1, n2, m2, e0, e1 and dipole_z columns of one shell, one row
     per state, computed from the label arrays with no state object.
 
-    n1, n2 and m2 are int64 arrays, e1 and dipole_z float arrays, and e0
-    is a list: the shell energy on every row.  ``_label_bracket``,
+    n1, n2 and m2 are int64 arrays, and e0, e1 and dipole_z float
+    arrays, e0 the shell energy on every row.  ``_label_bracket``,
     ``_shift`` and ``_dipole`` act elementwise on the arrays, so each
     bracket is exact in int64 and each shift has the bits of the scalar
     forms.  Rows are sorted by the shift (compared exactly through the
@@ -239,7 +239,7 @@ def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str,
         "n1": n1,
         "n2": n2,
         "m2": m2,
-        "e0": [energy_level(n, params)] * brackets.size,
+        "e0": np.full(brackets.size, energy_level(n, params)),
         "e1": e1,
         "dipole_z": dipole_z,
     }
@@ -255,6 +255,6 @@ def stark_table(
     return [
         StarkShiftRecord(ParabolicState(n1, n2, HalfInteger(m2), s), e0, e1, dipole_z)
         for (n1, n2, m2), e0, e1, dipole_z in zip(
-            labels, columns["e0"], columns["e1"].tolist(), columns["dipole_z"].tolist()
+            labels, columns["e0"].tolist(), columns["e1"].tolist(), columns["dipole_z"].tolist()
         )
     ]

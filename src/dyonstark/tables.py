@@ -1,10 +1,11 @@
 """Deterministic CSV/JSON rendering of result tables.
 
 A table is a dict of equal-length columns: ``{"e0": [...], "e1": [...]}``.
-A column is a list, with ``None`` for an empty cell, or a 1-D array,
-which has none: int64 for a shell's labels (n1, n2, m2, j2), float for
-its shifts and for a wavefunction grid.  The table's keys, in order, are
-the CSV header and the JSON record keys.
+A column is a 1-D array of numbers: int64 for a shell's labels (n1, n2,
+m2, j2), float for its energies, its shifts and a wavefunction grid.  A
+column whose every cell is empty is ``None``; a table of only ``None``
+columns has no rows.  The table's keys, in order, are the CSV header and
+the JSON record keys.
 
 Half-integer quantum numbers are serialized losslessly as doubled
 integers (columns s2, m2, j2).  Energies are rendered with ``repr``,
@@ -13,28 +14,24 @@ so identical configurations produce byte-identical output and JSON
 round-trips are exact.  JSON never contains NaN or Inf.
 
 A table is rendered in two stages.  First, before any text exists, each
-column is checked (equal lengths, no NaN or Inf) and each of its
-distinct values is formatted once; a list column finds them with a dict,
-an array column, such as a wavefunction grid's or a shell's labels and
-shifts, with one ``np.unique`` sort whose inverse index lays out their
-texts.  Then the rows are laid out ``BLOCK_ROWS`` at a time, and
-``csv_pieces``/``json_pieces`` yield each block's lines or records as
-one piece, which the CLI writes before laying out the next.  Every pass
-over the cells (the lookups, the CSV joins, the JSON record template) is
-a ``map``, a ``zip`` or a numpy index, which runs in C: a grid is tens
-of thousands of cells, and a Python-level loop per cell costs more than
-computing the grid.  No table is ever one string on its way to the
-output, so a 512 x 512 JSON grid peaks at about 100 MiB of RSS, not
-256 MiB.  ``render_csv`` and ``render_json`` join the pieces.
+column is checked (numbers, equal lengths, no NaN or Inf) and each of
+its distinct values is formatted once: one ``np.unique`` sort finds
+them, and its inverse index lays out their texts.  Then the rows are
+laid out ``BLOCK_ROWS`` at a time, and ``csv_pieces``/``json_pieces``
+yield each block's lines or records as one piece, which the CLI writes
+before laying out the next.  Every pass over the cells (the lookups, the
+CSV joins, the JSON record template) is a ``map``, a ``zip`` or a numpy
+index, which runs in C: a grid is tens of thousands of cells, and a
+Python-level loop per cell costs more than computing the grid.  No table
+is ever one string on its way to the output, so a 512 x 512 JSON grid
+peaks at about 100 MiB of RSS, not 256 MiB.  ``render_csv`` and
+``render_json`` join the pieces.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import add
 
 import numpy as np
 
@@ -58,47 +55,46 @@ __all__ = [
 RECORD_COLUMNS = ["n", "s2", "n1", "n2", "m2", "j2", "e0", "e1", "dipole_z"]
 
 
-def shifts_table(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, list | np.ndarray]:
+def shifts_table(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, np.ndarray | None]:
     """The ``shifts``/``dipole`` table of one shell: ``stark.shift_columns``,
-    its label and shift arrays as they are, with the shell's n and s2 on
-    every row and no j2."""
+    its arrays as they are, with the shell's n and s2 on every row and no
+    j2."""
     n, s = _shell(n, s, params)
     columns = shift_columns(n, s, field, params)
-    count = len(columns["e0"])
+    count = columns["e0"].size
     return {
-        "n": [n.value] * count,
-        "s2": [s.twice] * count,
+        "n": np.full(count, n.value),
+        "s2": np.full(count, s.twice),
         "n1": columns["n1"],
         "n2": columns["n2"],
         "m2": columns["m2"],
-        "j2": [None] * count,
+        "j2": None,
         "e0": columns["e0"],
         "e1": columns["e1"],
         "dipole_z": columns["dipole_z"],
     }
 
 
-def spectrum_table(n, s, params: PhysicalParams) -> dict[str, list | np.ndarray]:
+def spectrum_table(n, s, params: PhysicalParams) -> dict[str, np.ndarray | None]:
     """The ``spectrum`` table of one shell: its (j, m) label arrays in
     ``sort_key`` order, each row at the shell energy."""
     n, s = _shell(n, s, params)
     j2, m2 = spherical_labels(n, s)
     count = j2.size
-    empty = [None] * count
     return {
-        "n": [n.value] * count,
-        "s2": [s.twice] * count,
-        "n1": empty,
-        "n2": empty,
+        "n": np.full(count, n.value),
+        "s2": np.full(count, s.twice),
+        "n1": None,
+        "n2": None,
         "m2": m2,
         "j2": j2,
-        "e0": [energy_level(n, params)] * count,
-        "e1": empty,
-        "dipole_z": empty,
+        "e0": np.full(count, energy_level(n, params)),
+        "e1": None,
+        "dipole_z": None,
     }
 
 
-def rows_from_stark_records(records: list[StarkShiftRecord]) -> dict[str, list]:
+def rows_from_stark_records(records: list[StarkShiftRecord]) -> dict[str, list | None]:
     """The ``shifts_table`` of ``stark_table`` records, read off their states."""
     shell = [rec.state for rec in records]
     return {
@@ -107,27 +103,26 @@ def rows_from_stark_records(records: list[StarkShiftRecord]) -> dict[str, list]:
         "n1": [st.n1 for st in shell],
         "n2": [st.n2 for st in shell],
         "m2": [st.m.twice for st in shell],
-        "j2": [None] * len(shell),
+        "j2": None,
         "e0": [rec.e0 for rec in records],
         "e1": [rec.e1 for rec in records],
         "dipole_z": [rec.dipole_z for rec in records],
     }
 
 
-def rows_from_spectrum(shell: list[SphericalState], e0: float) -> dict[str, list]:
+def rows_from_spectrum(shell: list[SphericalState], e0: float) -> dict[str, list | None]:
     """The ``spectrum_table`` of a list of spherical states at energy e0."""
     shell = sorted(shell, key=lambda x: x.sort_key)
-    empty = [None] * len(shell)
     return {
         "n": [st.n.value for st in shell],
         "s2": [st.s.twice for st in shell],
-        "n1": empty,
-        "n2": empty,
+        "n1": None,
+        "n2": None,
         "m2": [st.m.twice for st in shell],
         "j2": [st.j.twice for st in shell],
         "e0": [e0] * len(shell),
-        "e1": empty,
-        "dipole_z": empty,
+        "e1": None,
+        "dipole_z": None,
     }
 
 
@@ -137,88 +132,77 @@ _DECIMAL_KEYS = frozenset(("e0", "e1"))  # decimal strings in JSON: exact round 
 BLOCK_ROWS = 4096  # rows laid out and written per piece
 
 
-def _column(key: str, values: list | np.ndarray, empty: str, quote: bool = False):
+def _column(key: str, values: np.ndarray | None, empty: str, quote: bool = False):
     """The texts of one column's cells, as a function of a row range.
 
-    A column is a list, whose cells may be ``None`` (written ``empty``),
-    or a 1-D int or float array, which has no empty cell.  Each distinct value
-    is checked and formatted once, here, before any row is laid out;
-    ``quote`` wraps each text in double quotes.  Values that compare
+    ``None`` is a column of empty cells, each written ``empty``; anything
+    else must convert to a 1-D bool, int or float array.  Each distinct
+    value is checked and formatted once, here, before any row is laid
+    out; ``quote`` wraps each text in double quotes.  Values that compare
     equal convert to the same int or float (-0.0 folds into 0.0), so
     sharing one text among them is exact.
     """
-    if isinstance(values, np.ndarray):
-        # one sort in C finds the distinct values and each cell's index among them
-        if key in _INT_KEYS:
-            distinct, inverse = np.unique(values, return_inverse=True)
-            texts = list(map(str, map(int, distinct.tolist())))
-        else:
-            distinct, inverse = np.unique(values + 0.0, return_inverse=True)
-            if not np.isfinite(distinct).all():
-                raise ValueError("refusing to serialize a non-finite number")
-            texts = list(map(repr, distinct.tolist()))
-        if quote:
-            texts = [f'"{text}"' for text in texts]
-        texts = np.array(texts, dtype=object)
-        return lambda lo, hi: texts[inverse[lo:hi]].tolist()
-    distinct = dict.fromkeys(values)
-    distinct.pop(None, None)
+    if values is None:
+        return lambda lo, hi: [empty] * (hi - lo)
+    values = np.asarray(values)
+    if values.ndim != 1 or values.dtype.kind not in "biuf":
+        raise ValueError(f"column {key} is not a 1-D array of numbers: {values.dtype} of shape {values.shape}")
+    # one sort in C finds the distinct values and each cell's index among them
     if key in _INT_KEYS:
-        texts = list(map(str, map(int, distinct)))
+        distinct, inverse = np.unique(values, return_inverse=True)
+        texts = list(map(str, map(int, distinct.tolist())))
     else:
-        floats = list(map(float, distinct))
-        if not all(map(math.isfinite, floats)):
+        distinct, inverse = np.unique(values + 0.0, return_inverse=True)
+        if not np.isfinite(distinct).all():
             raise ValueError("refusing to serialize a non-finite number")
-        texts = list(map(repr, map(add, floats, repeat(0.0))))
+        texts = list(map(repr, distinct.tolist()))
     if quote:
         texts = [f'"{text}"' for text in texts]
-    if len(texts) == len(values):
-        return lambda lo, hi: texts[lo:hi]  # no empty cell and no repeat: already in cell order
-    text = dict(zip(distinct, texts))
-    text[None] = empty
-    return lambda lo, hi: list(map(text.__getitem__, values[lo:hi]))
+    texts = np.array(texts, dtype=object)
+    return lambda lo, hi: texts[inverse[lo:hi]].tolist()
 
 
-def _blocks(table: dict[str, list | np.ndarray], empty: str, quoted=frozenset()):
+def _blocks(table: dict[str, np.ndarray | None], empty: str, quoted=frozenset()):
     """The table's rows, as one iterator of cell-text tuples per block of
-    ``BLOCK_ROWS`` rows.
+    ``BLOCK_ROWS`` rows; the row count is that of the columns that are
+    not ``None``.
 
     Every column is checked and its distinct values formatted before the
     first block is returned, so a refusal comes before any output.
     """
-    lengths = {len(values) for values in table.values()}
+    lengths = {len(values) for values in table.values() if values is not None}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal length: {sorted(lengths)}")
     rows = lengths.pop() if lengths else 0
     columns = [_column(key, values, empty, key in quoted) for key, values in table.items()]
     return (
-        zip(*[column(lo, lo + BLOCK_ROWS) for column in columns]) for lo in range(0, rows, BLOCK_ROWS)
+        zip(*[column(lo, min(lo + BLOCK_ROWS, rows)) for column in columns]) for lo in range(0, rows, BLOCK_ROWS)
     )
 
 
-def csv_pieces(table: dict[str, list | np.ndarray]):
+def csv_pieces(table: dict[str, np.ndarray | None]):
     """``render_csv``'s text in pieces: the header line, then the lines
     of one block of rows per piece.
 
     Every check is made before the first piece is returned.
     """
-    blocks = _blocks(table, '""' if len(table) == 1 else "")
+    blocks = _blocks(table, "")
     yield ",".join(table) + "\r\n"
     for cells in blocks:
         yield "\r\n".join(map(",".join, cells)) + "\r\n"
 
 
-def render_csv(table: dict[str, list | np.ndarray]) -> str:
+def render_csv(table: dict[str, np.ndarray | None]) -> str:
     """RFC-4180 text (CRLF line ends, the table's keys as the header row).
 
     Cells are ints, floats or empty, so none needs quoting and a row is
-    one join; a lone empty cell is written "" as ``csv.writer`` does.
+    one join.
     """
     return "".join(csv_pieces(table))
 
 
 def json_pieces(
-    table: dict[str, list | np.ndarray],
+    table: dict[str, np.ndarray | None],
     params: PhysicalParams,
     field: FieldConfig | None = None,
     ratio: float | None = None,
@@ -262,7 +246,7 @@ def json_pieces(
 
 
 def render_json(
-    table: dict[str, list | np.ndarray],
+    table: dict[str, np.ndarray | None],
     params: PhysicalParams,
     field: FieldConfig | None = None,
     ratio: float | None = None,
@@ -273,11 +257,15 @@ def render_json(
     return "".join(json_pieces(table, params, field, ratio))
 
 
-def parse_json_records(text: str) -> dict[str, list]:
-    """Inverse of render_json for the records array: a column table,
-    with the decimal strings of e0 and e1 parsed back to floats."""
+def parse_json_records(text: str) -> dict[str, list | None]:
+    """Inverse of render_json for the records array: a column table, with
+    an all-null column as ``None`` and the decimal strings of e0 and e1
+    parsed back to floats."""
     records = json.loads(text)["records"]
     table = {key: [record[key] for record in records] for key in (records[0] if records else ())}
-    for key in _DECIMAL_KEYS & table.keys():
-        table[key] = [None if value is None else float(value) for value in table[key]]
+    for key, values in table.items():
+        if values.count(None) == len(values):
+            table[key] = None
+        elif key in _DECIMAL_KEYS:
+            table[key] = list(map(float, values))
     return table

@@ -303,38 +303,45 @@ def check_dipole_consistency(max_n=None) -> CheckResult:
 def check_shell_cardinality(max_n=None) -> CheckResult:
     """Both enumerations span the same shell, sector by sector.
 
-    Each shell must hold n^2 - s^2 labels in both bases; every parabolic
-    label must derive the shell's n, and the labels must be distinct
-    and in ``sort_key`` order; and each m sector must have as many
-    parabolic as spherical labels, which is the condition for a unitary
-    change of basis whichever way the two lists were built.  The printed
-    ``spectrum`` table must list the spherical states in that order, each
-    with the shell's n, s2 and energy.
+    Each shell must hold n^2 - s^2 valid labels in both bases, in strict
+    ``sort_key`` order; every parabolic label must derive the shell's
+    2n = 2(n1 + n2 + 1) + (|2m - 2s| + |2m + 2s|)/2; and each m sector must
+    have as many parabolic as spherical labels, which is the condition for
+    a unitary change of basis whichever way the two label arrays were
+    built.  The printed ``spectrum`` table must list the spherical labels
+    in that order, each with the shell's n, s2 and energy.
     """
     bounds = _Bounds(shell=0.0, sector=0.0, table=0.0)
-    for s_twice in range(-6, 7):
-        s = HalfInteger(s_twice)
+    for s2 in range(-6, 7):
+        s = HalfInteger(s2)
         params = PhysicalParams.atomic(s)
         for n, _ in _shells([s], abs(s).value + 8, max_n):
-            expected = (n.twice**2 - s.twice**2) // 4
-            sph = states.enumerate_shell_spherical(n, s)
-            par = states.enumerate_shell_parabolic(n, s)
+            expected = (n.twice**2 - s2**2) // 4
+            sph = list(zip(*(labels.tolist() for labels in states.spherical_labels(n, s))))
+            par = list(zip(*(labels.tolist() for labels in states.parabolic_labels(n, s))))
             table = tables.spectrum_table(n, s, params)
-            rows = list(zip(table["n"], table["s2"], table["j2"].tolist(), table["m2"].tolist(), table["e0"]))
+            rows = list(zip(*(table[key].tolist() for key in ("n", "s2", "j2", "m2", "e0"))))
             e0 = states.energy_level(n, params)
-            want = [(n.value, s.twice, st.j.twice, st.m.twice, e0) for st in sph]
+            want = [(n.value, s2, j2, m2, e0) for j2, m2 in sph]
             bounds.add("table", float(rows != want), cases=0)
-            keys = [st.sort_key for st in par]
             shell_ok = (
                 len(sph) == expected == len(par)
-                and all(st.n == n for st in par)
-                and all(a < b for a, b in zip(keys, keys[1:]))
+                and all(
+                    abs(s2) <= j2 <= n.twice - 2 and -j2 <= m2 <= j2 and (j2 - s2) % 2 == (j2 - m2) % 2 == 0
+                    for j2, m2 in sph
+                )
+                and all(
+                    n1 >= 0 and n2 >= 0 and (m2 - s2) % 2 == 0
+                    and 2 * (n1 + n2 + 1) + (abs(m2 - s2) + abs(m2 + s2)) // 2 == n.twice
+                    for n1, n2, m2 in par
+                )
+                and all(a < b for labels in (sph, par) for a, b in zip(labels, labels[1:]))
             )
             bounds.add("shell", float(not shell_ok), cases=0)
-            sph_m = Counter(st.m.twice for st in sph)
-            par_m = Counter(st.m.twice for st in par)
-            for m_twice in sph_m.keys() | par_m.keys():
-                bounds.add("sector", abs(sph_m[m_twice] - par_m[m_twice]))
+            sph_m = Counter(m2 for _, m2 in sph)
+            par_m = Counter(m2 for _, _, m2 in par)
+            for m2 in sph_m.keys() | par_m.keys():
+                bounds.add("sector", abs(sph_m[m2] - par_m[m2]))
     return bounds.result("c08-shell-cardinality", "m sectors and the spectrum table, |s| <= 3, n <= |s| + 8")
 
 

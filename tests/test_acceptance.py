@@ -282,7 +282,8 @@ MUTANTS = {
         "dipole-consistency", 1.5, verify.tables, "shift_columns", _negated("dipole_z")
     ),
     "c08 parabolic shell short of its last label": (
-        "shell-cardinality", 1, verify.states, "enumerate_shell_parabolic", lambda f: lambda n, s: f(n, s)[:-1]
+        "shell-cardinality", 1, verify.states, "parabolic_labels",
+        lambda f: lambda n, s: tuple(labels[:-1] for labels in f(n, s)),
     ),
     # n = 1 has only m = 0, so the first shell a negated m shows in is n = 3/2
     "c08 printed spectrum m2 column negated": (

@@ -249,6 +249,31 @@ class TestOutputPins:
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
+# every command TestOutputPins pins, read off its parametrize mark
+PINNED_COMMANDS = [args for args, _ in TestOutputPins.test_table_bytes.pytestmark[0].args[1]]
+
+
+class TestOneColumnShape:
+    """Each column the renderer receives is a 1-D array or ``None``: a list
+    column, with a Python object per cell, does not come back unseen."""
+
+    def test_pins_cover_every_table_command(self):
+        assert {args.split()[0] for args in PINNED_COMMANDS} == {
+            "shifts", "dipole", "spectrum", "splitting", "wavefunction"
+        }
+
+    @pytest.mark.parametrize("args", PINNED_COMMANDS)
+    def test_columns_are_arrays_or_none(self, runner, monkeypatch, args):
+        blocks, rendered = dyonstark.tables._blocks, []
+        monkeypatch.setattr(
+            dyonstark.tables, "_blocks", lambda table, *rest: rendered.append(table) or blocks(table, *rest)
+        )
+        assert runner.invoke(main, args.split()).exit_code == 0
+        assert len(rendered) == 1
+        for key, column in rendered[0].items():
+            assert column is None or (isinstance(column, np.ndarray) and column.ndim == 1), (key, type(column))
+
+
 @pytest.fixture()
 def no_work(monkeypatch):
     """Make every subcommand's computation fail if it is reached."""

@@ -79,12 +79,16 @@ def reference_csv(rows, columns) -> str:
 
 
 def _rows(table) -> list[dict]:
-    """The table's rows, each a dict in column order."""
-    return [dict(zip(table, cells)) for cells in zip(*table.values(), strict=True)]
+    """The table's rows, each a dict in column order; a ``None`` column's cells are ``None``."""
+    count = max((len(column) for column in table.values() if column is not None), default=0)
+    columns = [[None] * count if column is None else list(column) for column in table.values()]
+    return [dict(zip(table, cells)) for cells in zip(*columns, strict=True)]
 
 
 def _table(rows, columns=tables.RECORD_COLUMNS) -> dict:
-    return {key: [row.get(key) for row in rows] for key in columns}
+    """The column table of these rows: a column no row fills is ``None``, any other an array."""
+    cells = {key: [row.get(key) for row in rows] for key in columns}
+    return {key: None if values.count(None) == len(values) else np.array(values) for key, values in cells.items()}
 
 
 def _both(table, ratio=None):
@@ -99,12 +103,12 @@ def _record(**cells) -> dict:
     return row
 
 
-EDGE = _table([
+EDGE = _table([  # j2 is a None column
     _record(n=2.5, s2=1, n1=0, n2=1, m2=-3, e0=-0.08, e1=-0.0, dipole_z=0.0),
-    _record(n=3.0, s2=-2, m2=0, j2=4, e0=1e-300, e1=1e300, dipole_z=-1e-300),
+    _record(n=3.0, s2=-2, n1=1, n2=1, m2=0, e0=1e-300, e1=1e300, dipole_z=-1e-300),
     _record(n=1.0, s2=0, n1=2, n2=0, m2=2, e0=5e-324, e1=-1.7976931348623157e308, dipole_z=0.1 + 0.2),
-    _record(n=4.0, s2=0, e0=1.0, e1=1e16, dipole_z=123456789.0),
-    _record(),
+    _record(n=4.0, s2=0, n1=0, n2=3, m2=-1, e0=1.0, e1=1e16, dipole_z=123456789.0),
+    _record(n=4.5, s2=1, n1=3, n2=0, m2=1, e0=-5e-324, e1=1.7976931348623157e308, dipole_z=-0.0),
 ])
 
 
@@ -112,10 +116,10 @@ class TestAgainstReference:
     def test_empty_rows(self):
         _both(_table([]), ratio=0.5)
         _both(_table([], WAVEFUNCTION_KEYS))
-        _both(_table([{}, {}], WAVEFUNCTION_KEYS))
+        _both({key: np.empty(0) for key in WAVEFUNCTION_KEYS})
 
     def test_zero_row_table_has_empty_records(self):
-        for table in ({}, _table([], WAVEFUNCTION_KEYS)):
+        for table in ({}, _table([], WAVEFUNCTION_KEYS)):  # the second is all None columns
             assert json.loads(tables.render_json(table, PARAMS))["records"] == []
             assert tables.render_json(table, PARAMS).endswith('  "records": []\n}\n')
         assert tables.render_csv(_table([], WAVEFUNCTION_KEYS)) == ",".join(WAVEFUNCTION_KEYS) + "\r\n"
@@ -147,8 +151,8 @@ class TestAgainstReference:
         assert tables.render_csv(table).splitlines()[1] == "2.0,2,1,,2,,2.0,1.0,2.0"
 
     def test_equal_values_of_mixed_types_in_one_column(self):
-        # equal values of different types (2 and 2.0, True and 1, 0.0 and -0.0) share one
-        # dict key; each cell must still get the text of its own value
+        # a list of equal values of different types (2 and 2.0, True and 1, 0.0 and -0.0)
+        # converts to one float array; each cell must still get the text of its own value
         mixed = [2, 2.0, True, 0.0, -0.0, 1, 2]
         table = {"e0": mixed, "m2": mixed, "dipole_z": mixed[::-1], "e1": [-0.0, *mixed[1:]]}
         _both(table)
@@ -173,9 +177,15 @@ class TestAgainstReference:
         ]
         _both(_table(rows, WAVEFUNCTION_KEYS))
 
-    def test_lone_empty_cell_is_quoted_as_csv_writes_it(self):
-        table = {"e1": [None, 1.5]}
-        assert tables.render_csv(table) == reference_csv(_rows(table), ["e1"]) == 'e1\r\n""\r\n1.5\r\n'
+    @pytest.mark.parametrize(
+        "table, key", [({"e1": [None, 1.5]}, "e1"), ({"m2": ["a"]}, "m2"), ({"e0": [1.0], "m2": [None]}, "m2")]
+    )
+    def test_column_that_is_not_numbers_refused(self, table, key):
+        # an empty cell among numbers, or a text, is no column: refused before the first piece
+        with pytest.raises(ValueError, match=f"^column {key} is not a 1-D array of numbers"):
+            next(tables.csv_pieces(table))
+        with pytest.raises(ValueError, match=f"^column {key} is not a 1-D array of numbers"):
+            next(tables.json_pieces(table, PARAMS))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -184,15 +194,17 @@ class TestAgainstReference:
                 {
                     "coord1": st.floats(allow_nan=False, allow_infinity=False),
                     "m2": st.integers(-400, 400),
-                    "e1": st.none() | st.floats(allow_nan=False, allow_infinity=False),
-                    "abs2": st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                    "e1": st.floats(allow_nan=False, allow_infinity=False),
+                    "abs2": st.floats(allow_nan=False, allow_infinity=False),
                 }
             ),
             max_size=12,
-        )
+        ),
+        st.sets(st.sampled_from(["e1", "abs2"])),
     )
-    def test_any_finite_rows(self, rows):
-        _both(_table(rows, ["coord1", "m2", "e1", "abs2"]))
+    def test_any_finite_rows(self, rows, empty):
+        table = _table(rows, ["coord1", "m2", "e1", "abs2"])
+        _both({key: None if key in empty else column for key, column in table.items()})
 
 
 EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 0.5]
@@ -241,13 +253,14 @@ B = tables.BLOCK_ROWS
 
 def _block_table(rows: int) -> dict:
     """List and array columns whose values repeat across blocks, with -0.0
-    in both kinds and empty cells in the lists."""
+    in both kinds, and a ``None`` column."""
     k = np.arange(rows)
     return {
         "n": [3.5] * rows,
         "m2": [i % 7 - 3 for i in range(rows)],
-        "e0": [i / 7.0 - 300.0 for i in range(rows)],  # no repeat and no empty cell
-        "e1": [None if i % 5 == 0 else -0.0 if i % 5 == 1 else (i % 11) * 0.1 for i in range(rows)],
+        "j2": None,
+        "e0": [i / 7.0 - 300.0 for i in range(rows)],  # no repeat
+        "e1": [-0.0 if i % 5 == 1 else (i % 11) * 0.1 for i in range(rows)],
         "coord1": np.repeat(np.linspace(0.0, 3.0, (rows + 29) // 30), 30)[:rows],
         "psi_re": np.where(k % 3 == 0, -0.0, np.sin(k % 13)),
         "abs2": k * 1e-300,  # no repeat
@@ -284,17 +297,18 @@ class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["e0", "dipole_z"])
     def test_refused_by_both_renderers(self, key, bad):
-        table = _table([_record(n=2.0, s2=0, e0=-0.125), _record(n=2.0, s2=0, **{key: bad})])
-        with pytest.raises(ValueError):
+        row = _record(n=2.0, s2=0, e0=-0.125, dipole_z=0.5)
+        table = _table([row, {**row, key: bad}])
+        with pytest.raises(ValueError, match="^refusing to serialize a non-finite number$"):
             tables.render_json(table, PARAMS)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^refusing to serialize a non-finite number$"):
             tables.render_csv(table)
 
     def test_nan_beside_empty_cells_refused(self):
-        table = {"e1": [None, math.nan, None, 1.0]}
-        with pytest.raises(ValueError):
+        table = {"e1": [1.0, math.nan, 1.0], "dipole_z": None}
+        with pytest.raises(ValueError, match="^refusing to serialize a non-finite number$"):
             tables.render_json(table, PARAMS)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^refusing to serialize a non-finite number$"):
             tables.render_csv(table)
 
     def test_non_finite_ratio_refused(self):
@@ -329,8 +343,8 @@ def _object_records(shell, field, params):
 
 
 def _cells(column):
-    """A column's cells as Python values: an array's through ``tolist``."""
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+    """A column's cells as Python values: an array's through ``tolist``; ``None`` as it is."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _same_bytes(got, want, params, field=None):
@@ -338,7 +352,7 @@ def _same_bytes(got, want, params, field=None):
     for key in want:
         cells, wanted = _cells(got[key]), _cells(want[key])
         assert cells == wanted, key
-        assert list(map(type, cells)) == list(map(type, wanted)), key
+        assert list(map(type, cells or ())) == list(map(type, wanted or ())), key
     assert tables.render_csv(got) == tables.render_csv(want)
     assert tables.render_json(got, params, field, 0.5) == tables.render_json(want, params, field, 0.5)
 
