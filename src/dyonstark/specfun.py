@@ -76,13 +76,6 @@ class HalfInteger:
     def __abs__(self) -> "HalfInteger":
         return HalfInteger(abs(self.twice))
 
-    def __mul__(self, k) -> "HalfInteger":
-        if isinstance(k, int):
-            return HalfInteger(self.twice * k)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __float__(self) -> float:
         return self.value
 

@@ -212,16 +212,16 @@ def dipole_operator_expectation(state: ParabolicState, params: PhysicalParams) -
 
 
 def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, np.ndarray]:
-    """The n1, n2, m2, e0, e1 and dipole_z columns of one shell, one row
-    per state, computed from the label arrays with no state object.
+    """The n1, n2, m2, e1 and dipole_z columns of one shell, one row per
+    state, computed from the label arrays with no state object; the
+    shell's n, s2 and e0 are added by ``tables``.
 
-    n1, n2 and m2 are int64 arrays, and e0, e1 and dipole_z float
-    arrays, e0 the shell energy on every row.  ``_label_bracket``,
-    ``_shift`` and ``_dipole`` act elementwise on the arrays, so each
-    bracket is exact in int64 and each shift has the bits of the scalar
-    forms.  Rows are sorted by the shift (compared exactly through the
-    integer bracket, so equal shifts are true ties) and then by
-    (n1, n2, m); with no field every shift is 0, and the order is
+    n1, n2 and m2 are int64 arrays, and e1 and dipole_z float arrays.
+    ``_label_bracket``, ``_shift`` and ``_dipole`` act elementwise on the
+    arrays, so each bracket is exact in int64 and each shift has the bits
+    of the scalar forms.  Rows are sorted by the shift (compared exactly
+    through the integer bracket, so equal shifts are true ties) and then
+    by (n1, n2, m); with no field every shift is 0, and the order is
     (n1, n2, m) alone.
     """
     n, s = _shell(n, s, params)
@@ -235,14 +235,7 @@ def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str,
     # such inputs with exit 2, so numpy need not warn first
     with np.errstate(over="ignore"):
         e1, dipole_z = _shift(unit, brackets, field.epsilon), _dipole(unit, brackets)
-    return {
-        "n1": n1,
-        "n2": n2,
-        "m2": m2,
-        "e0": np.full(brackets.size, energy_level(n, params)),
-        "e1": e1,
-        "dipole_z": dipole_z,
-    }
+    return {"n1": n1, "n2": n2, "m2": m2, "e1": e1, "dipole_z": dipole_z}
 
 
 def stark_table(
@@ -250,11 +243,10 @@ def stark_table(
 ) -> list[StarkShiftRecord]:
     """One record per shell state, in ``shift_columns`` order."""
     columns = shift_columns(n, s, field, params)
+    e0 = energy_level(n, params)
     labels = zip(columns["n1"].tolist(), columns["n2"].tolist(), columns["m2"].tolist())
     s = half(s)
     return [
         StarkShiftRecord(ParabolicState(n1, n2, HalfInteger(m2), s), e0, e1, dipole_z)
-        for (n1, n2, m2), e0, e1, dipole_z in zip(
-            labels, columns["e0"].tolist(), columns["e1"].tolist(), columns["dipole_z"].tolist()
-        )
+        for (n1, n2, m2), e1, dipole_z in zip(labels, columns["e1"].tolist(), columns["dipole_z"].tolist())
     ]

@@ -167,10 +167,6 @@ class SphericalState:
                 f"(got m={self.m}, j={self.j})"
             )
 
-    @property
-    def sort_key(self):
-        return (self.n.twice, self.j.twice, self.m.twice)
-
 
 @dataclass(frozen=True)
 class ParabolicState:
@@ -202,10 +198,6 @@ class ParabolicState:
         object.__setattr__(self, "q1", (m2 - s2) // 2)
         object.__setattr__(self, "q2", (m2 + s2) // 2)
         object.__setattr__(self, "n", n)
-
-    @property
-    def sort_key(self):
-        return (self.n1, self.n2, self.m.twice)
 
 
 def _label_level(n1, n2, m, s) -> HalfInteger:
@@ -249,7 +241,7 @@ def _runs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spherical_labels(n, s) -> tuple[np.ndarray, np.ndarray]:
-    """The (2j, 2m) labels of shell n as two int64 arrays, in ``sort_key``
+    """The (2j, 2m) labels of shell n as two int64 arrays, in (2j, 2m)
     order; n^2 - s^2 of them.
 
     j runs over |s|, |s| + 1, ..., n - 1, and each j holds the 2j + 1
@@ -264,7 +256,7 @@ def spherical_labels(n, s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_shell_spherical(n, s) -> list[SphericalState]:
-    """All (j, m) states of shell n, in ``sort_key`` order
+    """All (j, m) states of shell n, in (2j, 2m) order
     (``spherical_labels``)."""
     n, s = half(n), half(s)
     return [
@@ -275,7 +267,7 @@ def enumerate_shell_spherical(n, s) -> list[SphericalState]:
 
 def parabolic_labels(n, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (n1, n2, 2m) labels of shell n as three int64 arrays, in
-    ``sort_key`` order.
+    (n1, n2, 2m) order.
 
     The shell is built directly from n = n1 + n2 + max(|m|, |s|) + 1:
     for each n1 and n2 <= n - |s| - 1 - n1, k = n - 1 - n1 - n2 fixes
@@ -299,7 +291,7 @@ def parabolic_labels(n, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def enumerate_shell_parabolic(n, s) -> list[ParabolicState]:
-    """All (n1, n2, m) states of shell n, in ``sort_key`` order
+    """All (n1, n2, m) states of shell n, in (n1, n2, 2m) order
     (``parabolic_labels``)."""
     s = half(s)
     return [

@@ -1,11 +1,12 @@
 """Deterministic CSV/JSON rendering of result tables.
 
-A table is a dict of equal-length columns: ``{"e0": [...], "e1": [...]}``.
-A column is a 1-D array of numbers: int64 for a shell's labels (n1, n2,
-m2, j2), float for its energies, its shifts and a wavefunction grid.  A
-column whose every cell is empty is ``None``; a table of only ``None``
-columns has no rows.  The table's keys, in order, are the CSV header and
-the JSON record keys.
+A table is a dict of equal-length columns, its keys in order the CSV
+header and the JSON record keys.  A column is a 1-D array of numbers:
+int64 for a shell's labels (n1, n2, m2, j2), float for its energies, its
+shifts and a wavefunction grid.  A column whose every cell is empty is
+``None``; a table of only ``None`` columns has no rows.  Every shell
+table (``shifts_table``, ``spectrum_table``) takes ``RECORD_COLUMNS``'s
+layout from ``_record_table``, which also adds the shell's n, s2 and e0.
 
 Half-integer quantum numbers are serialized losslessly as doubled
 integers (columns s2, m2, j2).  Energies are rendered with ``repr``,
@@ -55,43 +56,30 @@ __all__ = [
 RECORD_COLUMNS = ["n", "s2", "n1", "n2", "m2", "j2", "e0", "e1", "dipole_z"]
 
 
+def _record_table(n, s, params: PhysicalParams, **columns: np.ndarray) -> dict[str, np.ndarray | None]:
+    """The record table of shell (n, s): ``columns`` in ``RECORD_COLUMNS``
+    order, with the shell's n, s2 and e0 on every row and ``None`` for
+    every key not given."""
+    count = next(iter(columns.values())).size
+    columns.update(
+        n=np.full(count, n.value), s2=np.full(count, s.twice), e0=np.full(count, energy_level(n, params))
+    )
+    return {key: columns.get(key) for key in RECORD_COLUMNS}
+
+
 def shifts_table(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, np.ndarray | None]:
     """The ``shifts``/``dipole`` table of one shell: ``stark.shift_columns``,
-    its arrays as they are, with the shell's n and s2 on every row and no
-    j2."""
+    its arrays as they are, in the record layout with no j2."""
     n, s = _shell(n, s, params)
-    columns = shift_columns(n, s, field, params)
-    count = columns["e0"].size
-    return {
-        "n": np.full(count, n.value),
-        "s2": np.full(count, s.twice),
-        "n1": columns["n1"],
-        "n2": columns["n2"],
-        "m2": columns["m2"],
-        "j2": None,
-        "e0": columns["e0"],
-        "e1": columns["e1"],
-        "dipole_z": columns["dipole_z"],
-    }
+    return _record_table(n, s, params, **shift_columns(n, s, field, params))
 
 
 def spectrum_table(n, s, params: PhysicalParams) -> dict[str, np.ndarray | None]:
     """The ``spectrum`` table of one shell: its (j, m) label arrays in
-    ``sort_key`` order, each row at the shell energy."""
+    (2j, 2m) order, in the record layout with no n1, n2, e1 or dipole_z."""
     n, s = _shell(n, s, params)
     j2, m2 = spherical_labels(n, s)
-    count = j2.size
-    return {
-        "n": np.full(count, n.value),
-        "s2": np.full(count, s.twice),
-        "n1": None,
-        "n2": None,
-        "m2": m2,
-        "j2": j2,
-        "e0": np.full(count, energy_level(n, params)),
-        "e1": None,
-        "dipole_z": None,
-    }
+    return _record_table(n, s, params, m2=m2, j2=j2)
 
 
 def rows_from_stark_records(records: list[StarkShiftRecord]) -> dict[str, list | None]:
@@ -112,7 +100,7 @@ def rows_from_stark_records(records: list[StarkShiftRecord]) -> dict[str, list |
 
 def rows_from_spectrum(shell: list[SphericalState], e0: float) -> dict[str, list | None]:
     """The ``spectrum_table`` of a list of spherical states at energy e0."""
-    shell = sorted(shell, key=lambda x: x.sort_key)
+    shell = sorted(shell, key=lambda st: (st.n.twice, st.j.twice, st.m.twice))
     return {
         "n": [st.n.value for st in shell],
         "s2": [st.s.twice for st in shell],

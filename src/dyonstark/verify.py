@@ -304,8 +304,8 @@ def check_shell_cardinality(max_n=None) -> CheckResult:
     """Both enumerations span the same shell, sector by sector.
 
     Each shell must hold n^2 - s^2 valid labels in both bases, in strict
-    ``sort_key`` order; every parabolic label must derive the shell's
-    2n = 2(n1 + n2 + 1) + (|2m - 2s| + |2m + 2s|)/2; and each m sector must
+    (2j, 2m) and (n1, n2, 2m) order; every parabolic label must derive the
+    shell's 2n = 2(n1 + n2 + 1) + (|2m - 2s| + |2m + 2s|)/2; and each m sector must
     have as many parabolic as spherical labels, which is the condition for
     a unitary change of basis whichever way the two label arrays were
     built.  The printed ``spectrum`` table must list the spherical labels

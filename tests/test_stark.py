@@ -243,6 +243,11 @@ def _column_rows(n, s, field):
 class TestShiftColumns:
     """The array columns against the scalar shift of each row's state."""
 
+    def test_columns_are_the_labels_and_shifts_alone(self):
+        # the shell's n, s2 and e0 are the record table's to add
+        table = shift_columns("5/2", "1/2", F1, PhysicalParams.atomic("1/2"))
+        assert list(table) == ["n1", "n2", "m2", "e1", "dipole_z"]
+
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize(
         "n, s", [("1", "0"), ("5/2", "1/2"), ("7", "3"), ("10", "2"), ("41/2", "-3/2"), ("60", "-1")]

@@ -379,3 +379,22 @@ class TestColumnTables:
         params = PhysicalParams.atomic(s)
         want = tables.rows_from_spectrum(states.enumerate_shell_spherical(n, s), states.energy_level(n, params))
         _same_bytes(tables.spectrum_table(n, s, params), want, params)
+
+
+@pytest.mark.parametrize(
+    "n, s, epsilon", [("1", "0", 0.5), ("5/2", "1/2", 0.5), ("5/2", "-1/2", 0.0), ("7", "3", 0.0)]
+)
+def test_shell_tables_take_the_record_layout(n, s, epsilon):
+    """Both shell tables are ``RECORD_COLUMNS`` in order, ``None`` where
+    their command has no value, and the shell's constants on every row."""
+    params = PhysicalParams.atomic(s)
+    count = (half(n).twice ** 2 - half(s).twice ** 2) // 4
+    for table, empty in (
+        (tables.shifts_table(n, s, FieldConfig(epsilon), params), ["j2"]),
+        (tables.spectrum_table(n, s, params), ["n1", "n2", "e1", "dipole_z"]),
+    ):
+        assert list(table) == tables.RECORD_COLUMNS
+        assert [key for key, column in table.items() if column is None] == empty
+        assert {column.size for column in table.values() if column is not None} == {count}
+        for key, value in (("n", half(n).value), ("s2", half(s).twice), ("e0", states.energy_level(n, params))):
+            assert table[key].tolist() == [value] * count, key
