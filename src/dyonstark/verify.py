@@ -19,7 +19,7 @@ import numpy as np
 from . import oracle, quadrature, stark, states, tables
 from .eigen import jacobi_eigenvalues
 from .specfun import HalfInteger, half, hyp1f1_table, wigner_d
-from .stark import FieldConfig, bracket_twelfths, shift_quantum
+from .stark import FieldConfig, shift_quantum, shift_unit
 from .states import ParabolicState, PhysicalParams, SphericalState
 
 __all__ = ["CheckResult", "CHECKS", "run_check", "check_key"]
@@ -101,30 +101,33 @@ class _Bounds:
 
 
 def _shells(s_values, n_cap: float, max_n=None):
-    """(n, s) pairs for every shell with n <= cap, at each monopole number."""
+    """(params, n) for every shell with n <= cap, at each monopole number."""
     cap = n_cap if max_n is None else min(n_cap, float(max_n))
-    for s_raw in s_values:
-        s = half(s_raw)
-        n = abs(s) + 1
+    for s in s_values:
+        params = PhysicalParams.atomic(s)
+        n = abs(params.s) + 1
         while n.value <= cap + 1e-9:
-            yield n, s
+            yield params, n
             n = n + 1
 
 
 def _parabolic_shells(s_values, n_cap: float, max_n=None):
-    """(params, unit field, parabolic shell) for every shell of ``_shells``."""
-    field = FieldConfig(1.0)
-    for n, s in _shells(s_values, n_cap, max_n):
-        yield PhysicalParams.atomic(s), field, states.enumerate_shell_parabolic(n, s)
+    """(params, n, labels, brackets) for every shell of ``_shells``: its (n1, n2, 2m) int64 arrays from
+    one ``states.parabolic_labels`` call and their exact ``stark._label_bracket`` integers, no state."""
+    for params, n in _shells(s_values, n_cap, max_n):
+        labels = states.parabolic_labels(n, params.s)
+        yield params, n, labels, stark._label_bracket(n.twice, params.s.twice, *labels)
 
 
-def _printed(column: str, shell, field: FieldConfig, params: PhysicalParams) -> list[float]:
-    """The printed ``shifts`` table's ``column`` for each state of the shell, by
-    label; NaN for a state without a row, and for all if the row count is off."""
-    table = tables.shifts_table(shell[0].n, params.s, field, params)
-    labels = zip(table["n1"].tolist(), table["n2"].tolist(), table["m2"].tolist())
-    rows = dict(zip(labels, table[column].tolist())) if len(table[column]) == len(shell) else {}
-    return [rows.get((st.n1, st.n2, st.m.twice), math.nan) for st in shell]
+def _printed(column: str, n, params: PhysicalParams) -> list[tuple[ParabolicState, float]]:
+    """Each ``states.parabolic_labels`` state of shell n, built in one pass, with the unit-field
+    ``shifts`` table's ``column`` at its label: NaN without a row, and for all if the row count is off."""
+    labels = list(zip(*(a.tolist() for a in states.parabolic_labels(n, params.s))))
+    shell = [ParabolicState(n1, n2, HalfInteger(m2), params.s) for n1, n2, m2 in labels]
+    table = tables.shifts_table(n, params.s, FieldConfig(1.0), params)
+    printed = zip(table["n1"].tolist(), table["n2"].tolist(), table["m2"].tolist())
+    rows = dict(zip(printed, table[column].tolist())) if len(table[column]) == len(labels) else {}
+    return list(zip(shell, [rows.get(label, math.nan) for label in labels]))
 
 
 def _rel(err: float, scale: float) -> float:
@@ -177,9 +180,10 @@ def check_integral_closed_forms(max_n=None) -> CheckResult:
 def check_shift_formula_identity(max_n=None) -> CheckResult:
     """Integral-form and printed shifts equal the closed form on every state."""
     bounds = _Bounds(identity=1e-12, table=0.0)
-    for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5, 2, 2.5, 3, -0.5, -1.5, -3], 8.0, max_n):
+    field = FieldConfig(1.0)
+    for params, n in _shells([0, 0.5, 1, 1.5, 2, 2.5, 3, -0.5, -1.5, -3], 8.0, max_n):
         scale_floor = shift_quantum(field, params) / 12.0
-        for st, printed in zip(shell, _printed("e1", shell, field, params)):
+        for st, printed in _printed("e1", n, params):
             a = stark.shift_integral_form(st, field, params)
             b = stark.shift_closed_form(st, field, params)
             bounds.add("identity", _rel(abs(a - b), max(abs(b), scale_floor)))
@@ -190,16 +194,12 @@ def check_shift_formula_identity(max_n=None) -> CheckResult:
 def check_oracle_equivalence(max_n=None) -> CheckResult:
     """Per-sector Jacobi eigenvalues match closed-form shifts, on exactly the shell's sectors."""
     bounds = _Bounds(eigen=1e-6, offdiag=1e-12, sectors=0.0)
-    for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5], 4.0, max_n):
-        n, s = shell[0].n, params.s
-        analytic: dict[int, list[float]] = {}
-        for st in shell:
-            analytic.setdefault(st.m.twice, []).append(stark.shift_closed_form(st, field, params))
-        scale = max(
-            max(abs(v) for shifts in analytic.values() for v in shifts),
-            shift_quantum(field, params),
-        )
-        sectors = oracle.shell_sectors(n, s, field, params)
+    field = FieldConfig(1.0)
+    for params, n, (_, _, m2s), brackets in _parabolic_shells([0, 0.5, 1, 1.5], 4.0, max_n):
+        shifts = stark._shift(shift_unit(params), brackets, field.epsilon)
+        analytic = {m2: shifts[m2s == m2] for m2 in set(m2s.tolist())}
+        scale = max(float(np.max(np.abs(shifts))), shift_quantum(field, params))
+        sectors = oracle.shell_sectors(n, params.s, field, params)
         got = {sub.m.twice: jacobi_eigenvalues(sub.entries) for sub in sectors}
         # an m on one side only, or a sector of another size, breaks the partition
         sized = sorted(m2 for m2 in got.keys() & analytic if len(got[m2]) == len(analytic[m2]))
@@ -215,21 +215,19 @@ def check_degeneracy_removal(max_n=None) -> CheckResult:
     """For s != 0, m -> shift is injective at every fixed (n1, n2)."""
     bounds = _Bounds(collisions=0.0)
     notes = []
-    for params, _, shell in _parabolic_shells([0.5, 1, 1.5, 2, 2.5, 3, -0.5, -1, -2], 6.0, max_n):
-        n, s = shell[0].n, params.s
+    for params, n, (n1, n2, _), brackets in _parabolic_shells([0.5, 1, 1.5, 2, 2.5, 3, -0.5, -1, -2], 6.0, max_n):
         by_pair: dict[tuple[int, int], list[int]] = {}
-        for st in shell:
-            by_pair.setdefault((st.n1, st.n2), []).append(bracket_twelfths(st))
-        for pair, brackets in by_pair.items():
-            collisions = len(brackets) - len(set(brackets))
+        for pair, bracket in zip(zip(n1.tolist(), n2.tolist()), brackets.tolist()):
+            by_pair.setdefault(pair, []).append(bracket)
+        for pair, group in by_pair.items():
+            collisions = len(group) - len(set(group))
             bounds.add("collisions", collisions)
             if collisions:
-                notes.append(f"collision within (n1,n2)={pair} at n={n}, s={s}")
+                notes.append(f"collision within (n1,n2)={pair} at n={n}, s={params.s}")
         # residual collisions across different (n1, n2, m): reported, not asserted
-        all_brackets = [b for brackets in by_pair.values() for b in brackets]
-        extra = len(all_brackets) - len(set(all_brackets))
+        extra = brackets.size - len(set(brackets.tolist()))
         if extra:
-            notes.append(f"shell n={n}, s={s}: {extra} cross-(n1,n2) shift coincidences")
+            notes.append(f"shell n={n}, s={params.s}: {extra} cross-(n1,n2) shift coincidences")
     return bounds.result(
         "c05-degeneracy-removal", "(n1,n2) groups over n <= 6, exact integer comparison", notes
     )
@@ -257,14 +255,12 @@ def check_shell_splitting(max_n=None) -> CheckResult:
     """
     bounds = _Bounds(sector=0.0, full=0.0, formula=1e-15)
     notes = []
-    for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5, 2, -1, -0.5], 6.0, max_n):
-        n, s = shell[0].n, params.s
+    field = FieldConfig(1.0)
+    for params, n, (_, _, m2s), brackets in _parabolic_shells([0, 0.5, 1, 1.5, 2, -1, -0.5], 6.0, max_n):
+        s = params.s
         formula = stark.shell_splitting(n, s, field, params)
         formula_twelfths = round(formula / shift_quantum(field, params) * 12.0)
-        sectors: dict[int, list[int]] = {}
-        for st in shell:
-            sectors.setdefault(st.m.twice, []).append(bracket_twelfths(st))
-        sector_spread = max(max(b) - min(b) for b in sectors.values())
+        sector_spread = max(int(np.ptp(brackets[m2s == m2])) for m2 in set(m2s.tolist()))
         bounds.add("sector", abs(sector_spread - formula_twelfths))
         for gamma, epsilon in _SPLITTING_SCALES:
             scaled, scaled_field = PhysicalParams.atomic(s, gamma_c=gamma), FieldConfig(epsilon)
@@ -273,8 +269,7 @@ def check_shell_splitting(max_n=None) -> CheckResult:
             bounds.add("formula", _rel(abs(got - want), want), cases=0)
         if sector_spread != formula_twelfths:
             notes.append(f"n={n}, s={s}: sector spread {sector_spread} != formula {formula_twelfths}")
-        all_b = [b for brackets in sectors.values() for b in brackets]
-        full_spread = max(all_b) - min(all_b)
+        full_spread = int(np.ptp(brackets))
         if s.twice == 0:
             bounds.add("full", abs(full_spread - formula_twelfths), cases=0)
         elif full_spread != sector_spread:
@@ -287,10 +282,10 @@ def check_shell_splitting(max_n=None) -> CheckResult:
 def check_dipole_consistency(max_n=None) -> CheckResult:
     """mean = -dE1/deps and the printed dipole_z exactly; the operator route to rounding."""
     bounds = _Bounds(operator=1e-12, slope=0.0, table=0.0)
-    f2 = FieldConfig(2.0)
-    for params, field, shell in _parabolic_shells([0, 0.5, 1, 1.5, -0.5, -1], 4.0, max_n):
+    field, f2 = FieldConfig(1.0), FieldConfig(2.0)
+    for params, n in _shells([0, 0.5, 1, 1.5, -0.5, -1], 4.0, max_n):
         scale_floor = shift_quantum(field, params) / 12.0
-        for st, printed in zip(shell, _printed("dipole_z", shell, field, params)):
+        for st, printed in _printed("dipole_z", n, params):
             d_mean = stark.mean_dipole(st, params)
             slope = -(stark.shift_closed_form(st, f2, params) - stark.shift_closed_form(st, field, params))
             bounds.add("slope", abs(slope - d_mean), cases=0)
@@ -314,8 +309,7 @@ def check_shell_cardinality(max_n=None) -> CheckResult:
     bounds = _Bounds(shell=0.0, sector=0.0, table=0.0)
     for s2 in range(-6, 7):
         s = HalfInteger(s2)
-        params = PhysicalParams.atomic(s)
-        for n, _ in _shells([s], abs(s).value + 8, max_n):
+        for params, n in _shells([s], abs(s).value + 8, max_n):
             expected = (n.twice**2 - s2**2) // 4
             sph = list(zip(*(labels.tolist() for labels in states.spherical_labels(n, s))))
             par = list(zip(*(labels.tolist() for labels in states.parabolic_labels(n, s))))
@@ -367,7 +361,7 @@ def check_wavefunction_suites(max_n=None) -> CheckResult:
         params = PhysicalParams.atomic(s)
         sph: list[SphericalState] = []
         par: list[ParabolicState] = []
-        for n, _ in _shells([s], 4.0, max_n):
+        for _, n in _shells([s], 4.0, max_n):
             sph.extend(states.enumerate_shell_spherical(n, s))
             par.extend(states.enumerate_shell_parabolic(n, s))
         for basis, overlap in ((sph, states.spherical_overlap), (par, states.parabolic_overlap)):
@@ -389,6 +383,8 @@ def check_wavefunction_suites(max_n=None) -> CheckResult:
         s = half(s_raw)
         params = PhysicalParams.atomic(s)
         n0 = abs(s) + 1
+        if max_n is not None and n0.value > float(max_n):
+            continue
         j = abs(s)
         profiles = []
         m = -j
@@ -544,26 +540,28 @@ def check_states_invariants(max_n=None) -> CheckResult:
 def check_stark_invariants(max_n=None) -> CheckResult:
     """Linearity, parity, hydrogen limit of the closed-form shifts."""
     bounds = _Bounds(linearity=0.0, mirror=0.0, hydrogen=1e-12)
-    f3 = FieldConfig(3.0)
-    for params, field, shell in _parabolic_shells([0, 1, 1.5, -1], 5.0, max_n):
-        for st in shell:
-            e1 = stark.shift_closed_form(st, field, params)
-            bounds.add("linearity", abs(stark.shift_closed_form(st, f3, params) - 3.0 * e1))
-            mirror = ParabolicState(st.n2, st.n1, -st.m, st.s)
-            bounds.add("mirror", abs(bracket_twelfths(mirror) + bracket_twelfths(st)), cases=0)
-            if params.s.twice == 0:
-                hydrogen = 1.5 * params.a * field.epsilon * st.n.value * (st.n1 - st.n2)
-                bounds.add("hydrogen", abs(e1 - hydrogen) / max(abs(hydrogen), 1.0), cases=0)
+    for params, n, (n1, n2, m2), brackets in _parabolic_shells([0, 1, 1.5, -1], 5.0, max_n):
+        unit = shift_unit(params)
+        e1 = stark._shift(unit, brackets, 1.0)
+        bounds.add("linearity", float(np.max(np.abs(stark._shift(unit, brackets, 3.0) - 3.0 * e1))), brackets.size)
+        mirror = stark._label_bracket(n.twice, params.s.twice, n2, n1, -m2)
+        bounds.add("mirror", int(np.max(np.abs(mirror + brackets))), cases=0)
+        if params.s.twice == 0:
+            hydrogen = 1.5 * params.a * n.value * (n1 - n2)
+            err = np.abs(e1 - hydrogen) / np.maximum(np.abs(hydrogen), 1.0)
+            bounds.add("hydrogen", float(np.max(err)), cases=0)
     return bounds.result("inv-stark", "exact linearity, mirror antisymmetry, hydrogen limit")
 
 
 def check_oracle_invariants(max_n=None) -> CheckResult:
     """Hermiticity, derived order against a 64-node rule, sector tables, trace identity."""
     bounds = _Bounds(elements=1e-10)
-    for params, field, shell in _parabolic_shells([0, 1, 0.5], 3.0, max_n):
+    field = FieldConfig(1.0)
+    for params, n in _shells([0, 1, 0.5], 3.0, max_n):
+        shell = states.enumerate_shell_parabolic(n, params.s)
         scale = params.a * field.epsilon
         # the shell's table-assembled sectors by m; row i of a sector is n1 = i
-        sector = {sub.m.twice: sub.entries for sub in oracle.shell_sectors(shell[0].n, params.s, field, params)}
+        sector = {sub.m.twice: sub.entries for sub in oracle.shell_sectors(n, params.s, field, params)}
         for i, a in enumerate(shell):
             for b in shell[i:]:
                 v1 = oracle.matrix_element_V(a, b, field, params)

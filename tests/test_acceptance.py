@@ -49,7 +49,7 @@ CASES = {
     "shell-splitting": (34, 6),
     "dipole-consistency": (136, 15),
     "shell-cardinality": (1168, 14),
-    "wavefunction-suites": (571, 57),
+    "wavefunction-suites": (571, 40),
     "numerical-kernels": (4339, 4339),
     "specfun-invariants": (3832, 3832),
     "quadrature-invariants": (16, 16),
@@ -119,6 +119,18 @@ def test_shell_splitting_fails_on_a_formula_off_by_5e_4(monkeypatch):
     assert "sector 0 (exact)" in result.detail
     assert result.tol == 1e-15
     assert result.max_err == pytest.approx(5e-4, rel=1e-6)
+
+
+def test_closed_form_checks_build_no_state(monkeypatch):
+    # c04, c05, c06 and inv-stark read label arrays and exact brackets alone
+    def refuse(self):
+        raise AssertionError("a ParabolicState was built")
+
+    monkeypatch.setattr(verify.states.ParabolicState, "__post_init__", refuse)
+    for check_id in ("oracle-equivalence", "degeneracy-removal", "shell-splitting", "stark-invariants"):
+        result = run_check(check_id)
+        assert result.passed, result.line()
+        assert result.cases == CASES[check_id][0]
 
 
 def _drop_last_sector(sectors):
@@ -272,8 +284,13 @@ MUTANTS = {
         "shift-formula-identity", 1.5, verify.tables, "shift_columns", _negated("e1")
     ),
     "c05 bracket blind to the sign of m": (
-        "degeneracy-removal", 1.5, verify, "bracket_twelfths",
-        lambda f: lambda st: verify.stark._label_bracket(st.n.twice, st.s.twice, st.n1, st.n2, abs(st.m.twice)),
+        "degeneracy-removal", 1.5, verify.stark, "_label_bracket",
+        lambda f: lambda n2x, s2, n1, n2, m2: f(n2x, s2, n1, n2, abs(m2)),
+    ),
+    # n = 1 is the one shell at cap 1: spread 0, formula one twelfth of a quantum
+    "c06 splitting one twelfth-quantum high": (
+        "shell-splitting", 1, verify.stark, "shell_splitting",
+        lambda f: lambda n, s, field, params: f(n, s, field, params) + verify.stark.shift_quantum(field, params) / 12,
     ),
     "c07 separation constant 1e-9 high": (
         "dipole-consistency", 1.5, verify.stark, "beta_eigenvalue", _times(1.0 + 1e-9)
