@@ -23,7 +23,9 @@ symmetric, and the column pass of the textbook two-sided rotation leaves
 rows p and q outside the 2x2 block untouched, so the row pass would
 recompute those entries bit for bit.  One pass therefore writes
 ``c a[p] - s a[q]`` to row and column p, ``s a[p] + c a[q]`` to row and
-column q, and the closed form of the two passes to the block.  Before
+column q, and the closed form of the two passes to the block.  The two
+rows are formed in buffers allocated once per call, by the operations of
+the two-sided update in its order.  Before
 the sweeps the matrix is scaled by an exact power of two, so that its
 norm neither overflows nor underflows; on matrices whose entries lie
 well inside the float range the eigenvalues keep the two-sided loop's
@@ -47,20 +49,28 @@ def tridiagonal_eigen(diag, offdiag):
     """Eigenvalues and first eigenvector components of a symmetric
     tridiagonal matrix.
 
-    ``diag`` has length n, ``offdiag`` length n-1.  Returns
+    ``diag`` is 1-D of length n, ``offdiag`` 1-D of length n-1 (0 when
+    n is 0); other shapes raise ``ValueError``.  Returns
     ``(values, first_components)`` sorted by ascending eigenvalue; the
     components belong to orthonormal eigenvectors, so for a Jacobi
     matrix of orthonormal polynomials ``mu0 * first**2`` are the
-    Gauss weights.
+    Gauss weights.  An empty matrix gives two empty arrays.
     """
-    d = np.asarray(diag, dtype=float).tolist()
+    d = np.asarray(diag, dtype=float)
+    if d.ndim != 1:
+        raise ValueError(f"diag must be 1-D, got shape {d.shape}")
     n = len(d)
-    e = np.zeros(n)
-    e[: n - 1] = np.asarray(offdiag, dtype=float)
-    e = e.tolist()
+    off = np.asarray(offdiag, dtype=float)
+    if off.shape != (max(n - 1, 0),):
+        raise ValueError(f"offdiag must be 1-D of length n - 1 = {max(n - 1, 0)}, got shape {off.shape}")
+    if n == 0:
+        return np.zeros(0), np.zeros(0)
+    d = d.tolist()
+    e = off.tolist() + [0.0]
     z = [0.0] * n
     z[0] = 1.0
     eps = float(np.finfo(float).eps)
+    hypot, copysign = math.hypot, math.copysign
 
     for l in range(n):
         iters = 0
@@ -82,15 +92,15 @@ def tridiagonal_eigen(diag, offdiag):
                 # e[l] == 0 fails the test above only when d[l] or
                 # d[l + 1] is NaN, so the quotient is NaN, as in IEEE
                 g = math.nan
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
             underflow = False
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = math.hypot(f, g)
+                r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     d[i + 1] -= p
@@ -166,6 +176,8 @@ def jacobi_eigenvalues(matrix):
         off = a - np.diag(np.diag(a))
         return math.sqrt(np.sum(off * off))
 
+    u, v, w = np.empty(n), np.empty(n), np.empty(n)
+    multiply, copysign, hypot, sqrt = np.multiply, math.copysign, math.hypot, math.sqrt
     for _ in range(_JACOBI_MAX_SWEEPS):
         if offnorm() <= _JACOBI_TOL * norm:
             break
@@ -180,11 +192,17 @@ def jacobi_eigenvalues(matrix):
                 app = a.item(p, p)
                 aqq = a.item(q, q)
                 theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
+                t = copysign(1.0, theta) / (abs(theta) + hypot(theta, 1.0))
+                c = 1.0 / sqrt(t * t + 1.0)
                 s = t * c
-                u = c * a[p] - s * a[q]
-                v = s * a[p] + c * a[q]
+                # u = c a_p - s a_q and v = s a_p + c a_q, w a scratch row
+                row_p, row_q = a[p], a[q]
+                multiply(c, row_p, u)
+                multiply(s, row_q, w)
+                u -= w
+                multiply(s, row_p, v)
+                multiply(c, row_q, w)
+                v += w
                 a[p] = a[:, p] = u
                 a[q] = a[:, q] = v
                 a[p, p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)

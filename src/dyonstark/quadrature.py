@@ -18,6 +18,7 @@ cap is the order the largest shell's oracle sectors need;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -57,7 +58,8 @@ class QuadratureRule:
 
 
 def _check_order(order: int) -> int:
-    if not isinstance(order, (int, np.integer)) or not (1 <= order <= MAX_ORDER):
+    # a bool is an int to Python, but True is no order
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or not (1 <= order <= MAX_ORDER):
         raise ValueError(f"quadrature order must be an integer in [1, {MAX_ORDER}], got {order}")
     return int(order)
 
@@ -105,8 +107,7 @@ def integrate_halfline(f, rule: QuadratureRule, scale: float = 1.0) -> float:
     """
     if rule.kind != "laguerre":
         raise ValueError(f"integrate_halfline needs a laguerre rule, got {rule.kind!r}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    t = rule.nodes
-    vals = np.asarray(f(scale * t), dtype=float)
-    return float(scale * np.sum(rule.lifted_weights * vals))
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be a positive finite number, got {scale}")
+    vals = np.asarray(f(scale * rule.nodes), dtype=float)
+    return float(scale * (rule.lifted_weights * vals).sum())

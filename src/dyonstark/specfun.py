@@ -140,23 +140,50 @@ def _hyp1f1_args(name: str, p, b, x):
     return int(p), float(b), float(x) if x.ndim == 0 else x
 
 
-def _hyp1f1_rows(p: int, b: float, x):
-    """(k!/(b)_k, L_k^{(b-1)}(x)) for k = 0, ..., p: their product is 1F1(-k; b; x).
+def _hyp1f1_scales(p: int, b: float) -> list[float]:
+    """k!/(b)_k for k = 0, ..., p, the factors that turn L_k^{(b-1)} into 1F1(-k; b; .)."""
+    scales = [1.0]
+    for k in range(1, p + 1):
+        scales.append(scales[-1] * (k / (b + k - 1.0)))
+    return scales
+
+
+def _laguerre_floats(p: int, b: float, x: float) -> list[float]:
+    """L_k^{(b-1)}(x) for k = 0, ..., p, on Python floats.
 
     One step of the Laguerre three-term degree recurrence (Abramowitz &
-    Stegun 22.7.12) per degree; a float x stays on Python floats.
+    Stegun 22.7.12) per degree.
     """
     alpha = b - 1.0
-    scale = 1.0
-    prev = 1.0 if isinstance(x, float) else np.ones_like(x)
-    yield scale, prev
+    rows = [1.0, b - x]
+    for k in range(1, p):
+        rows.append(((2.0 * k + alpha + 1.0 - x) * rows[k] - (k + alpha) * rows[k - 1]) / (k + 1.0))
+    return rows[: p + 1]
+
+
+def _laguerre_rows(p: int, b: float, x: np.ndarray) -> np.ndarray:
+    """L_k^{(b-1)}(x) for k = 0, ..., p as the rows of one array.
+
+    The recurrence of ``_laguerre_floats``, each degree written in place
+    into its own row, with one buffer for the (k + b - 1) L_{k-1} term,
+    so no temporary is made per degree.  Every element takes the float
+    path's operations in its order, so it has its bits.
+    """
+    alpha = b - 1.0
+    table = np.empty((p + 1, *x.shape))
+    rows = list(table)
+    rows[0].fill(1.0)
     if p:
-        cur = b - x
-        for k in range(1, p + 1):
-            scale *= k / (b + k - 1.0)
-            yield scale, cur
-            if k < p:
-                prev, cur = cur, ((2.0 * k + alpha + 1.0 - x) * cur - (k + alpha) * prev) / (k + 1.0)
+        np.subtract(b, x, rows[1])
+        term = np.empty_like(x)
+        for k in range(1, p):
+            nxt = rows[k + 1]
+            np.subtract(2.0 * k + alpha + 1.0, x, nxt)
+            nxt *= rows[k]
+            np.multiply(k + alpha, rows[k - 1], term)
+            nxt -= term
+            nxt /= k + 1.0
+    return table
 
 
 def hyp1f1_poly(p: int, b: float, x):
@@ -172,9 +199,12 @@ def hyp1f1_poly(p: int, b: float, x):
     This is the last row of ``hyp1f1_table(p, b, x)``, bit for bit.
     """
     p, b, x = _hyp1f1_args("hyp1f1_poly", p, b, x)
-    for scale, last in _hyp1f1_rows(p, b, x):
-        pass
-    return scale * last
+    scale = _hyp1f1_scales(p, b)[-1]
+    if isinstance(x, float):
+        return scale * _laguerre_floats(p, b, x)[-1]
+    last = _laguerre_rows(p, b, x)[-1]
+    last *= scale
+    return last
 
 
 def hyp1f1_table(p: int, b: float, x) -> np.ndarray:
@@ -184,8 +214,12 @@ def hyp1f1_table(p: int, b: float, x) -> np.ndarray:
     has the bits of ``hyp1f1_poly(k, b, x)``.
     """
     p, b, x = _hyp1f1_args("hyp1f1_table", p, b, x)
-    scales, rows = zip(*_hyp1f1_rows(p, b, x))
-    return np.array(scales).reshape(-1, *[1] * np.ndim(x)) * np.array(rows)
+    if isinstance(x, float):
+        table = np.array(_laguerre_floats(p, b, x))
+    else:
+        table = _laguerre_rows(p, b, x)
+    table *= np.array(_hyp1f1_scales(p, b)).reshape(-1, *[1] * np.ndim(x))
+    return table
 
 
 # Largest j at which the direct sum of ``wigner_d`` keeps 1e-10 absolute

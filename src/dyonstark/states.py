@@ -337,7 +337,7 @@ def radial_R(n, j, r, params: PhysicalParams):
     )
     a = params.a
     rho = np.asarray(r, dtype=float) / a
-    if np.any(rho < 0):
+    if (rho < 0).any():
         raise ValueError("r must be >= 0")
     val = (
         a ** (-1.5)
@@ -396,10 +396,10 @@ def _phi_axis(p, q, x, n, params: PhysicalParams):
     if not math.isfinite(nf):
         raise ValueError(f"n must be finite, got {n}")
     z = np.asarray(x, dtype=float) / (params.a * nf)
-    if np.any(z < 0):
+    if (z < 0).any():
         raise ValueError("x must be >= 0")
     aq = abs(int(q))
-    return aq, z, np.exp(-z / 2.0), z ** (aq / 2.0)
+    return aq, z, np.exp(z / -2.0), z ** (aq / 2.0)
 
 
 def _phi_const(p: int, aq: int) -> float:
@@ -484,8 +484,10 @@ def psi_grid(state, c1, c2, phi, params: PhysicalParams) -> np.ndarray:
     const, f1, f2, phase = _product_form(state, params)
     if isinstance(state, ParabolicState):
         phi = ParabolicPoint(0.0, 0.0, phi).phi
-    # one scalar kernel call per axis value: the array kernels round a few
-    # values differently, and every grid value must equal the scalar psi's
+    # one scalar kernel call per axis value, as every grid value must equal the
+    # scalar psi's: numpy takes ** of a float64 scalar with the C library's pow,
+    # but of an array with its own SIMD pow (square and sqrt at 2 and 0.5),
+    # which rounds about 5 % of values differently; exp, sin and cos agree
     col = const * np.array([f1(x) for x in c1], dtype=float)
     row = np.array([f2(x) for x in c2], dtype=float)
     return col[:, None] * row[None, :] * phase(phi)
@@ -551,8 +553,11 @@ def phi_pair_moment(
     remaining integrand is e^{-t} times a polynomial of degree
     p_a + p_b + |q| + power.  The default order is the least that
     integrates that degree exactly; an explicit order is used as given.
-    Two equal factors are evaluated once.
+    Two equal factors are evaluated once.  ``power`` is a non-negative
+    integer.
     """
+    if isinstance(power, bool) or not isinstance(power, (int, np.integer)) or power < 0:
+        raise ValueError(f"power must be a non-negative integer, got {power!r}")
     if order is None:
         order = _exact_order(p_a + p_b + abs(q) + power)
     n_a, n_b = float(n_a), float(n_b)

@@ -432,16 +432,17 @@ def check_numerical_kernels(max_n=None) -> CheckResult:
     rule = quadrature.gauss_legendre(40)
     theta = np.arccos(rule.nodes)
     # labels in doubled integers; each d^j_{ms} is evaluated on the nodes once,
-    # for all the pairs (ja, jb) that share its (m, s)
+    # and one Gram matrix holds every pair (ja, jb) that shares its (m, s)
     for m2 in range(-9, 10):
         for s2 in range(-8 - m2 % 2, 10, 2):  # m2's parity
             j_list = range(max(abs(m2), abs(s2)), 10, 2)
-            d = {j2: wigner_d(HalfInteger(j2), HalfInteger(m2), HalfInteger(s2), theta) for j2 in j_list}
-            for ja in j_list:
-                for jb in j_list:
+            d = np.array([wigner_d(HalfInteger(j2), HalfInteger(m2), HalfInteger(s2), theta) for j2 in j_list])
+            # entry (a, b) is the expression rule.integrate evaluates, summed per row
+            gram = np.sum(rule.weights * (d[:, None] * d[None, :]), axis=2).tolist()
+            for a, ja in enumerate(j_list):
+                for b, jb in enumerate(j_list):
                     want = 2.0 / (ja + 1) if ja == jb else 0.0
-                    # the expression rule.integrate evaluates
-                    bounds.add("wigner", abs(float(np.sum(rule.weights * (d[ja] * d[jb]))) - want))
+                    bounds.add("wigner", abs(gram[a][b] - want))
     return bounds.result("c10-numerical-kernels", "quad and jacobi relative, wigner abs")
 
 

@@ -248,6 +248,20 @@ class TestOutputPins:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
+    # the text reports of the full and the quick verify: they print no run
+    # time, so every byte of them is pinned
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("verify", "2cc93db2f43ce38eb61d39c826d8346110589ee512479137b1270fd58a8fabf5"),
+            ("verify --max-n 2", "0c90682f2af90402f37ee4c8ac72ded10f7f98b26005c1f48643680c469fa7b0"),
+        ],
+    )
+    def test_verify_report_bytes(self, runner, args, digest):
+        result = runner.invoke(main, args.split(), env={"DYONSTARK_QUAD_ORDER": None})
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
 
 # every command TestOutputPins pins, read off its parametrize mark
 PINNED_COMMANDS = [args for args, _ in TestOutputPins.test_table_bytes.pytestmark[0].args[1]]

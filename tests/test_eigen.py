@@ -1,6 +1,7 @@
 """Tests for the in-house tridiagonal QL and dense Jacobi eigensolvers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,31 @@ class TestTridiagonal:
         assert vals.dtype == comps.dtype == np.float64
         assert vals.tobytes() == np.array(values).tobytes()
         assert comps.tobytes() == np.array(first).tobytes()
+
+    def test_empty_matrix(self):
+        vals, first = tridiagonal_eigen([], [])
+        assert vals.shape == first.shape == (0,)
+        assert vals.dtype == first.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "diag, offdiag, rule",
+        [
+            ([1.0, 2.0, 3.0], [1.0], "offdiag must be 1-D of length n - 1 = 2, got shape (1,)"),
+            ([1.0, 2.0], [1.0, 1.0], "offdiag must be 1-D of length n - 1 = 1, got shape (2,)"),
+            ([1.0], [0.5], "offdiag must be 1-D of length n - 1 = 0, got shape (1,)"),
+            ([], [0.5], "offdiag must be 1-D of length n - 1 = 0, got shape (1,)"),
+            ([1.0, 2.0], [[1.0]], "offdiag must be 1-D of length n - 1 = 1, got shape (1, 1)"),
+            ([1.0, 2.0], 1.0, "offdiag must be 1-D of length n - 1 = 1, got shape ()"),
+            ([[1.0, 2.0], [3.0, 4.0]], [1.0], "diag must be 1-D, got shape (2, 2)"),
+            (2.0, [], "diag must be 1-D, got shape ()"),
+        ],
+    )
+    def test_shapes_are_checked(self, diag, offdiag, rule):
+        # a length-1 or scalar offdiag used to be broadcast to every off-diagonal
+        # entry, the eigenvalues of another matrix; other lengths raised numpy's
+        # unnamed broadcast error
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            tridiagonal_eigen(diag, offdiag)
 
     @pytest.mark.parametrize(
         "diag, offdiag",

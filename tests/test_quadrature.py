@@ -154,6 +154,13 @@ class TestHalflineDriver:
         with pytest.raises(ValueError):
             integrate_halfline(lambda x: x, gauss_laguerre(5), scale=0.0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        # a NaN scale used to return nan, and an infinite one nan after a RuntimeWarning
+        rule = gauss_laguerre(5)
+        with pytest.raises(ValueError, match=f"^scale must be a positive finite number, got {scale}$"):
+            integrate_halfline(lambda x: np.exp(-x), rule, scale=scale)
+
     def test_high_order_stable(self):
         # the cap, which the largest shell's oracle sectors take
         rule = gauss_laguerre(MAX_ORDER)
@@ -205,8 +212,9 @@ class TestRuleCache:
     @pytest.mark.parametrize("make", [gauss_laguerre, gauss_legendre])
     def test_bad_order_adds_no_entry(self, make):
         before = quadrature._rule.cache_info().currsize
-        for bad in (0, MAX_ORDER + 1, 4.5):
-            with pytest.raises(ValueError):
+        # True is an int to Python, and used to give the order-1 rule
+        for bad in (0, MAX_ORDER + 1, 4.5, True, False, np.True_):
+            with pytest.raises(ValueError, match="^quadrature order must be an integer"):
                 make(bad)
         assert quadrature._rule.cache_info().currsize == before
 

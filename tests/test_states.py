@@ -567,6 +567,18 @@ class TestPhiFactor:
         got = phi_pair_moment(0, 2, 1, 0, 3.0, 3.0, P0, order=40)
         assert got == pytest.approx(0.0, abs=1e-13)
 
+    @pytest.mark.parametrize("power", [-1, 1.5, 2.0, True, "2", None])
+    def test_power_is_a_non_negative_integer(self, power):
+        # power -1 used to give 0.0 for an integral that diverges at 0, and
+        # 1.5 an error that named the quadrature order
+        with pytest.raises(ValueError, match=f"^power must be a non-negative integer, got {re.escape(repr(power))}$"):
+            phi_pair_moment(1, 1, 1, power, 3.0, 3.0, P0)
+
+    def test_numpy_integer_power(self):
+        for power in (0, 1, 2):
+            want = phi_pair_moment(2, 1, 1, power, 3.0, 2.5, P0)
+            assert phi_pair_moment(2, 1, 1, np.int64(power), 3.0, 2.5, P0).hex() == want.hex()
+
     @pytest.mark.parametrize("power", [0, 2])
     @pytest.mark.parametrize("q", [0, -7, 60, 149])
     @pytest.mark.parametrize("p", [0, 3, 10])
