@@ -160,21 +160,52 @@ def check_hydrogen_regression(max_n=None) -> CheckResult:
     return bounds.result("c01-hydrogen-regression", "relative to 3 a|e|eps")
 
 
+def _laguerre_jacobi(size: int, aq: int) -> np.ndarray:
+    """Jacobi matrix J of the orthonormal Laguerre functions of order |q|, rows p = 0, ..., size - 1:
+    x Phi_p = sum_p' J[p, p'] Phi_p' in units of a n (Abramowitz & Stegun 22.7.12)."""
+    p = np.arange(size, dtype=float)
+    off = -np.sqrt((p[:-1] + 1.0) * (p[:-1] + aq + 1.0))
+    return np.diag(2.0 * p + aq + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def check_integral_closed_forms(max_n=None) -> CheckResult:
-    """Quadrature reproduces I_pq = a n and the printed x^2 moment."""
-    bounds = _Bounds(moments=1e-9)
+    """Quadrature Gram matrices of 1, x and x^2 between the Phi_pq of one (n, q) are
+    a n times the identity, (a n)^2 J and (a n)^3 J^2; their diagonals are I_pq = a n
+    and the printed x^2 moment."""
+    bounds = _Bounds(moments=1e-9, orthogonality=1e-9, position=1e-9, quadratic=1e-9)
     params = PhysicalParams.atomic(0)
+    p_max = 10
     n_values = [float(k) for k in range(1, 13)] + [1.5, 3.5, 5.5]
     if max_n is not None:
         n_values = [n for n in n_values if n <= float(max_n)]
+    off_diagonal = ~np.eye(p_max + 1, dtype=bool)
     for n in n_values:
-        for p in range(0, 11):
-            for q in list(range(0, 11)) + [-1, -4, -10]:
-                for power, exact in ((0, stark.integral_I), (2, stark.integral_II)):
+        scale = params.a * n
+        for q in list(range(0, 11)) + [-1, -4, -10]:
+            rule = quadrature.gauss_laguerre(states._exact_order(2 * p_max + abs(q) + 2))
+            x = scale * rule.nodes
+            w = scale * rule.lifted_weights
+            table = states.phi_table(p_max, q, x, n, params)
+            # G_k = F diag(w x^k) F^T; einsum sums in a fixed order, without BLAS
+            g0, g1, g2 = (np.einsum("ik,jk->ij", table * wk, table) for wk in (w, w * x, w * x**2))
+            # J^2 from a J one row larger, so its last diagonal entry has both neighbours
+            jac = _laguerre_jacobi(p_max + 2, abs(q))
+            want1 = scale**2 * jac[:-1, :-1]
+            want2 = scale**3 * np.einsum("ik,kj->ij", jac, jac)[:-1, :-1]
+            for p in range(p_max + 1):
+                for g, exact in ((g0, stark.integral_I), (g2, stark.integral_II)):
                     want = exact(p, q, n, params)
-                    got = states.phi_pair_moment(p, p, q, power, n, n, params)
-                    bounds.add("moments", _rel(abs(got - want), abs(want)))
-    return bounds.result("c02-integral-closed-forms", "p <= 10, |q| <= 10, n <= 12, both moments")
+                    bounds.add("moments", _rel(abs(g[p, p] - want), abs(want)), cases=0)
+            bounds.add("orthogonality", _rel(float(np.max(np.abs(g0[off_diagonal]))), scale), cases=g0.size)
+            for name, got, want in (("position", g1, want1), ("quadratic", g2, want2)):
+                err = float(np.max(np.abs(got - want)))
+                bounds.add(name, _rel(err, float(np.max(np.abs(want)))), cases=got.size)
+    reached = f"n <= {max(n_values):g}" if n_values else "no n"
+    return bounds.result(
+        "c02-integral-closed-forms",
+        f"p <= {p_max}, |q| <= 10, {reached}; Gram matrices of 1, x, x^2 per (n, q) against a n, "
+        "(a n)^2 J and (a n)^3 J^2, diagonals against both moments",
+    )
 
 
 def check_shift_formula_identity(max_n=None) -> CheckResult:

@@ -42,7 +42,7 @@ INVARIANT_SUITES = [
 # check compares shows up here
 CASES = {
     "hydrogen-regression": (8, 8),
-    "integral-closed-forms": (4620, 924),
+    "integral-closed-forms": (76230, 15246),
     "shift-formula-identity": (1639, 12),
     "oracle-equivalence": (102, 14),
     "degeneracy-removal": (220, 4),
@@ -275,6 +275,12 @@ MUTANTS = {
     "c02 1e-6 |q| in the x^2 moment's bracket": (
         "integral-closed-forms", 1, verify.stark, "integral_II",
         lambda f: lambda p, q, n, params: f(p, q, n, params) + 2.0 * (params.a * n) ** 3 * 1e-6 * abs(q),
+    ),
+    # a sign flip of one row keeps every diagonal moment and the orthogonality of
+    # the rows, so only the off-diagonals of the x and x^2 Gram matrices see it
+    "c02 phi_table row 3 negated": (
+        "integral-closed-forms", 1, verify.states, "phi_table",
+        lambda f: lambda p_max, *args: f(p_max, *args) * np.where(np.arange(p_max + 1) == 3, -1.0, 1.0)[:, None],
     ),
     "c03 bracket without its m s term": (
         "shift-formula-identity", 1.5, verify.stark, "bracket_twelfths",

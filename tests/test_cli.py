@@ -111,9 +111,13 @@ class TestShiftsCommand:
         assert result.exit_code == 2
         assert "must be a finite number" in result.output
 
-    def test_quad_order_env_ignored_outside_verify(self, runner):
-        result = runner.invoke(main, ["spectrum", "--n", "2"], env={"DYONSTARK_QUAD_ORDER": "500"})
-        assert result.exit_code == 0
+    @pytest.mark.parametrize("args", ["spectrum --n 2", "verify --max-n 1 --check c02-integral-closed-forms"])
+    def test_unread_quad_order_env_changes_no_output(self, runner, args):
+        # no code reads DYONSTARK_QUAD_ORDER: every quadrature order follows
+        # from the labels, so a table and a verify report keep their bytes
+        set_, unset = (runner.invoke(main, args.split(), env={"DYONSTARK_QUAD_ORDER": v}) for v in ("500", None))
+        assert set_.exit_code == unset.exit_code == 0
+        assert set_.stdout_bytes == unset.stdout_bytes
 
 
 class TestOutputPins:
@@ -253,8 +257,8 @@ class TestOutputPins:
     @pytest.mark.parametrize(
         "args, digest",
         [
-            ("verify", "2cc93db2f43ce38eb61d39c826d8346110589ee512479137b1270fd58a8fabf5"),
-            ("verify --max-n 2", "0c90682f2af90402f37ee4c8ac72ded10f7f98b26005c1f48643680c469fa7b0"),
+            ("verify", "2258c1e0340ddb3fea7ca2ae9ba9ab89343b6abd545e4e1865b5c6a820579e72"),
+            ("verify --max-n 2", "faaf5fc37a70a76a0c6c1d1f2c879836d9ec81151e19751e2846ad61408e1524"),
         ],
     )
     def test_verify_report_bytes(self, runner, args, digest):

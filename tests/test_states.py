@@ -589,6 +589,25 @@ class TestPhiFactor:
         got = phi_pair_moment(p, p, q, power, n, n, P0)
         assert got == pytest.approx(closed(p, q, n, P0), rel=1e-12)
 
+    @pytest.mark.parametrize("p_max, n, q", [(60, 61, 0), (60, 200, 20), (120, 200, 5), (199, 200, 0)])
+    def test_gram_matrices_are_the_laguerre_jacobi_powers(self, p_max, n, q):
+        # past c02's p <= 10, n <= 12: on the exact-order rule of the x^2
+        # moment, the Gram matrices of 1, x and x^2 are a n 1, (a n)^2 J and
+        # (a n)^3 J^2, with J the Jacobi matrix of the orthonormal Laguerre
+        # functions; J^2 comes from a J one row larger
+        scale = P0.a * n
+        rule = gauss_laguerre(states._exact_order(2 * p_max + abs(q) + 2))
+        x, w = scale * rule.nodes, scale * rule.lifted_weights
+        table = phi_table(p_max, q, x, n, P0)
+        p = np.arange(p_max + 2.0)
+        off = -np.sqrt((p[:-1] + 1.0) * (p[:-1] + abs(q) + 1.0))
+        jac = np.diag(2.0 * p + abs(q) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+        wants = (np.eye(p_max + 1), jac[:-1, :-1], (jac @ jac)[:-1, :-1])
+        for k, want in enumerate(wants):
+            gram = (table * (w * x**k)) @ table.T
+            want = scale ** (k + 1) * want
+            assert np.max(np.abs(gram - want)) <= 1e-11 * np.max(np.abs(want)), k
+
 
 # sha256 over the .hex() of phi_pair_moment on c02's labels, at an explicit
 # order (as matrix_element_V passes its quad_order) and at the default one
