@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import HalfInteger, half
+from .specfun import HalfInteger, _is_whole, half
 from .states import (
     ParabolicState,
     PhysicalParams,
     _check_s,
+    _label_beta,
+    _real,
     _shell,
-    beta_eigenvalue,
     energy_level,
     parabolic_labels,
 )
@@ -50,13 +51,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Uniform electric field of strength epsilon along +x3."""
+    """Uniform electric field of strength epsilon along +x3.
+
+    epsilon may be any real number but a bool (numpy scalars included), as
+    ``PhysicalParams.gamma_c``, and is stored as a Python float.
+    """
 
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be a finite non-negative number, got {self.epsilon}")
+        epsilon = _real("epsilon", self.epsilon)
+        if not (epsilon >= 0 and math.isfinite(epsilon)):
+            raise ValueError(f"epsilon must be a finite non-negative number, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", epsilon)
 
     def perturbative_ratio(self, n, params: PhysicalParams) -> float:
         """eps a^2 n^4 / gamma: first-order shift over level spacing.
@@ -124,40 +131,59 @@ def _dipole(unit: float, bracket):
     return -_shift(unit, bracket, 1.0) + 0.0
 
 
-def integral_I(p: int, q: int, n, params: PhysicalParams) -> float:
-    """Closed form of integral Phi_pq^2 dx: a*n for every p, q."""
-    if p < 0 or p != int(p):
-        raise ValueError(f"p must be a non-negative integer, got {p}")
+def _moment_labels(p, q):
+    """(p, |q|) of a Phi_pq moment, refused as ``states.phi_pq`` refuses them:
+    p must be a non-negative integer and q an integer (``specfun._is_whole``).
+    Each is a number, or a numpy array judged element by element; the
+    message names the first element that fails.
+    """
+    for name, v, rule, least in (("p", p, "a non-negative integer", 0), ("q", q, "an integer", -math.inf)):
+        values = v.ravel().tolist() if isinstance(v, np.ndarray) else [v]
+        bad = [x for x in values if not _is_whole(x) or x < least]
+        if bad:
+            raise ValueError(f"{name} must be {rule}, got {bad[0]}")
+    return p, abs(q)
+
+
+def integral_I(p, q, n, params: PhysicalParams) -> float:
+    """Closed form of integral Phi_pq^2 dx: a*n for every p, q, so the one
+    float serves arrays of p and q as well."""
+    _moment_labels(p, q)
     return params.a * float(n)
 
 
-def integral_II(p: int, q: int, n, params: PhysicalParams) -> float:
+def integral_II(p, q, n, params: PhysicalParams):
     """Closed form of integral x^2 Phi_pq^2 dx.
 
-    2 (a n)^3 [3 p (p + |q| + 1) + (|q|/2)(|q| + 3) + 1].
+    2 (a n)^3 [3 p (p + |q| + 1) + (|q|/2)(|q| + 3) + 1]; p and q are
+    numbers, or arrays for a moment per element.
     """
-    if p < 0 or p != int(p):
-        raise ValueError(f"p must be a non-negative integer, got {p}")
-    aq = abs(int(q))
+    p, aq = _moment_labels(p, q)
     bracket = 3.0 * p * (p + aq + 1) + 0.5 * aq * (aq + 3) + 1.0
     return 2.0 * (params.a * float(n)) ** 3 * bracket
+
+
+def _shift_integral(n2x: int, s2: int, n1, n2, m2, epsilon: float, params: PhysicalParams):
+    """``shift_integral_form`` of the label (n1, n2, m2) in shell 2n = n2x at 2s = s2.
+
+    The labels are ints, or int64 arrays for a shift per element:
+    (eps / 4 a^3 n^4) (II_{n1,m-s} I_{n2,m+s} - I_{n1,m-s} II_{n2,m+s}).
+    """
+    nf = n2x / 2.0
+    q1, q2 = (m2 - s2) // 2, (m2 + s2) // 2
+    term = integral_II(n1, q1, nf, params) * integral_I(n2, q2, nf, params) - integral_I(
+        n1, q1, nf, params
+    ) * integral_II(n2, q2, nf, params)
+    return epsilon / (4.0 * params.a**3 * nf**4) * term
 
 
 def shift_integral_form(
     state: ParabolicState, field: FieldConfig, params: PhysicalParams
 ) -> float:
-    """First-order shift assembled from the two closed-form integrals.
-
-    (eps / 4 a^3 n^4) (II_{n1,m-s} I_{n2,m+s} - I_{n1,m-s} II_{n2,m+s})
-    """
+    """First-order shift assembled from the two closed-form integrals
+    (``_shift_integral``)."""
     _check_s(state.s, params)
-    nf = state.n.value
-    term = integral_II(state.n1, state.q1, nf, params) * integral_I(
-        state.n2, state.q2, nf, params
-    ) - integral_I(state.n1, state.q1, nf, params) * integral_II(
-        state.n2, state.q2, nf, params
-    )
-    return field.epsilon / (4.0 * params.a**3 * nf**4) * term
+    return _shift_integral(state.n.twice, state.s.twice, state.n1, state.n2, state.m.twice, field.epsilon, params)
 
 
 def shift_closed_form(
@@ -197,18 +223,25 @@ def mean_dipole(state: ParabolicState, params: PhysicalParams) -> float:
     return _dipole(shift_unit(params), bracket_twelfths(state))
 
 
-def dipole_operator_expectation(state: ParabolicState, params: PhysicalParams) -> float:
-    """Dipole along x3 evaluated from conserved-operator eigenvalues.
+def _dipole_operator(n2x: int, s2: int, n1, n2, m2, params: PhysicalParams):
+    """``dipole_operator_expectation`` of the label (n1, n2, m2) in shell 2n = n2x
+    at 2s = s2; the labels are ints, or int64 arrays for a dipole per element.
 
     d_z = 3 gamma / (4 E0) I3 - s / (2 gamma) J3,
     with I3 the dimensionless Runge-Lenz projection beta / gamma and
-    J3 = m.  Must reproduce mean_dipole state by state.
+    J3 = m.
     """
+    e0 = energy_level(HalfInteger(n2x), params)
+    i3 = _label_beta(n2x, s2, n1, n2, m2, params) / params.gamma_c
+    j3 = m2 / 2.0
+    return 3.0 * params.gamma_c / (4.0 * e0) * i3 - (s2 / 2.0) / (2.0 * params.gamma_c) * j3
+
+
+def dipole_operator_expectation(state: ParabolicState, params: PhysicalParams) -> float:
+    """Dipole along x3 evaluated from conserved-operator eigenvalues
+    (``_dipole_operator``).  Must reproduce mean_dipole state by state."""
     _check_s(state.s, params)
-    e0 = energy_level(state.n, params)
-    i3 = beta_eigenvalue(state, params) / params.gamma_c
-    j3 = state.m.value
-    return 3.0 * params.gamma_c / (4.0 * e0) * i3 - state.s.value / (2.0 * params.gamma_c) * j3
+    return _dipole_operator(state.n.twice, state.s.twice, state.n1, state.n2, state.m.twice, params)
 
 
 def shift_columns(n, s, field: FieldConfig, params: PhysicalParams) -> dict[str, np.ndarray]:

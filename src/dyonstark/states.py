@@ -67,6 +67,18 @@ __all__ = [
 N_MAX = MAX_ORDER - 1
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a Python float, refused unless it is a real number other than a
+    bool (numpy scalars included); an int past the float range becomes inf."""
+    # a bool is an int to Python, but True is no coupling and no field
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number other than a bool, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Coulomb coupling gamma_c and monopole number s of the charge-dyon pair.
@@ -80,13 +92,7 @@ class PhysicalParams:
     s: HalfInteger = HalfInteger(0)
 
     def __post_init__(self):
-        # a bool is an int to Python, but True is no coupling
-        if isinstance(self.gamma_c, bool) or not isinstance(self.gamma_c, numbers.Real):
-            raise ValueError(f"gamma_c must be a real number other than a bool, got {self.gamma_c!r}")
-        try:
-            gamma_c = float(self.gamma_c)
-        except OverflowError:  # an int past the float range
-            gamma_c = math.inf
+        gamma_c = _real("gamma_c", self.gamma_c)
         if not (gamma_c > 0 and math.isfinite(gamma_c)):
             raise ValueError(f"gamma_c must be a positive finite number, got {self.gamma_c!r}")
         object.__setattr__(self, "gamma_c", gamma_c)
@@ -308,9 +314,17 @@ def beta_eigenvalue(state: ParabolicState, params: PhysicalParams) -> float:
     kappa = sqrt(-2 E0) = 1 / (a n).
     """
     _check_s(state.s, params)
-    e0 = energy_level(state.n, params)
-    kappa = math.sqrt(-2.0 * e0)
-    x2 = 2 * (state.n1 - state.n2) + abs(state.q1) - abs(state.q2)  # 2X, exact
+    return _label_beta(state.n.twice, state.s.twice, state.n1, state.n2, state.m.twice, params)
+
+
+def _label_beta(n2x: int, s2: int, n1, n2, m2, params: PhysicalParams):
+    """``beta_eigenvalue`` of the label (n1, n2, m2) in shell 2n = n2x at 2s = s2.
+
+    The labels are ints, or int64 arrays for a separation constant per
+    element; q1 = (m2 - s2)/2 and q2 = (m2 + s2)/2 are integers.
+    """
+    kappa = math.sqrt(-2.0 * energy_level(HalfInteger(n2x), params))
+    x2 = 2 * (n1 - n2) + abs((m2 - s2) // 2) - abs((m2 + s2) // 2)  # 2X, exact
     return kappa * (x2 / 2.0)
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "json_pieces",
     "render_csv",
     "render_json",
-    "parse_json_records",
 ]
 
 RECORD_COLUMNS = ["n", "s2", "n1", "n2", "m2", "j2", "e0", "e1", "dipole_z"]
@@ -243,17 +242,3 @@ def render_json(
     dict per row, without its pure-Python encoder: only the header goes
     through ``json.dumps``."""
     return "".join(json_pieces(table, params, field, ratio))
-
-
-def parse_json_records(text: str) -> dict[str, list | None]:
-    """Inverse of render_json for the records array: a column table, with
-    an all-null column as ``None`` and the decimal strings of e0 and e1
-    parsed back to floats."""
-    records = json.loads(text)["records"]
-    table = {key: [record[key] for record in records] for key in (records[0] if records else ())}
-    for key, values in table.items():
-        if values.count(None) == len(values):
-            table[key] = None
-        elif key in _DECIMAL_KEYS:
-            table[key] = list(map(float, values))
-    return table

@@ -42,7 +42,7 @@ INVARIANT_SUITES = [
 # check compares shows up here
 CASES = {
     "hydrogen-regression": (8, 8),
-    "integral-closed-forms": (76230, 15246),
+    "integral-closed-forms": (59895, 11979),
     "shift-formula-identity": (1639, 12),
     "oracle-equivalence": (102, 14),
     "degeneracy-removal": (220, 4),
@@ -122,15 +122,43 @@ def test_shell_splitting_fails_on_a_formula_off_by_5e_4(monkeypatch):
 
 
 def test_closed_form_checks_build_no_state(monkeypatch):
-    # c04, c05, c06 and inv-stark read label arrays and exact brackets alone
+    # c01, c03, c04, c05, c06, c07 and inv-stark read label arrays and exact brackets
+    # alone: the integral-form shift and the operator dipole take label arrays too
     def refuse(self):
         raise AssertionError("a ParabolicState was built")
 
     monkeypatch.setattr(verify.states.ParabolicState, "__post_init__", refuse)
-    for check_id in ("oracle-equivalence", "degeneracy-removal", "shell-splitting", "stark-invariants"):
+    for check_id in (
+        "hydrogen-regression",
+        "shift-formula-identity",
+        "oracle-equivalence",
+        "degeneracy-removal",
+        "shell-splitting",
+        "dipole-consistency",
+        "stark-invariants",
+    ):
         result = run_check(check_id)
         assert result.passed, result.line()
         assert result.cases == CASES[check_id][0]
+
+
+@pytest.mark.parametrize("check_id", ["shift-formula-identity", "dipole-consistency"])
+def test_printed_table_is_joined_by_label(monkeypatch, check_id):
+    # a table whose last row carries the first row's label has the shell's row
+    # count but not its label set, so every printed value joins as NaN
+    shift_columns = verify.tables.shift_columns
+
+    def relabelled(*args):
+        columns = shift_columns(*args)
+        for key in ("n1", "n2", "m2"):
+            columns[key][-1] = columns[key][0]
+        return columns
+
+    monkeypatch.setattr(verify.tables, "shift_columns", relabelled)
+    result = run_check(check_id, max_n=2)
+    assert not result.passed
+    assert math.isnan(result.max_err)
+    assert "table nan (exact)" in result.detail
 
 
 def _drop_last_sector(sectors):
@@ -283,8 +311,8 @@ MUTANTS = {
         lambda f: lambda p_max, *args: f(p_max, *args) * np.where(np.arange(p_max + 1) == 3, -1.0, 1.0)[:, None],
     ),
     "c03 bracket without its m s term": (
-        "shift-formula-identity", 1.5, verify.stark, "bracket_twelfths",
-        lambda f: lambda st: f(st) - st.m.twice * st.s.twice,
+        "shift-formula-identity", 1.5, verify.stark, "_label_bracket",
+        lambda f: lambda n2x, s2, n1, n2, m2: f(n2x, s2, n1, n2, m2) - m2 * s2,
     ),
     "c03 printed e1 column negated": (
         "shift-formula-identity", 1.5, verify.tables, "shift_columns", _negated("e1")
@@ -299,7 +327,7 @@ MUTANTS = {
         lambda f: lambda n, s, field, params: f(n, s, field, params) + verify.stark.shift_quantum(field, params) / 12,
     ),
     "c07 separation constant 1e-9 high": (
-        "dipole-consistency", 1.5, verify.stark, "beta_eigenvalue", _times(1.0 + 1e-9)
+        "dipole-consistency", 1.5, verify.stark, "_label_beta", _times(1.0 + 1e-9)
     ),
     "c07 printed dipole_z column negated": (
         "dipole-consistency", 1.5, verify.tables, "shift_columns", _negated("dipole_z")
@@ -400,10 +428,8 @@ class TestBounds:
 
     def test_check_reports_its_binding_bound(self, monkeypatch):
         # an analytic error of 5e-12 breaches c01's 1e-12 bound, not its 1e-6 one
-        closed_form = verify.stark.shift_closed_form
-        monkeypatch.setattr(
-            verify.stark, "shift_closed_form", lambda *args: closed_form(*args) + 1.5e-11
-        )
+        shift = verify.stark._shift
+        monkeypatch.setattr(verify.stark, "_shift", lambda *args: shift(*args) + 1.5e-11)
         result = run_check("hydrogen-regression")
         assert not result.passed
         assert result.tol == 1e-12

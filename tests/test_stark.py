@@ -1,6 +1,7 @@
 """Tests for the closed-form Stark theory."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from dyonstark.specfun import HalfInteger, half
 from dyonstark.stark import (
     FieldConfig,
     _dipole,
+    _dipole_operator,
     _shift,
+    _shift_integral,
     bracket_twelfths,
     dipole_operator_expectation,
     integral_I,
@@ -25,7 +28,14 @@ from dyonstark.stark import (
     shift_unit,
     stark_table,
 )
-from dyonstark.states import ParabolicState, PhysicalParams, enumerate_shell_parabolic
+from dyonstark.states import (
+    ParabolicState,
+    PhysicalParams,
+    _label_beta,
+    beta_eigenvalue,
+    enumerate_shell_parabolic,
+    parabolic_labels,
+)
 
 P0 = PhysicalParams.atomic(0)
 P1 = PhysicalParams.atomic(1)
@@ -55,11 +65,36 @@ class TestIntegrals:
         assert integral_II(1, 0, 1, P0) == pytest.approx(14.0)
         assert integral_II(0, 2, 2, P0) == pytest.approx(96.0)
 
-    def test_rejects_negative_p(self):
-        with pytest.raises(ValueError):
-            integral_I(-1, 0, 1, P0)
-        with pytest.raises(ValueError):
-            integral_II(-2, 0, 1, P0)
+    @pytest.mark.parametrize("moment", [integral_I, integral_II])
+    @pytest.mark.parametrize(
+        "p, q, rule",
+        [
+            (-1, 0, "p must be a non-negative integer, got -1"),
+            (1.5, 0, "p must be a non-negative integer, got 1.5"),
+            (math.nan, 0, "p must be a non-negative integer, got nan"),
+            ("1", 0, "p must be a non-negative integer, got 1"),
+            (1, 0.5, "q must be an integer, got 0.5"),
+            (1, -0.5, "q must be an integer, got -0.5"),
+            (1, math.inf, "q must be an integer, got inf"),
+            (np.array([0, 3, -2]), 0, "p must be a non-negative integer, got -2"),
+            (np.array([1.0, 2.5]), 0, "p must be a non-negative integer, got 2.5"),
+            (np.arange(3), np.array([0, 1.5, 2]), "q must be an integer, got 1.5"),
+        ],
+    )
+    def test_rules_are_the_phi_kernels(self, moment, p, q, rule):
+        # q = 0.5 used to truncate to 0, so integral_II(1, 0.5, 1) gave 14.0
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            moment(p, q, 1, P0)
+
+    def test_arrays_give_a_moment_per_element(self):
+        p, q = np.array([0, 1, 0, 5]), np.array([0, 0, -2, 3])
+        got = integral_II(p, q, 2.5, P0)
+        assert got.shape == (4,)
+        assert got.tobytes() == np.array([integral_II(*pq, 2.5, P0) for pq in zip(p.tolist(), q.tolist())]).tobytes()
+        # a n for every p and q: one float serves the arrays
+        assert integral_I(p, q, 2.5, P0) == 2.5
+        # a whole float is an integer, and the sign of q does not matter
+        assert integral_II(2.0, -3.0, 1, P0) == integral_II(2, 3, 1, P0) == 92.0
 
 
 class TestShifts:
@@ -276,12 +311,53 @@ class TestShiftColumns:
             assert labels.index((0, 0, -18)) < labels.index((3, 0, 12))
 
 
+class TestLabelBodies:
+    """Each label body, on a shell's label arrays, has the bits of its
+    per-state function on every state of the shell."""
+
+    @pytest.mark.parametrize(
+        "n, s", [("1", "0"), ("7/2", "1/2"), ("6", "-2"), ("21/2", "-5/2"), ("40", "3"), ("200", "0"), ("399/2", "1/2")]
+    )
+    def test_arrays_are_the_state_functions_bit_for_bit(self, n, s):
+        n, s = half(n), half(s)
+        params, field = PhysicalParams(gamma_c=0.7, s=s), FieldConfig(0.37)
+        labels = (n.twice, s.twice, *parabolic_labels(n, s))
+        shell = enumerate_shell_parabolic(n, s)
+        for body, per_state in (
+            (_shift_integral(*labels, field.epsilon, params), lambda st: shift_integral_form(st, field, params)),
+            (_dipole_operator(*labels, params), lambda st: dipole_operator_expectation(st, params)),
+            (_label_beta(*labels, params), lambda st: beta_eigenvalue(st, params)),
+        ):
+            assert body.dtype == np.float64
+            assert body.tobytes() == np.array([per_state(st) for st in shell]).tobytes()
+
+
 class TestValidation:
     def test_field_rejects_negative(self):
         with pytest.raises(ValueError):
             FieldConfig(-0.5)
         with pytest.raises(ValueError):
             FieldConfig(math.inf)
+
+    @pytest.mark.parametrize(
+        "epsilon, rule",
+        [
+            (True, "epsilon must be a real number other than a bool, got True"),
+            (np.True_, "epsilon must be a real number other than a bool, got np.True_"),
+            ("1", "epsilon must be a real number other than a bool, got '1'"),
+            (10**400, "epsilon must be a finite non-negative number, got " + "1" + "0" * 400),
+        ],
+    )
+    def test_field_takes_the_coupling_rule(self, epsilon, rule):
+        # True was stored as True, 10**400 raised OverflowError and "1" TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            FieldConfig(epsilon)
+
+    @pytest.mark.parametrize("epsilon", [2, np.float32(0.5), np.int64(3), 0.25])
+    def test_field_is_stored_as_a_float(self, epsilon):
+        field = FieldConfig(epsilon)
+        assert type(field.epsilon) is float
+        assert field.epsilon == float(epsilon)
 
     def test_state_params_s_mismatch(self):
         with pytest.raises(ValueError, match="^s=0 disagrees with params.s=1$"):

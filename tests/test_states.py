@@ -538,6 +538,8 @@ class TestPhiFactor:
             assert table[p].tobytes() == phi_pq(p, q, x, n, P0).tobytes()
         scalar = phi_table(60, q, 3.7 * nf, n, P0)
         assert scalar.tobytes() == np.array([phi_pq(p, q, 3.7 * nf, n, P0) for p in range(61)]).tobytes()
+        # the table depends on |q| alone, so c02 evaluates each |q| once
+        assert phi_table(60, -q, x, n, P0).tobytes() == table.tobytes()
 
     @pytest.mark.parametrize("kernel", [phi_pq, phi_table])
     @pytest.mark.parametrize(
