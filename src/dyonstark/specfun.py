@@ -273,12 +273,49 @@ def _wigner_terms(j2: int, m2: int, s2: int):
     return tuple(terms)
 
 
+def _wigner_rows(j2, m2, s2, theta) -> np.ndarray:
+    """d^j_{ms}(theta) of every label, shape (labels, *theta.shape).
+
+    The labels are doubled integers, ints or int64 arrays that broadcast
+    together, one row per element in C order; they must be valid, as
+    ``wigner_d`` checks.  Each half-angle power is taken once, for every
+    label that uses it, with the ``**`` of one label's sum: a float64
+    scalar's for a 0-d theta, numpy's array pow otherwise.  Each row sums
+    its ``_wigner_terms`` in order, starting from zeros.
+    """
+    # one int label, as ``wigner_d`` passes, skips the broadcast: a spherical
+    # grid makes one such call per angle
+    if isinstance(j2, int) and isinstance(m2, int) and isinstance(s2, int):
+        labels = [(j2, m2, s2)]
+    else:
+        labels = zip(*(np.ravel(a).tolist() for a in np.broadcast_arrays(j2, m2, s2)))
+    rows = [_wigner_terms(*label) for label in labels]
+    theta = np.asarray(theta, dtype=float)
+    c = np.cos(theta / 2.0)
+    sn = np.sin(theta / 2.0)
+    cos_pows, sin_pows = {}, {}
+    out = np.zeros((len(rows), *theta.shape))
+    for i, terms in enumerate(rows):
+        acc = out[i]
+        for amp, cos_pow, sin_pow in terms:
+            # each power on first use; 0**0 -> 1 handles the theta = 0, pi endpoints
+            if cos_pow not in cos_pows:
+                cos_pows[cos_pow] = c**cos_pow
+            if sin_pow not in sin_pows:
+                sin_pows[sin_pow] = sn**sin_pow
+            acc = acc + amp * cos_pows[cos_pow] * sin_pows[sin_pow]
+        out[i] = acc
+    return out
+
+
 def wigner_d(j, m, s, theta):
     """Wigner d-function d^j_{ms}(theta) by the direct finite sum.
 
     Indices may be integers or half-integers (all three of the same
     type); theta may be a scalar or ndarray.  Real-valued for real
     theta.  j is at most ``WIGNER_J_MAX``, the sum's accuracy domain.
+    The labels are checked here; the sum is the one row of
+    ``_wigner_rows``, the body every d-function evaluation goes through.
     """
     j, m, s = half(j), half(m), half(s)
     if j.twice < 0:
@@ -286,13 +323,7 @@ def wigner_d(j, m, s, theta):
     _check_projection(j, m, "m")
     _check_projection(j, s, "s")
     _check_wigner_domain(j.twice)
-    theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta / 2.0)
-    sn = np.sin(theta / 2.0)
-    out = np.zeros_like(c)
-    for amp, cos_pow, sin_pow in _wigner_terms(j.twice, m.twice, s.twice):
-        # 0**0 -> 1 handles the theta = 0, pi endpoints
-        out = out + amp * c**cos_pow * sn**sin_pow
+    out = _wigner_rows(j.twice, m.twice, s.twice, theta)[0]
     if out.ndim == 0:
         return float(out)
     return out

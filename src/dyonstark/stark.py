@@ -232,7 +232,7 @@ def _dipole_operator(n2x: int, s2: int, n1, n2, m2, params: PhysicalParams):
     J3 = m.
     """
     e0 = energy_level(HalfInteger(n2x), params)
-    i3 = _label_beta(n2x, s2, n1, n2, m2, params) / params.gamma_c
+    i3 = _label_beta(n2x, s2, n1, n2, m2, params, e0) / params.gamma_c
     j3 = m2 / 2.0
     return 3.0 * params.gamma_c / (4.0 * e0) * i3 - (s2 / 2.0) / (2.0 * params.gamma_c) * j3
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import MAX_ORDER, gauss_laguerre, gauss_legendre, integrate_halfline
-from .specfun import HalfInteger, _check_wigner_domain, _is_whole, half, hyp1f1_poly, hyp1f1_table, ln_factorial, wigner_d
+from .specfun import HalfInteger, _check_wigner_domain, _is_whole, _wigner_rows, half, hyp1f1_poly, hyp1f1_table, ln_factorial, wigner_d
 
 __all__ = [
     "N_MAX",
@@ -317,13 +317,16 @@ def beta_eigenvalue(state: ParabolicState, params: PhysicalParams) -> float:
     return _label_beta(state.n.twice, state.s.twice, state.n1, state.n2, state.m.twice, params)
 
 
-def _label_beta(n2x: int, s2: int, n1, n2, m2, params: PhysicalParams):
+def _label_beta(n2x: int, s2: int, n1, n2, m2, params: PhysicalParams, e0: float | None = None):
     """``beta_eigenvalue`` of the label (n1, n2, m2) in shell 2n = n2x at 2s = s2.
 
     The labels are ints, or int64 arrays for a separation constant per
-    element; q1 = (m2 - s2)/2 and q2 = (m2 + s2)/2 are integers.
+    element; q1 = (m2 - s2)/2 and q2 = (m2 + s2)/2 are integers.  ``e0``
+    is the shell's ``energy_level``, evaluated here unless the caller has it.
     """
-    kappa = math.sqrt(-2.0 * energy_level(HalfInteger(n2x), params))
+    if e0 is None:
+        e0 = energy_level(HalfInteger(n2x), params)
+    kappa = math.sqrt(-2.0 * e0)
     x2 = 2 * (n1 - n2) + abs((m2 - s2) // 2) - abs((m2 + s2) // 2)  # 2X, exact
     return kappa * (x2 / 2.0)
 
@@ -374,11 +377,10 @@ def _angular_norm(j2: int, m2: int, s2: int) -> float:
     vector under sin(theta) dtheta dphi.
     """
     _check_wigner_domain(j2)  # every spherical evaluation passes here before any rule
-    j, m, s = HalfInteger(j2), HalfInteger(m2), HalfInteger(s2)
     rule = gauss_legendre(j2 + 24)
 
     def d_sq(t):
-        return wigner_d(j, m, s, np.arccos(t)) ** 2
+        return _wigner_rows(j2, m2, s2, np.arccos(t))[0] ** 2
 
     return 1.0 / math.sqrt(2.0 * math.pi * rule.integrate(d_sq))
 
@@ -607,10 +609,10 @@ def spherical_overlap(
     leg = gauss_legendre(order)
 
     def ang(t):
-        th = np.arccos(t)
-        return wigner_d(a_state.j, a_state.m, a_state.s, th) * wigner_d(
-            b_state.j, b_state.m, b_state.s, th
+        d_a, d_b = _wigner_rows(
+            np.array([a_state.j.twice, b_state.j.twice]), a_state.m.twice, a_state.s.twice, np.arccos(t)
         )
+        return d_a * d_b
 
     theta_int = leg.integrate(ang)
     na_f, nb_f = a_state.n.value, b_state.n.value

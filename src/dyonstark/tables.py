@@ -20,9 +20,11 @@ its distinct values is formatted once: one ``np.unique`` sort finds
 them, and its inverse index lays out their texts.  Then the rows are
 laid out ``BLOCK_ROWS`` at a time, and ``csv_pieces``/``json_pieces``
 yield each block's lines or records as one piece, which the CLI writes
-before laying out the next.  Every pass over the cells (the lookups, the
-CSV joins, the JSON record template) is a ``map``, a ``zip`` or a numpy
-index, which runs in C: a grid is tens of thousands of cells, and a
+before laying out the next.  Both lay out a block by column: each
+column's texts and each fixed separator are slice-assigned into one flat
+list, which is joined once.  Every pass over the cells (the lookups, the
+layout, the join) is a ``map``, a slice assignment or a numpy index,
+which runs in C: a grid is tens of thousands of cells, and a
 Python-level loop per cell costs more than computing the grid.  No table
 is ever one string on its way to the output, so a 512 x 512 JSON grid
 peaks at about 100 MiB of RSS, not 256 MiB.  ``render_csv`` and
@@ -150,9 +152,9 @@ def _column(key: str, values: np.ndarray | None, empty: str, quote: bool = False
 
 
 def _blocks(table: dict[str, np.ndarray | None], empty: str, quoted=frozenset()):
-    """The table's rows, as one iterator of cell-text tuples per block of
-    ``BLOCK_ROWS`` rows; the row count is that of the columns that are
-    not ``None``.
+    """The table's rows, as one list per block of ``BLOCK_ROWS`` rows that
+    holds each column's cell texts; the row count is that of the columns
+    that are not ``None``.
 
     Every column is checked and its distinct values formatted before the
     first block is returned, so a refusal comes before any output.
@@ -163,8 +165,30 @@ def _blocks(table: dict[str, np.ndarray | None], empty: str, quoted=frozenset())
     rows = lengths.pop() if lengths else 0
     columns = [_column(key, values, empty, key in quoted) for key, values in table.items()]
     return (
-        zip(*[column(lo, min(lo + BLOCK_ROWS, rows)) for column in columns]) for lo in range(0, rows, BLOCK_ROWS)
+        [column(lo, min(lo + BLOCK_ROWS, rows)) for column in columns] for lo in range(0, rows, BLOCK_ROWS)
     )
+
+
+def _layout(first: str, cells: list[list[str]], after: list[str], last: str) -> str:
+    """One block's text: ``first``, then row by row each column's text
+    followed by that column's ``after`` text, with ``last`` in place of
+    the block's final ``after`` text.
+
+    Each column's texts and each fixed text go into one flat list by one
+    slice assignment, and the list is joined once, so no Python code runs
+    per cell or per row.  The list starts filled with ``after[0]``, so the
+    slots of every ``after`` text equal to it (all of CSV's commas) need no
+    assignment.
+    """
+    rows, width = len(cells[0]), 2 * len(cells)
+    flat = [after[0]] * (1 + rows * width)
+    flat[0] = first
+    for j, (texts, text) in enumerate(zip(cells, after)):
+        flat[1 + 2 * j :: width] = texts
+        if text != after[0]:
+            flat[2 + 2 * j :: width] = [text] * rows
+    flat[-1] = last
+    return "".join(flat)
 
 
 def csv_pieces(table: dict[str, np.ndarray | None]):
@@ -175,8 +199,9 @@ def csv_pieces(table: dict[str, np.ndarray | None]):
     """
     blocks = _blocks(table, "")
     yield ",".join(table) + "\r\n"
+    after = [","] * (len(table) - 1) + ["\r\n"]
     for cells in blocks:
-        yield "\r\n".join(map(",".join, cells)) + "\r\n"
+        yield _layout("", cells, after, "\r\n")
 
 
 def render_csv(table: dict[str, np.ndarray | None]) -> str:
@@ -219,16 +244,17 @@ def json_pieces(
         allow_nan=False,
     )
     blocks = _blocks(table, "null", _DECIMAL_KEYS)
-    template = "    {\n" + ",\n".join(
-        f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in table
-    ) + "\n    }"
     first = next(blocks, None)
     if first is None:
         yield head + "\n"
         return
-    yield head.removesuffix("[]\n}") + "[\n" + ",\n".join(map(template.__mod__, first))
+    # a record opens before its first cell and closes after its last
+    fields = [f"      {encode_basestring_ascii(key)}: " for key in table]
+    opening = "    {\n" + fields[0]
+    after = [",\n" + field for field in fields[1:]] + ["\n    },\n" + opening]
+    yield _layout(head.removesuffix("[]\n}") + "[\n" + opening, first, after, "\n    }")
     for cells in blocks:
-        yield ",\n" + ",\n".join(map(template.__mod__, cells))
+        yield _layout(",\n" + opening, cells, after, "\n    }")
     yield "\n  ]\n}\n"
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oracle, quadrature, stark, states, tables
 from .eigen import jacobi_eigenvalues
-from .specfun import HalfInteger, half, hyp1f1_table, wigner_d
+from .specfun import HalfInteger, _wigner_rows, half, hyp1f1_table
 from .stark import FieldConfig, shift_quantum, shift_unit
 from .states import ParabolicState, PhysicalParams, SphericalState
 
@@ -438,17 +438,20 @@ def check_wavefunction_suites(max_n=None) -> CheckResult:
 def check_numerical_kernels(max_n=None) -> CheckResult:
     """Gauss exactness, Jacobi identities, Wigner-d orthogonality."""
     bounds = _Bounds(quad=1e-10, jacobi=1e-12, wigner=1e-10)
+    # k! and the Legendre moments 2/(k + 1), once for every degree k < 80 an order up to 40 integrates
+    degrees = np.arange(80)
+    lag_exact = np.array([math.exp(math.lgamma(k + 1.0)) for k in range(80)])
+    leg_scale = 2.0 / (degrees + 1.0)
+    leg_exact = np.where(degrees % 2, 0.0, leg_scale)
     for order in range(1, 41):
         # one row w * x**k per degree k; each row sums as np.sum of that row alone
         lag, leg = (
-            np.sum([rule.weights * rule.nodes**k for k in range(2 * order)], axis=1).tolist()
+            np.sum([rule.weights * rule.nodes**k for k in range(2 * order)], axis=1)
             for rule in (quadrature.gauss_laguerre(order), quadrature.gauss_legendre(order))
         )
-        for k in range(0, 2 * order):
-            exact = math.exp(math.lgamma(k + 1.0))
-            bounds.add("quad", _rel(abs(lag[k] - exact), exact))
-            exact = 0.0 if k % 2 else 2.0 / (k + 1.0)
-            bounds.add("quad", _rel(abs(leg[k] - exact), 2.0 / (k + 1.0)))
+        for got, want, scale in ((lag, lag_exact, lag_exact), (leg, leg_exact, leg_scale)):
+            err = np.abs(got - want[: 2 * order]) / scale[: 2 * order]
+            bounds.add("quad", float(np.max(err)), cases=err.size)
 
     rng = np.random.default_rng(2024)
     for dim in (2, 3, 5, 8, 13, 21, 34):
@@ -461,19 +464,24 @@ def check_numerical_kernels(max_n=None) -> CheckResult:
         bounds.add("jacobi", _rel(abs(float((lam**2).sum()) - fro2), fro2))
 
     rule = quadrature.gauss_legendre(40)
-    theta = np.arccos(rule.nodes)
-    # labels in doubled integers; each d^j_{ms} is evaluated on the nodes once,
-    # and one Gram matrix holds every pair (ja, jb) that shares its (m, s)
-    for m2 in range(-9, 10):
-        for s2 in range(-8 - m2 % 2, 10, 2):  # m2's parity
-            j_list = range(max(abs(m2), abs(s2)), 10, 2)
-            d = np.array([wigner_d(HalfInteger(j2), HalfInteger(m2), HalfInteger(s2), theta) for j2 in j_list])
-            # entry (a, b) is the expression rule.integrate evaluates, summed per row
-            gram = np.sum(rule.weights * (d[:, None] * d[None, :]), axis=2).tolist()
-            for a, ja in enumerate(j_list):
-                for b, jb in enumerate(j_list):
-                    want = 2.0 / (ja + 1) if ja == jb else 0.0
-                    bounds.add("wigner", abs(gram[a][b] - want))
+    # labels in doubled integers, each (m, s) with its j increasing; one _wigner_rows pass
+    # evaluates every d^j_{ms} on the nodes, and one Gram matrix holds every pair (ja, jb)
+    # that shares its (m, s)
+    j2s, m2s, s2s = np.array(
+        [
+            (j2, m2, s2)
+            for m2 in range(-9, 10)
+            for s2 in range(-8 - m2 % 2, 10, 2)  # m2's parity
+            for j2 in range(max(abs(m2), abs(s2)), 10, 2)
+        ]
+    ).T
+    starts = np.flatnonzero(j2s == np.maximum(np.abs(m2s), np.abs(s2s)))[1:]
+    rows = _wigner_rows(j2s, m2s, s2s, np.arccos(rule.nodes))
+    for j_list, d in zip(np.split(j2s, starts), np.split(rows, starts)):
+        # entry (a, b) is the expression rule.integrate evaluates, summed per row
+        gram = np.sum(rule.weights * (d[:, None] * d[None, :]), axis=2)
+        err = np.abs(gram - np.diag(2.0 / (j_list + 1.0)))
+        bounds.add("wigner", float(np.max(err)), cases=err.size)
     return bounds.result("c10-numerical-kernels", "quad and jacobi relative, wigner abs")
 
 
@@ -497,20 +505,16 @@ def check_specfun_invariants(max_n=None) -> CheckResult:
             bounds.add("identities", float(np.max(rel)), cases=xs.size)
     thetas = np.linspace(0.0, math.pi, 7)
     for j2 in range(0, 8):
-        j = HalfInteger(j2)
-        # each label on the angles once; (m, s) reads its partner from the (s, m) row
-        d = {
-            (m2, s2): wigner_d(j, HalfInteger(m2), HalfInteger(s2), thetas)
-            for m2 in range(-j2, j2 + 1, 2)
-            for s2 in range(-j2, j2 + 1, 2)
-        }
-        for (m2, s2), d_ms in d.items():
-            # the scalar path, at the theta = 0 endpoint
-            endpoint = wigner_d(j, HalfInteger(m2), HalfInteger(s2), 0.0)
-            bounds.add("identities", abs(endpoint - (1.0 if m2 == s2 else 0.0)))
-            phase = (-1.0) ** ((m2 - s2) // 2)
-            sym = np.abs(d_ms - phase * d[s2, m2])
-            bounds.add("identities", float(np.max(sym)), cases=thetas.size)
+        # every (m, s) label of j on the angles in one pass, (m, s) at row (m, s) of
+        # the grid, so the (s, m) partners are its transpose; the scalar path at the
+        # theta = 0 endpoint in another
+        m2, s2 = np.meshgrid(np.arange(-j2, j2 + 1, 2), np.arange(-j2, j2 + 1, 2), indexing="ij")
+        endpoint = _wigner_rows(j2, m2, s2, 0.0)
+        bounds.add("identities", float(np.max(np.abs(endpoint - (m2 == s2).ravel()))), cases=endpoint.size)
+        d = _wigner_rows(j2, m2, s2, thetas).reshape(*m2.shape, thetas.size)
+        phase = np.where((m2 - s2) // 2 % 2, -1.0, 1.0)[:, :, None]
+        sym = np.abs(d - phase * d.transpose(1, 0, 2))
+        bounds.add("identities", float(np.max(sym)), cases=sym.size)
     return bounds.result(
         "inv-specfun", "1F1 contiguous relation p <= 20; d-function endpoint and index symmetry"
     )

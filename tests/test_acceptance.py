@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dyonstark import verify
+from dyonstark import specfun, verify
 from dyonstark.specfun import half
 from dyonstark.verify import CHECKS, CheckResult, check_key, run_check
 
@@ -228,29 +228,49 @@ def test_oracle_equivalence_builds_each_sector_once(monkeypatch, max_n, builds):
 
 def test_numerical_kernels_fail_on_one_wrong_wigner_label(monkeypatch):
     # d^{1/2}_{1/2,-1/2} = -sin(theta/2) integrates to -4/3 over cos(theta)
-    wigner_d = verify.wigner_d
+    wigner_rows = verify._wigner_rows
 
-    def perturbed(j, m, s, theta):
-        value = wigner_d(j, m, s, theta)
-        return value + 1e-8 if (half(j), half(m), half(s)) == (half("1/2"), half("1/2"), half("-1/2")) else value
+    def perturbed(j2, m2, s2, theta):
+        rows = wigner_rows(j2, m2, s2, theta)
+        j2, m2, s2 = (a.ravel() for a in np.broadcast_arrays(j2, m2, s2))
+        rows[(j2 == 1) & (m2 == 1) & (s2 == -1)] += 1e-8
+        return rows
 
-    monkeypatch.setattr(verify, "wigner_d", perturbed)
+    monkeypatch.setattr(verify, "_wigner_rows", perturbed)
     result = run_check("numerical-kernels", max_n=2)
     assert not result.passed
     assert "wigner 2.67e-08" in result.detail
 
 
 def test_specfun_invariants_fail_on_an_index_asymmetric_wigner_d(monkeypatch):
-    wigner_d = verify.wigner_d
+    wigner_rows = verify._wigner_rows
 
-    def asymmetric(j, m, s, theta):
-        value = wigner_d(j, m, s, theta)
-        return value * (1.0 + 1e-8) if half(m) > half(s) else value
+    def asymmetric(j2, m2, s2, theta):
+        rows = wigner_rows(j2, m2, s2, theta)
+        _, m2, s2 = (a.ravel() for a in np.broadcast_arrays(j2, m2, s2))
+        rows[m2 > s2] *= 1.0 + 1e-8
+        return rows
 
-    monkeypatch.setattr(verify, "wigner_d", asymmetric)
+    monkeypatch.setattr(verify, "_wigner_rows", asymmetric)
     result = run_check("specfun-invariants", max_n=2)
     assert not result.passed
     assert result.max_err > 1e-9
+
+
+@pytest.mark.parametrize("check_id, most", [("numerical-kernels", 1), ("specfun-invariants", 16)])
+def test_wigner_checks_take_each_angle_array_in_one_body_call(monkeypatch, check_id, most):
+    # c10: every label on the Legendre nodes at once; inv-specfun: one call per j on
+    # its angles and one on the scalar 0.0; neither goes through wigner_d
+    body, calls = verify._wigner_rows, []
+    monkeypatch.setattr(verify, "_wigner_rows", lambda *args: calls.append(args) or body(*args))
+
+    def refused(*args):
+        raise AssertionError("wigner_d called")
+
+    monkeypatch.setattr(verify.states, "wigner_d", refused)
+    monkeypatch.setattr(specfun, "wigner_d", refused)
+    assert run_check(check_id, max_n=2).passed
+    assert 1 <= len(calls) <= most
 
 
 def test_specfun_invariants_fail_on_one_wrong_hyp1f1_point(monkeypatch):

@@ -364,3 +364,60 @@ class TestWignerD:
         with pytest.raises(ValueError) as exc:
             wigner_d(j, m, s, 0.3)
         assert str(exc.value) == message
+
+
+def _direct_sum(j2: int, m2: int, s2: int, theta):
+    """One label's d^j_{ms}(theta) as a per-label sum: its own half-angle powers,
+    ``_wigner_terms`` in order from zeros, a float64 scalar's ``**`` at a 0-d theta."""
+    theta = np.asarray(theta, dtype=float)
+    c = np.cos(theta / 2.0)
+    sn = np.sin(theta / 2.0)
+    out = np.zeros_like(c)
+    for amp, cos_pow, sin_pow in specfun._wigner_terms(j2, m2, s2):
+        out = out + amp * c**cos_pow * sn**sin_pow
+    return np.asarray(out)
+
+
+def _labels(j2s):
+    """Every valid (2j, 2m, 2s) of each 2j in j2s."""
+    return [(j2, m2, s2) for j2 in j2s for m2 in range(-j2, j2 + 1, 2) for s2 in range(-j2, j2 + 1, 2)]
+
+
+class TestWignerRows:
+    """``_wigner_rows`` shares each half-angle power among the labels of one call;
+    every row keeps the bits of the per-label sum."""
+
+    # every label with j <= 9, and every seventh label of each j up to WIGNER_J_MAX
+    LABELS = _labels(range(19)) + _labels(range(19, 2 * WIGNER_J_MAX + 1))[::7]
+    THETAS = [
+        np.arccos(gauss_legendre(40).nodes),
+        np.linspace(0.0, math.pi, 7),
+        0.0,
+        math.pi,
+        0.3,
+    ]
+
+    @pytest.mark.parametrize("theta", THETAS, ids=["legendre-40", "linspace-7", "zero", "pi", "0.3"])
+    def test_rows_are_the_per_label_sums_byte_for_byte(self, theta):
+        assert WIGNER_J_MAX == 18 and max(j2 for j2, _, _ in self.LABELS) == 36
+        rows = specfun._wigner_rows(*np.array(self.LABELS).T, theta)
+        assert rows.shape == (len(self.LABELS), *np.shape(theta))
+        for row, label in zip(rows, self.LABELS):
+            assert np.asarray(row).tobytes() == _direct_sum(*label, theta).tobytes(), label
+
+    def test_int_labels_give_one_row_and_broadcast(self):
+        theta = np.linspace(0.0, math.pi, 5)
+        assert specfun._wigner_rows(3, 1, -1, theta).tobytes() == _direct_sum(3, 1, -1, theta).tobytes()
+        # one j against arrays of m and s, in C order
+        m2, s2 = np.meshgrid([-2, 0, 2], [-2, 0, 2], indexing="ij")
+        rows = specfun._wigner_rows(2, m2, s2, theta)
+        want = [_direct_sum(2, m, s, theta) for m, s in zip(m2.ravel().tolist(), s2.ravel().tolist())]
+        assert rows.tobytes() == np.array(want).tobytes()
+
+    def test_wigner_d_is_one_row(self):
+        for j2, m2, s2 in self.LABELS[::11]:
+            args = HalfInteger(j2), HalfInteger(m2), HalfInteger(s2)
+            assert wigner_d(*args, self.THETAS[0]).tobytes() == _direct_sum(j2, m2, s2, self.THETAS[0]).tobytes()
+            scalar = wigner_d(*args, 0.3)
+            assert type(scalar) is float
+            assert np.float64(scalar).tobytes() == _direct_sum(j2, m2, s2, 0.3).tobytes()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyonstark import states
 from dyonstark.specfun import HalfInteger, half
 from dyonstark.stark import (
     FieldConfig,
@@ -330,6 +331,16 @@ class TestLabelBodies:
         ):
             assert body.dtype == np.float64
             assert body.tobytes() == np.array([per_state(st) for st in shell]).tobytes()
+
+
+def test_dipole_operator_checks_its_shell_once(monkeypatch):
+    # the shell energy is evaluated once and handed to the separation constant
+    n, s = half("7/2"), half("1/2")
+    labels, params = parabolic_labels(n, s), PhysicalParams.atomic(s)
+    shell, calls = states._shell, []
+    monkeypatch.setattr(states, "_shell", lambda *args: calls.append(args) or shell(*args))
+    _dipole_operator(n.twice, s.twice, *labels, params)
+    assert len(calls) == 1
 
 
 class TestValidation:

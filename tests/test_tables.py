@@ -170,6 +170,12 @@ class TestAgainstReference:
         assert tables.render_csv(table) == "psi_im,n,m2\r\n0.5,2.0,-1\r\n"
         _both(table)
 
+    def test_json_keys_render_as_json_dumps_writes_them(self):
+        # a key goes into the text as encoded, with no format-string escaping
+        keys = ["100%", "%s", "%%d", 'say "x"', "back\\slash", "énergie", "e1"]
+        table = {key: np.array([0.5 * i, -1.0]) for i, key in enumerate(keys)}
+        assert tables.render_json(table, PARAMS, FIELD) == reference_json(_rows(table), PARAMS, FIELD)
+
     def test_wavefunction_rows(self):
         rows = [
             {"coord1": x, "coord2": y, "phi": 7.0, "psi_re": x * y - 1.0, "psi_im": -x / 3.0, "abs2": y * y}
