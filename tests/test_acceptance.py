@@ -209,17 +209,25 @@ def test_oracle_equivalence_bounds_offdiagonals_by_the_largest_shift(monkeypatch
     assert result.max_err == pytest.approx(5e-11 / 3.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("max_n, builds", [(2, 9), (None, 53)])
-def test_oracle_equivalence_builds_each_sector_once(monkeypatch, max_n, builds):
-    build, calls = verify.oracle.build_subspace, []
+@pytest.mark.parametrize("max_n, builds, grams", [(2, 9, 8), (None, 53, 47)])
+def test_oracle_equivalence_builds_each_sector_once(monkeypatch, max_n, builds, grams):
+    # one build per sector, and one Gram pair per distinct (k, |q|) of each shell
+    oracle = verify.oracle
+    build, factor, calls, pairs = oracle.build_subspace, oracle._factor_grams, [], []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[:3])
-        return build(*args)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(verify.oracle, "build_subspace", counting)
+    def counting_grams(k, aq, rule, nf, params):
+        pairs.append((nf, params.s, k, aq))
+        return factor(k, aq, rule, nf, params)
+
+    monkeypatch.setattr(oracle, "build_subspace", counting)
+    monkeypatch.setattr(oracle, "_factor_grams", counting_grams)
     assert run_check("oracle-equivalence", max_n=max_n).passed
     assert len(calls) == len(set(calls)) == builds
+    assert len(pairs) == len(set(pairs)) == grams
 
 
 # each check that evaluates a kernel once per table still fails when the kernel
@@ -307,6 +315,32 @@ def _times(factor):
     return lambda f: lambda *args: f(*args) * factor
 
 
+def _minus_m_unswapped(f):
+    """The defect that builds sector -m from the factor Gram pairs of sector m in the same roles."""
+
+    def mutant(n, s, m, field, params, *, grams=None):
+        if grams is not None and half(m).twice < 0:
+            grams = grams[::-1]
+        return f(n, s, m, field, params, grams=grams)
+
+    return mutant
+
+
+def _jacobi_off_diagonals(change):
+    """The defect that applies ``change`` to the off-diagonal entries of the closed-form J."""
+
+    def wrap(f):
+        def mutant(size, aq):
+            jac = f(size, aq)
+            off = ~np.eye(size, dtype=bool)
+            jac[off] = change(jac[off])
+            return jac
+
+        return mutant
+
+    return wrap
+
+
 def _negated(key):
     """The defect that negates one column of a table: ``shift_columns`` or ``spectrum_table``."""
     return lambda f: lambda *args: (lambda columns: {**columns, key: -columns[key]})(f(*args))
@@ -330,12 +364,22 @@ MUTANTS = {
         "integral-closed-forms", 1, verify.states, "phi_table",
         lambda f: lambda p_max, *args: f(p_max, *args) * np.where(np.arange(p_max + 1) == 3, -1.0, 1.0)[:, None],
     ),
+    # J's off-diagonals are -sqrt((p + 1)(p + |q| + 1))
+    "c02 closed-form J off-diagonal sign flipped": (
+        "integral-closed-forms", 1, verify, "_laguerre_jacobi", _jacobi_off_diagonals(np.negative)
+    ),
+    "c02 closed-form J without its square root": (
+        "integral-closed-forms", 1, verify, "_laguerre_jacobi", _jacobi_off_diagonals(lambda off: -(off**2))
+    ),
     "c03 bracket without its m s term": (
         "shift-formula-identity", 1.5, verify.stark, "_label_bracket",
         lambda f: lambda n2x, s2, n1, n2, m2: f(n2x, s2, n1, n2, m2) - m2 * s2,
     ),
     "c03 printed e1 column negated": (
         "shift-formula-identity", 1.5, verify.tables, "shift_columns", _negated("e1")
+    ),
+    "c04 sector -m built with its factors unswapped": (
+        "oracle-equivalence", 2, verify.oracle, "build_subspace", _minus_m_unswapped
     ),
     "c05 bracket blind to the sign of m": (
         "degeneracy-removal", 1.5, verify.stark, "_label_bracket",

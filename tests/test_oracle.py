@@ -328,34 +328,65 @@ class TestSectorLabels:
         # recorded when sectors were still grouped from the enumerated shell
         assert _sector_digest() == "50e0b6555cc714ce25f36ba2f732fb33a17484ef773a97ddb6db7cbd0187cf1d"
 
-    @pytest.mark.parametrize("n, s", [(4, 1), (half("7/2"), half("1/2"))])
-    def test_one_build_per_m(self, monkeypatch, n, s):
+    @pytest.mark.parametrize("n, s, grams", [(4, 1, 7), (half("7/2"), half("1/2"), 6)])
+    def test_one_build_per_m(self, monkeypatch, n, s, grams):
+        # one build per m, returned in order, from one Gram pair per distinct (k, |q|) of the shell
+        n, s = half(n), half(s)
         params = PhysicalParams.atomic(s)
-        build, calls = oracle.build_subspace, []
+        build, factor, calls, pairs = oracle.build_subspace, oracle._factor_grams, [], []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args[2])
-            return build(*args)
+            return build(*args, **kwargs)
+
+        def counting_grams(k, aq, *args):
+            pairs.append((k, aq))
+            return factor(k, aq, *args)
 
         monkeypatch.setattr(oracle, "build_subspace", counting)
-        top = half(n).twice - 2
+        monkeypatch.setattr(oracle, "_factor_grams", counting_grams)
+        top = n.twice - 2
         ms = [HalfInteger(m2) for m2 in range(-top, top + 1, 2)]
+        factors = {
+            ((n.twice - 2 - max(abs(m.twice), abs(s.twice))) // 2, abs(m.twice + sign * s.twice) // 2)
+            for m in ms
+            for sign in (1, -1)
+        }
+        assert len(factors) == grams
         assert [m for m, _ in oracle_shifts(n, s, F1, params)] == ms
-        assert calls == ms
+        assert sorted(calls) == ms
+        assert sorted(pairs) == sorted(factors)
         calls.clear()
+        pairs.clear()
         offdiagonal_report(n, s, F1, params)
-        assert calls == ms
+        assert sorted(calls) == ms
+        assert sorted(pairs) == sorted(factors)
 
-    @pytest.mark.parametrize("n, s", [(4, 1), (half("7/2"), half("-1/2"))])
-    def test_shell_sectors_are_the_sectors_by_m(self, n, s):
+    @pytest.mark.parametrize(
+        "n, s, field",
+        [
+            (4, 1, F1),
+            (half("7/2"), half("-1/2"), F1),
+            (6, 0, F1),
+            (20, 0, F1),
+            (half("41/2"), half("-3/2"), F1),
+            (half("11/2"), half("3/2"), FieldConfig(0.0)),
+        ],
+    )
+    def test_shell_sectors_are_the_sectors_by_m(self, n, s, field):
         params = PhysicalParams.atomic(s)
         top = half(n).twice - 2
-        sectors = shell_sectors(n, s, F1, params)
+        sectors = shell_sectors(n, s, field, params)
         assert [sub.m.twice for sub in sectors] == list(range(-top, top + 1, 2))
         for sub in sectors:
-            alone = build_subspace(n, s, sub.m, F1, params)
+            alone = build_subspace(n, s, sub.m, field, params)
             assert (sub.n, sub.m, sub.s) == (alone.n, alone.m, alone.s)
-            assert np.array_equal(sub.entries, alone.entries)
+            assert sub.entries.tobytes() == alone.entries.tobytes()
+            if field.epsilon:
+                # the assembly from one table per sector, eta rows reversed before the Gram
+                assert sub.entries.tobytes() == _per_degree_entries(sub.n, sub.s, sub.m).tobytes()
+            else:
+                assert not np.any(sub.entries)
             off = np.abs(sub.entries - np.diag(np.diag(sub.entries)))
             assert sub.largest_offdiagonal == (off.max() if sub.dimension > 1 else 0.0)
 
