@@ -22,23 +22,20 @@ degree d = n1_a + n1_b + |q1| + k (the eta moment the same with n2
 and q2).  An N-node Gauss rule is exact up to degree 2N - 1, so
 N = d // 2 + 1 makes the moment exact up to rounding, not merely
 converged.  ``matrix_element_V`` takes that order per element and
-moment.  A sector shares one shell, so each of its two factors takes
-one rule, ordered by the sector's highest-degree pair
-(d = 2 (n1 + n2) + |q1| + 2).  Each factor's Phi rows, every degree
-0..n1 + n2 on those nodes, come from one recurrence pass
-(``phi_table``), and the factor's two Gram matrices F diag(w x^k) F^T
-(k = 0, 2) give, with the other factor's two, every entry at once.
-Phi_pq depends on |q| alone, and sector -m has the factors of sector m,
-|m - s| and |m + s|, with their roles swapped, so ``shell_sectors``
-builds each factor's pair once and hands it to ``build_subspace`` for
-both sectors, and a single pair where the two factors agree (s = 0, or
-m = 0).  The eta role reads its
-pair reversed in both indices, since a sector's row i has
-n2 = (n1 + n2) - i; that is bit for bit the Gram matrix of the reversed
-rows.  The highest order any shell up to N_MAX needs, N_MAX + 1 nodes
-for (n1, n2, m) = (N_MAX - 1, 0, 0) at s = 0, is the rule cap, so every
-element and sector is built; an order past the cap raises ValueError
-before any Phi is evaluated.
+moment.  A sector shares one shell, so each of its two factors, rows
+p = 0..k = n1 + n2 at |q|, is two Gram matrices F diag(w x^j) F^T
+(j = 0, 2) from ``states.phi_grams``, the builder c02 checks against
+the closed forms: one rule, ordered by the factor's highest-degree pair
+(d = 2k + |q| + 2), and one ``phi_table`` pass.  With the other factor's
+two they give every entry at once.  Phi_pq depends on |q| alone, so a
+factor is the key (k, |q|), and ``shell_sectors`` builds each key's pair
+once per call: sector -m has the keys of sector m, |m - s| and |m + s|,
+swapped.  The eta role reads its pair reversed in both indices, since a
+sector's row i has n2 = k - i; that is bit for bit the Gram matrix of
+the reversed rows.  The highest order any shell up to N_MAX needs,
+N_MAX + 1 nodes for (n1, n2, m) = (N_MAX - 1, 0, 0) at s = 0, is the rule
+cap, so every element and sector is built; an order past the cap raises
+ValueError before any Phi is evaluated.
 """
 
 from __future__ import annotations
@@ -48,17 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import jacobi_eigenvalues
-from .quadrature import gauss_laguerre
 from .specfun import HalfInteger, half
 from .stark import FieldConfig
 from .states import (
     ParabolicState,
     PhysicalParams,
     _check_s,
-    _exact_order,
+    _factor_moments,
     _shell,
-    phi_pair_moment,
-    phi_table,
+    phi_grams,
 )
 
 __all__ = [
@@ -114,34 +109,8 @@ def matrix_element_V(
         return 0.0
     if field.epsilon == 0.0:
         return 0.0
-    n_a, n_b = a.n.value, b.n.value
-    q1, q2 = a.q1, a.q2
-    g0_xi = phi_pair_moment(a.n1, b.n1, q1, 0, n_a, n_b, params, quad_order)
-    g2_xi = phi_pair_moment(a.n1, b.n1, q1, 2, n_a, n_b, params, quad_order)
-    g0_eta = phi_pair_moment(a.n2, b.n2, q2, 0, n_a, n_b, params, quad_order)
-    g2_eta = phi_pair_moment(a.n2, b.n2, q2, 2, n_a, n_b, params, quad_order)
-    pref = 2.0 / (n_a**2 * n_b**2 * params.a**3) * field.epsilon / 8.0
-    return pref * (g2_xi * g0_eta - g0_xi * g2_eta)
-
-
-def _factor_rule(k: int, aq: int):
-    """The exact-order Laguerre rule of a factor with rows p = 0..k at order |q| = aq:
-    its highest-degree pair has d = 2 k + |q| + 2."""
-    return gauss_laguerre(_exact_order(2 * k + aq + 2))
-
-
-def _factor_grams(k: int, aq: int, rule, nf: float, params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
-    """(G0, G2) of one factor, G_j = F diag(w x^j) F^T with F = Phi_{p,aq} for p = 0..k ascending.
-
-    One recurrence pass (``phi_table``) on ``rule``; Phi depends on |q|
-    alone, so sectors m and -m share these matrices.
-    """
-    scale = params.a * nf
-    x = scale * rule.nodes
-    w = scale * rule.lifted_weights
-    table = phi_table(k, aq, x, nf, params)
-    # einsum sums in a fixed order, without BLAS
-    return tuple(np.einsum("ik,jk->ij", table * wk, table) for wk in (w, w * x**2))
+    norm, g0_xi, g2_xi, g0_eta, g2_eta = _factor_moments(a, b, 2, params, quad_order)
+    return norm * field.epsilon / 8.0 * (g2_xi * g0_eta - g0_xi * g2_eta)
 
 
 def _sector_entries(xi, eta, nf: float, field: FieldConfig, params: PhysicalParams) -> np.ndarray:
@@ -165,12 +134,25 @@ def _sector_factors(n: HalfInteger, s: HalfInteger, m: HalfInteger) -> tuple[int
     return k2 // 2, (abs(m.twice - s.twice) // 2, abs(m.twice + s.twice) // 2)
 
 
+def _sector_grams(k: int, qs, nf: float, params: PhysicalParams, built: dict) -> list:
+    """The (G0, G2) pairs of a sector's xi and eta factors, read from ``built`` by (k, |q|).
+
+    A key it lacks is built by ``phi_grams`` and stored, the larger |q|
+    first: its rule has the higher order, so a sector past the rule cap
+    raises before any Phi is evaluated.
+    """
+    for q in sorted(qs, reverse=True):
+        if (k, q) not in built:
+            built[k, q] = phi_grams(k, q, nf, params, (0, 2))
+    return [built[k, q] for q in qs]
+
+
 def build_subspace(n, s, m, field: FieldConfig, params: PhysicalParams, *, grams=None) -> SubspaceMatrix:
     """Assemble the symmetric V matrix over the (n, m) sector, from its labels.
 
     ``grams`` is the sector's (xi, eta) pair of factor Gram pairs when the
-    caller has built them, as ``shell_sectors`` does for m and -m at once;
-    without it both are built here.  It is not read in a zero field.
+    caller has built them, as ``shell_sectors`` does; without it both are
+    built here.  It is not read in a zero field.
     """
     n, s = _shell(n, s, params)
     m = half(m)
@@ -178,9 +160,7 @@ def build_subspace(n, s, m, field: FieldConfig, params: PhysicalParams, *, grams
     entries = np.zeros((k + 1, k + 1))
     if field.epsilon != 0.0:
         if grams is None:
-            # both rules first: a sector past the order cap raises before any moment
-            rules = [_factor_rule(k, q) for q in qs]
-            grams = [_factor_grams(k, q, rule, n.value, params) for q, rule in zip(qs, rules)]
+            grams = _sector_grams(k, qs, n.value, params, {})
         entries = _sector_entries(*grams, n.value, field, params)
     return SubspaceMatrix(n=n, m=m, s=s, entries=entries)
 
@@ -188,25 +168,20 @@ def build_subspace(n, s, m, field: FieldConfig, params: PhysicalParams, *, grams
 def shell_sectors(n, s, field: FieldConfig, params: PhysicalParams) -> list[SubspaceMatrix]:
     """Every (n, m) sector of the shell, one ``build_subspace`` each, m ascending.
 
-    This is the one loop over a shell's m = -(n - 1), ..., n - 1.  It
-    walks m >= 0: sector m has the factors (|m - s|, |m + s|) as (xi, eta),
-    and sector -m the same two with their roles swapped, so each factor's
-    Gram pair is built once for both, and a single pair serves where the
-    two factors agree (s = 0, or m = 0).
+    This is the one loop over a shell's m = -(n - 1), ..., n - 1.  Each
+    factor's Gram pair is built once per (k, |q|) and kept for the call:
+    sector -m has the keys of sector m, (|m - s|, |m + s|), swapped.
     """
-    n, s = _shell(n, s, params)  # the m range below is empty for n < 1
-    below, above = [], []
-    for m2 in range(n.twice % 2, n.twice - 1, 2):
-        grams = swapped = None
+    n, s = _shell(n, s, params)
+    built: dict = {}
+    sectors = []
+    for m2 in range(2 - n.twice, n.twice - 1, 2):
+        m, grams = HalfInteger(m2), None
         if field.epsilon != 0.0:
-            k, (qa, qb) = _sector_factors(n, s, HalfInteger(m2))
-            a = _factor_grams(k, qa, _factor_rule(k, qa), n.value, params)
-            b = a if qb == qa else _factor_grams(k, qb, _factor_rule(k, qb), n.value, params)
-            grams, swapped = (a, b), (b, a)
-        above.append(build_subspace(n, s, HalfInteger(m2), field, params, grams=grams))
-        if m2:
-            below.append(build_subspace(n, s, HalfInteger(-m2), field, params, grams=swapped))
-    return below[::-1] + above
+            k, qs = _sector_factors(n, s, m)
+            grams = _sector_grams(k, qs, n.value, params, built)
+        sectors.append(build_subspace(n, s, m, field, params, grams=grams))
+    return sectors
 
 
 def oracle_shifts(

@@ -92,7 +92,8 @@ def half(x) -> HalfInteger:
     """Coerce an int, exact float multiple of 1/2, string or HalfInteger."""
     if isinstance(x, HalfInteger):
         return x
-    if isinstance(x, (int, np.integer)):
+    # a bool is an int to Python, but True is no half-integer
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return HalfInteger(2 * int(x))
     if isinstance(x, float):
         if not math.isfinite(x):
@@ -124,8 +125,11 @@ def ln_factorial(k: int) -> float:
 
 
 def _is_whole(v) -> bool:
-    """Whether v is an integral number: an int, or a float with no fractional part."""
-    return isinstance(v, (int, np.integer)) or (isinstance(v, (float, np.floating)) and float(v).is_integer())
+    """Whether v is an integral number: an int other than a bool, or a float with no fractional part."""
+    # a bool is an int to Python, but True is no order
+    return not isinstance(v, bool) and (
+        isinstance(v, (int, np.integer)) or (isinstance(v, (float, np.floating)) and float(v).is_integer())
+    )
 
 
 def _hyp1f1_args(name: str, p, b, x):

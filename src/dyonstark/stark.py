@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import HalfInteger, _is_whole, half
+from .specfun import HalfInteger, half
 from .states import (
     ParabolicState,
     PhysicalParams,
     _check_s,
     _label_beta,
+    _moment_labels,
     _real,
     _shell,
     energy_level,
@@ -54,7 +55,7 @@ class FieldConfig:
     """Uniform electric field of strength epsilon along +x3.
 
     epsilon may be any real number but a bool (numpy scalars included), as
-    ``PhysicalParams.gamma_c``, and is stored as a Python float.
+    ``PhysicalParams.gamma_c``, and is stored as a Python float, -0.0 as 0.0.
     """
 
     epsilon: float = 0.0
@@ -63,7 +64,8 @@ class FieldConfig:
         epsilon = _real("epsilon", self.epsilon)
         if not (epsilon >= 0 and math.isfinite(epsilon)):
             raise ValueError(f"epsilon must be a finite non-negative number, got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", epsilon)
+        # + 0.0 folds -0.0 into 0.0: one field, one byte stream
+        object.__setattr__(self, "epsilon", epsilon + 0.0)
 
     def perturbative_ratio(self, n, params: PhysicalParams) -> float:
         """eps a^2 n^4 / gamma: first-order shift over level spacing.
@@ -129,20 +131,6 @@ def _shift(unit: float, bracket, epsilon: float):
 def _dipole(unit: float, bracket):
     """-d(shift)/d(eps) of ``_shift``; + 0.0 folds -0.0 into 0.0."""
     return -_shift(unit, bracket, 1.0) + 0.0
-
-
-def _moment_labels(p, q):
-    """(p, |q|) of a Phi_pq moment, refused as ``states.phi_pq`` refuses them:
-    p must be a non-negative integer and q an integer (``specfun._is_whole``).
-    Each is a number, or a numpy array judged element by element; the
-    message names the first element that fails.
-    """
-    for name, v, rule, least in (("p", p, "a non-negative integer", 0), ("q", q, "an integer", -math.inf)):
-        values = v.ravel().tolist() if isinstance(v, np.ndarray) else [v]
-        bad = [x for x in values if not _is_whole(x) or x < least]
-        if bad:
-            raise ValueError(f"{name} must be {rule}, got {bad[0]}")
-    return p, abs(q)
 
 
 def integral_I(p, q, n, params: PhysicalParams) -> float:

@@ -47,6 +47,7 @@ __all__ = [
     "spherical_psi",
     "phi_pq",
     "phi_table",
+    "phi_grams",
     "parabolic_psi",
     "psi_grid",
     "parabolic_to_cartesian",
@@ -209,7 +210,8 @@ class ParabolicState:
 def _label_level(n1, n2, m, s) -> HalfInteger:
     """n = n1 + n2 + (|m-s| + |m+s|)/2 + 1 of a valid parabolic label, uncapped."""
     for name, v in (("n1", n1), ("n2", n2)):
-        if not isinstance(v, (int, np.integer)) or v < 0:
+        # a bool is an int to Python, but True is no label
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
     m, s = half(m), half(s)
     m2, s2 = m.twice, s.twice
@@ -400,12 +402,21 @@ def spherical_psi(state: SphericalState, r, theta, phi, params: PhysicalParams):
     return val
 
 
+def _moment_labels(p, q):
+    """(p, |q|) of a Phi_pq, refused unless p is a non-negative integer and q
+    an integer (``specfun._is_whole``).  Each is a number, or a numpy array
+    judged element by element; the message names the first element that fails.
+    """
+    for name, v, rule, least in (("p", p, "a non-negative integer", 0), ("q", q, "an integer", -math.inf)):
+        for x in v.ravel().tolist() if isinstance(v, np.ndarray) else (v,):
+            if not _is_whole(x) or x < least:
+                raise ValueError(f"{name} must be {rule}, got {x}")
+    return p, abs(q)
+
+
 def _phi_axis(p, q, x, n, params: PhysicalParams):
     """Validated (|q|, z, e^{-z/2}, z^{|q|/2}) of Phi_pq at z = x/(a n)."""
-    if not _is_whole(p) or p < 0:
-        raise ValueError(f"p must be a non-negative integer, got {p}")
-    if not _is_whole(q):
-        raise ValueError(f"q must be an integer, got {q}")
+    aq = int(_moment_labels(p, q)[1])
     nf = float(n)
     if nf <= 0:
         raise ValueError(f"n must be positive, got {n}")
@@ -414,7 +425,6 @@ def _phi_axis(p, q, x, n, params: PhysicalParams):
     z = np.asarray(x, dtype=float) / (params.a * nf)
     if (z < 0).any():
         raise ValueError("x must be >= 0")
-    aq = abs(int(q))
     return aq, z, np.exp(z / -2.0), z ** (aq / 2.0)
 
 
@@ -446,6 +456,23 @@ def phi_table(p_max: int, q: int, x, n, params: PhysicalParams) -> np.ndarray:
     aq, z, decay, power = _phi_axis(p_max, q, x, n, params)
     consts = np.array([_phi_const(p, aq) for p in range(int(p_max) + 1)])
     return consts.reshape(-1, *[1] * z.ndim) * decay * power * hyp1f1_table(p_max, aq + 1.0, z)
+
+
+def phi_grams(p_max: int, q: int, n, params: PhysicalParams, powers) -> tuple[np.ndarray, ...]:
+    """G_k = F diag(w x^k) F^T for each k in ``powers``, F the ``phi_table`` rows
+    p = 0, ..., p_max on the Gauss-Laguerre rule at the scale a n.
+
+    The rule has the fewest nodes that make every entry exact (degree
+    2 p_max + |q| + max(powers)); an order past the rule cap raises
+    ValueError before any Phi is evaluated.  The matrices depend on |q| alone.
+    """
+    _, aq = _moment_labels(p_max, q)
+    rule = gauss_laguerre(_exact_order(2 * p_max + aq + max(powers)))
+    scale = params.a * float(n)
+    x, w = scale * rule.nodes, scale * rule.lifted_weights
+    table = phi_table(p_max, q, x, n, params)
+    # einsum sums in a fixed order, without BLAS
+    return tuple(np.einsum("ik,jk->ij", table * (w * x**k), table) for k in powers)
 
 
 def parabolic_psi(state: ParabolicState, point: ParabolicPoint, params: PhysicalParams):
@@ -588,6 +615,16 @@ def phi_pair_moment(
     return integrate_halfline(integrand, rule, scale=scale)
 
 
+def _factor_moments(a: ParabolicState, b: ParabolicState, power: int, params: PhysicalParams, order=None):
+    """(2 / (n_a^2 n_b^2 a^3), G0_xi, Gk_xi, G0_eta, Gk_eta) between two states of one m:
+    the product of their constants, and the 1 and x^power ``phi_pair_moment``s of
+    their xi factors (n1, q1) and of their eta factors (n2, q2)."""
+    n_a, n_b = a.n.value, b.n.value
+    factors = ((a.n1, b.n1, a.q1), (a.n2, b.n2, a.q2))
+    moments = [phi_pair_moment(p_a, p_b, q, k, n_a, n_b, params, order) for p_a, p_b, q in factors for k in (0, power)]
+    return (2.0 / (n_a**2 * n_b**2 * params.a**3), *moments)
+
+
 def spherical_overlap(
     a_state: SphericalState,
     b_state: SphericalState,
@@ -640,13 +677,7 @@ def parabolic_overlap(
     _check_s(b_state.s, params)
     if a_state.m != b_state.m:
         return 0.0
-    q1, q2 = a_state.q1, a_state.q2
-    n_a, n_b = a_state.n.value, b_state.n.value
-    g0_xi = phi_pair_moment(a_state.n1, b_state.n1, q1, 0, n_a, n_b, params)
-    g1_xi = phi_pair_moment(a_state.n1, b_state.n1, q1, 1, n_a, n_b, params)
-    g0_eta = phi_pair_moment(a_state.n2, b_state.n2, q2, 0, n_a, n_b, params)
-    g1_eta = phi_pair_moment(a_state.n2, b_state.n2, q2, 1, n_a, n_b, params)
-    pref = 2.0 / (n_a**2 * n_b**2 * params.a**3)
+    pref, g0_xi, g1_xi, g0_eta, g1_eta = _factor_moments(a_state, b_state, 1, params)
     return pref * 0.25 * (g1_xi * g0_eta + g0_xi * g1_eta)
 
 

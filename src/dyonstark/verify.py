@@ -169,9 +169,9 @@ def _laguerre_jacobi(size: int, aq: int) -> np.ndarray:
 
 
 def check_integral_closed_forms(max_n=None) -> CheckResult:
-    """Quadrature Gram matrices of 1, x and x^2 between the Phi_pq of one (n, q) are
-    a n times the identity, (a n)^2 J and (a n)^3 J^2; their diagonals are I_pq = a n
-    and the printed x^2 moment."""
+    """Quadrature Gram matrices of 1, x and x^2 between the Phi_pq of one (n, q), built by
+    ``states.phi_grams`` as the oracle's sectors are, are a n times the identity, (a n)^2 J
+    and (a n)^3 J^2; their diagonals are I_pq = a n and the printed x^2 moment."""
     bounds = _Bounds(moments=1e-9, orthogonality=1e-9, position=1e-9, quadratic=1e-9)
     params = PhysicalParams.atomic(0)
     p_max = 10
@@ -181,14 +181,9 @@ def check_integral_closed_forms(max_n=None) -> CheckResult:
     off_diagonal = ~np.eye(p_max + 1, dtype=bool)
     for n in n_values:
         scale = params.a * n
-        # phi_table, the rule order and both moments depend on |q| alone
+        # the Gram matrices and both moments depend on |q| alone
         for q in range(0, 11):
-            rule = quadrature.gauss_laguerre(states._exact_order(2 * p_max + abs(q) + 2))
-            x = scale * rule.nodes
-            w = scale * rule.lifted_weights
-            table = states.phi_table(p_max, q, x, n, params)
-            # G_k = F diag(w x^k) F^T; einsum sums in a fixed order, without BLAS
-            g0, g1, g2 = (np.einsum("ik,jk->ij", table * wk, table) for wk in (w, w * x, w * x**2))
+            g0, g1, g2 = states.phi_grams(p_max, q, n, params, (0, 1, 2))
             # J^2 from a J one row larger, so its last diagonal entry has both neighbours
             jac = _laguerre_jacobi(p_max + 2, abs(q))
             want1 = scale**2 * jac[:-1, :-1]

@@ -213,18 +213,18 @@ def test_oracle_equivalence_bounds_offdiagonals_by_the_largest_shift(monkeypatch
 def test_oracle_equivalence_builds_each_sector_once(monkeypatch, max_n, builds, grams):
     # one build per sector, and one Gram pair per distinct (k, |q|) of each shell
     oracle = verify.oracle
-    build, factor, calls, pairs = oracle.build_subspace, oracle._factor_grams, [], []
+    build, factor, calls, pairs = oracle.build_subspace, oracle.phi_grams, [], []
 
     def counting(*args, **kwargs):
         calls.append(args[:3])
         return build(*args, **kwargs)
 
-    def counting_grams(k, aq, rule, nf, params):
+    def counting_grams(k, aq, nf, params, powers):
         pairs.append((nf, params.s, k, aq))
-        return factor(k, aq, rule, nf, params)
+        return factor(k, aq, nf, params, powers)
 
     monkeypatch.setattr(oracle, "build_subspace", counting)
-    monkeypatch.setattr(oracle, "_factor_grams", counting_grams)
+    monkeypatch.setattr(oracle, "phi_grams", counting_grams)
     assert run_check("oracle-equivalence", max_n=max_n).passed
     assert len(calls) == len(set(calls)) == builds
     assert len(pairs) == len(set(pairs)) == grams
@@ -363,6 +363,13 @@ MUTANTS = {
     "c02 phi_table row 3 negated": (
         "integral-closed-forms", 1, verify.states, "phi_table",
         lambda f: lambda p_max, *args: f(p_max, *args) * np.where(np.arange(p_max + 1) == 3, -1.0, 1.0)[:, None],
+    ),
+    # c02 reads the Gram matrices that the oracle's sectors are built from
+    "c02 phi_grams G2 1e-8 high": (
+        "integral-closed-forms", 1, verify.states, "phi_grams",
+        lambda f: lambda p_max, q, n, params, powers: tuple(
+            g * (1.0 + 1e-8) if k == 2 else g for k, g in zip(powers, f(p_max, q, n, params, powers))
+        ),
     ),
     # J's off-diagonals are -sqrt((p + 1)(p + |q| + 1))
     "c02 closed-form J off-diagonal sign flipped": (

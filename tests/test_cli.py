@@ -658,6 +658,17 @@ class TestOtherCommands:
         result = runner.invoke(main, ["splitting", "--s", "0", "--n", "2", "--epsilon", "1"])
         assert float(result.stdout.splitlines()[1].split(",")[3]) == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["shifts", "dipole", "splitting"])
+    def test_negative_zero_field_is_the_zero_field(self, runner, command, fmt):
+        # --epsilon -0.0 used to print -0.0 as the field and the perturbative ratio
+        negative, zero = (
+            runner.invoke(main, [command, "--n", "2", "--epsilon", eps, "--format", fmt]) for eps in ("-0.0", "0")
+        )
+        assert (negative.exit_code, zero.exit_code) == (0, 0)
+        assert negative.stdout_bytes == zero.stdout_bytes
+        assert negative.stderr_bytes == zero.stderr_bytes
+
     def test_dipole_defaults_to_zero_field(self, runner):
         result = runner.invoke(main, ["dipole", "--s", "0", "--n", "2"])
         lines = result.stdout.splitlines()

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dyonstark import oracle, quadrature
+from dyonstark import oracle, quadrature, states
 from dyonstark.oracle import (
     build_subspace,
     matrix_element_V,
@@ -246,9 +246,9 @@ class TestSectorTables:
         def no_phi(*args, **kwargs):
             raise AssertionError("phi_table evaluated before the order check")
 
-        monkeypatch.setattr(oracle, "phi_table", no_phi)
+        monkeypatch.setattr(states, "phi_table", no_phi)
         monkeypatch.setattr(
-            oracle, "_exact_order", lambda degree: quadrature.MAX_ORDER + 1 if degree == 6 else degree // 2 + 1
+            states, "_exact_order", lambda degree: quadrature.MAX_ORDER + 1 if degree == 6 else degree // 2 + 1
         )
         with pytest.raises(ValueError, match=r"quadrature order must be an integer in \[1, 201\], got 202"):
             build_subspace(3, 1, 1, F1, P1)
@@ -333,7 +333,7 @@ class TestSectorLabels:
         # one build per m, returned in order, from one Gram pair per distinct (k, |q|) of the shell
         n, s = half(n), half(s)
         params = PhysicalParams.atomic(s)
-        build, factor, calls, pairs = oracle.build_subspace, oracle._factor_grams, [], []
+        build, factor, calls, pairs = oracle.build_subspace, oracle.phi_grams, [], []
 
         def counting(*args, **kwargs):
             calls.append(args[2])
@@ -344,7 +344,7 @@ class TestSectorLabels:
             return factor(k, aq, *args)
 
         monkeypatch.setattr(oracle, "build_subspace", counting)
-        monkeypatch.setattr(oracle, "_factor_grams", counting_grams)
+        monkeypatch.setattr(oracle, "phi_grams", counting_grams)
         top = n.twice - 2
         ms = [HalfInteger(m2) for m2 in range(-top, top + 1, 2)]
         factors = {

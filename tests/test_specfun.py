@@ -43,6 +43,13 @@ class TestHalfInteger:
         with pytest.raises(TypeError):
             half(object())
 
+    @pytest.mark.parametrize("label", [True, False, np.True_])
+    def test_bool_is_no_half_integer(self, label):
+        # True used to read as 1 in every label
+        for build in (half, lambda j: wigner_d(j, 0, 0, 0.3), lambda m: wigner_d(1, m, 0, 0.3)):
+            with pytest.raises(TypeError, match=r"^cannot interpret (np\.)?(True|False)_? as a half-integer$"):
+                build(label)
+
     def test_str(self):
         assert str(half(2)) == "2"
         assert str(half(-1.5)) == "-3/2"
@@ -113,6 +120,7 @@ class TestHyp1F1:
         [
             (-1, 2.0, "needs integer p >= 0, got -1"),
             (2.5, 2.0, "needs integer p >= 0, got 2.5"),
+            (True, 2.0, "needs integer p >= 0, got True"),
             (math.nan, 2.0, "needs integer p >= 0, got nan"),
             (math.inf, 2.0, "needs integer p >= 0, got inf"),
             (2, 0.0, "needs b > 0, got 0.0"),

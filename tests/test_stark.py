@@ -74,6 +74,9 @@ class TestIntegrals:
             (1.5, 0, "p must be a non-negative integer, got 1.5"),
             (math.nan, 0, "p must be a non-negative integer, got nan"),
             ("1", 0, "p must be a non-negative integer, got 1"),
+            (True, 0, "p must be a non-negative integer, got True"),
+            (1, True, "q must be an integer, got True"),
+            (np.array([False, True]), 0, "p must be a non-negative integer, got False"),
             (1, 0.5, "q must be an integer, got 0.5"),
             (1, -0.5, "q must be an integer, got -0.5"),
             (1, math.inf, "q must be an integer, got inf"),
@@ -369,6 +372,10 @@ class TestValidation:
         field = FieldConfig(epsilon)
         assert type(field.epsilon) is float
         assert field.epsilon == float(epsilon)
+
+    @pytest.mark.parametrize("epsilon", [-0.0, np.float64(-0.0), np.float32(-0.0)])
+    def test_negative_zero_field_is_stored_as_zero(self, epsilon):
+        assert math.copysign(1.0, FieldConfig(epsilon).epsilon) == 1.0
 
     def test_state_params_s_mismatch(self):
         with pytest.raises(ValueError, match="^s=0 disagrees with params.s=1$"):

@@ -39,6 +39,7 @@ from dyonstark.states import (
     parabolic_psi,
     parabolic_to_cartesian,
     phi_pair_moment,
+    phi_grams,
     phi_pq,
     phi_table,
     psi_grid,
@@ -435,6 +436,21 @@ class TestLabelRules:
             assert _fr(state.n) == Fraction(n)
             assert _fr(state.n) == state.n1 + state.n2 + (abs(state.q1) + abs(state.q2)) / Fraction(2) + 1
 
+    @pytest.mark.parametrize(
+        "labels, error, rule",
+        [
+            ((True, 0, 0, 0), ValueError, "n1 must be a non-negative integer, got True"),
+            ((0, True, 0, 0), ValueError, "n2 must be a non-negative integer, got True"),
+            ((0, np.True_, 0, 0), ValueError, "n2 must be a non-negative integer, got np.True_"),
+            ((0, 0, True, 0), TypeError, "cannot interpret True as a half-integer"),
+            ((0, 0, 0, True), TypeError, "cannot interpret True as a half-integer"),
+        ],
+    )
+    def test_bool_labels_refused_by_their_rules(self, labels, error, rule):
+        # ParabolicState(True, 0, 0, 0) used to be the state (1, 0, 0)
+        with pytest.raises(error, match=f"^{re.escape(rule)}$"):
+            ParabolicState(*labels)
+
     def test_identity_sees_only_the_four_fields(self):
         state = ParabolicState(2, 1, half("1/2"), half("-3/2"))
         assert [f.name for f in dataclasses.fields(state)] == ["n1", "n2", "m", "s"]
@@ -517,6 +533,12 @@ class TestRadial:
         with pytest.raises(ValueError):
             radial_R(2, half("1/2"), 1.0, P0)
 
+    @pytest.mark.parametrize("n, j", [(True, 0), (2, True), (2, np.True_)])
+    def test_bool_levels_refused(self, n, j):
+        # radial_R(2, True) used to be radial_R(2, 1)
+        with pytest.raises(TypeError, match=r"^cannot interpret (np\.)?True_? as a half-integer$"):
+            radial_R(n, j, 1.0, P0)
+
 
 class TestPhiFactor:
     def test_unit_at_origin_for_q0(self):
@@ -541,12 +563,16 @@ class TestPhiFactor:
         # the table depends on |q| alone, so c02 evaluates each |q| once
         assert phi_table(60, -q, x, n, P0).tobytes() == table.tobytes()
 
-    @pytest.mark.parametrize("kernel", [phi_pq, phi_table])
+    @pytest.mark.parametrize(
+        "kernel", [phi_pq, phi_table, lambda p, q, x, n, params: phi_grams(p, q, n, params, (0, 2))]
+    )
     @pytest.mark.parametrize(
         "p, q, n, rule",
         [
             (-1, 0, 2, "p must be a non-negative integer, got -1"),
             (1.5, 0, 2, "p must be a non-negative integer, got 1.5"),
+            (True, 0, 2, "p must be a non-negative integer, got True"),
+            (0, True, 2, "q must be an integer, got True"),
             (0, 1.5, 2, "q must be an integer, got 1.5"),
             (0, -0.5, 2, "q must be an integer, got -0.5"),
             (0, math.nan, 2, "q must be an integer, got nan"),
@@ -598,15 +624,11 @@ class TestPhiFactor:
         # (a n)^3 J^2, with J the Jacobi matrix of the orthonormal Laguerre
         # functions; J^2 comes from a J one row larger
         scale = P0.a * n
-        rule = gauss_laguerre(states._exact_order(2 * p_max + abs(q) + 2))
-        x, w = scale * rule.nodes, scale * rule.lifted_weights
-        table = phi_table(p_max, q, x, n, P0)
         p = np.arange(p_max + 2.0)
         off = -np.sqrt((p[:-1] + 1.0) * (p[:-1] + abs(q) + 1.0))
         jac = np.diag(2.0 * p + abs(q) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
         wants = (np.eye(p_max + 1), jac[:-1, :-1], (jac @ jac)[:-1, :-1])
-        for k, want in enumerate(wants):
-            gram = (table * (w * x**k)) @ table.T
+        for k, (gram, want) in enumerate(zip(phi_grams(p_max, q, n, P0, (0, 1, 2)), wants)):
             want = scale ** (k + 1) * want
             assert np.max(np.abs(gram - want)) <= 1e-11 * np.max(np.abs(want)), k
 
