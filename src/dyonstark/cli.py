@@ -164,19 +164,15 @@ def _field_command(name: str, epsilon: float, build, doc: str):
     return command
 
 
-def _shell_table(n, s, field, params):
-    return tables.shifts_table(n, s, field, params)
-
-
 def _splitting_table(n, s, field, params):
     delta = stark.shell_splitting(n, s, field, params)
     row = {"n": n.value, "s2": s.twice, "epsilon": field.epsilon, "delta_e": delta}
     return {key: np.array([value]) for key, value in row.items()}
 
 
-shifts = _field_command("shifts", 1.0, _shell_table, "First-order Stark shift table for one shell.")
+shifts = _field_command("shifts", 1.0, tables.shifts_table, "First-order Stark shift table for one shell.")
 dipole = _field_command(
-    "dipole", 0.0, _shell_table, "Permanent dipole moments of one shell (e1 at the given field)."
+    "dipole", 0.0, tables.shifts_table, "Permanent dipole moments of one shell (e1 at the given field)."
 )
 splitting = _field_command(
     "splitting", 1.0, _splitting_table, "Distance between the extreme like-m components of a shell."

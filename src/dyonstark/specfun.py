@@ -3,7 +3,8 @@
 Everything a monopole-Coulomb bound-state calculation needs and nothing
 more: log-factorials, the terminating confluent hypergeometric series
 1F1(-p; b; x), and Wigner d-functions for integer and half-integer
-indices.  1F1 comes from one degree recurrence, either as its last row
+indices.  1F1 comes from one degree recurrence, ``_laguerre``, run on a
+Python float or on an array alike, either as its last row
 (``hyp1f1_poly``) or as every row 0..p of one pass (``hyp1f1_table``).
 
 All factorial/Pochhammer products are evaluated in log space with
@@ -152,42 +153,21 @@ def _hyp1f1_scales(p: int, b: float) -> list[float]:
     return scales
 
 
-def _laguerre_floats(p: int, b: float, x: float) -> list[float]:
-    """L_k^{(b-1)}(x) for k = 0, ..., p, on Python floats.
+def _laguerre(p: int, b: float, x) -> list:
+    """L_k^{(b-1)}(x) for k = 0, ..., p, one entry per degree.
 
     One step of the Laguerre three-term degree recurrence (Abramowitz &
-    Stegun 22.7.12) per degree.
+    Stegun 22.7.12) per degree, with no in-place operation, so x may be a
+    Python float (each entry a float) or an array (each entry an array
+    of its shape): every element takes the same IEEE-754 operations in
+    the same order, and has the same bits, whichever kind it came in.
     """
     alpha = b - 1.0
-    rows = [1.0, b - x]
+    # x**0.0 is 1.0 of x's kind, also at x = inf and NaN
+    rows = [x**0.0, b - x]
     for k in range(1, p):
         rows.append(((2.0 * k + alpha + 1.0 - x) * rows[k] - (k + alpha) * rows[k - 1]) / (k + 1.0))
     return rows[: p + 1]
-
-
-def _laguerre_rows(p: int, b: float, x: np.ndarray) -> np.ndarray:
-    """L_k^{(b-1)}(x) for k = 0, ..., p as the rows of one array.
-
-    The recurrence of ``_laguerre_floats``, each degree written in place
-    into its own row, with one buffer for the (k + b - 1) L_{k-1} term,
-    so no temporary is made per degree.  Every element takes the float
-    path's operations in its order, so it has its bits.
-    """
-    alpha = b - 1.0
-    table = np.empty((p + 1, *x.shape))
-    rows = list(table)
-    rows[0].fill(1.0)
-    if p:
-        np.subtract(b, x, rows[1])
-        term = np.empty_like(x)
-        for k in range(1, p):
-            nxt = rows[k + 1]
-            np.subtract(2.0 * k + alpha + 1.0, x, nxt)
-            nxt *= rows[k]
-            np.multiply(k + alpha, rows[k - 1], term)
-            nxt -= term
-            nxt /= k + 1.0
-    return table
 
 
 def hyp1f1_poly(p: int, b: float, x):
@@ -197,31 +177,23 @@ def hyp1f1_poly(p: int, b: float, x):
     1F1(-p; b; x) = (p!/(b)_p) L_p^{(b-1)}(x), which is exact in p
     steps and, unlike naive term-by-term summation of the series, does
     not lose digits to cancellation in the oscillatory region x ~ 4p.
-    A scalar x runs the recurrence on Python floats and gives a float;
-    an array x gives an array whose elements have the scalar results'
-    bits, since both do the same IEEE-754 operations in the same order.
-    This is the last row of ``hyp1f1_table(p, b, x)``, bit for bit.
+    The recurrence is ``_laguerre``'s one body: a scalar x gives a
+    Python float, an array x an array whose elements have the scalar
+    results' bits.  This is the last row of ``hyp1f1_table(p, b, x)``,
+    bit for bit.
     """
     p, b, x = _hyp1f1_args("hyp1f1_poly", p, b, x)
-    scale = _hyp1f1_scales(p, b)[-1]
-    if isinstance(x, float):
-        return scale * _laguerre_floats(p, b, x)[-1]
-    last = _laguerre_rows(p, b, x)[-1]
-    last *= scale
-    return last
+    return _hyp1f1_scales(p, b)[-1] * _laguerre(p, b, x)[-1]
 
 
 def hyp1f1_table(p: int, b: float, x) -> np.ndarray:
     """1F1(-k; b; x) for every degree k = 0, ..., p, shape (p + 1, *x.shape).
 
-    One pass of ``hyp1f1_poly``'s recurrence that keeps every row; row k
-    has the bits of ``hyp1f1_poly(k, b, x)``.
+    The rows of one ``_laguerre`` pass, scaled in place; row k has the
+    bits of ``hyp1f1_poly(k, b, x)``.
     """
     p, b, x = _hyp1f1_args("hyp1f1_table", p, b, x)
-    if isinstance(x, float):
-        table = np.array(_laguerre_floats(p, b, x))
-    else:
-        table = _laguerre_rows(p, b, x)
+    table = np.array(_laguerre(p, b, x))
     table *= np.array(_hyp1f1_scales(p, b)).reshape(-1, *[1] * np.ndim(x))
     return table
 

@@ -25,6 +25,7 @@ from .states import (
     PhysicalParams,
     _check_s,
     _label_beta,
+    _label_x2,
     _moment_labels,
     _real,
     _shell,
@@ -110,11 +111,10 @@ def bracket_twelfths(state: ParabolicState) -> int:
 def _label_bracket(n2x: int, s2: int, n1, n2, m2):
     """``bracket_twelfths`` of the label (n1, n2, m2) in shell 2n = n2x at 2s = s2.
 
-    The labels are ints, or int64 arrays for a bracket per element.
-    m - s and m + s are integers, so |2m - 2s| - |2m + 2s| is even.
+    The labels are ints, or int64 arrays for a bracket per element; 2X is
+    ``states._label_x2``'s, the integer the separation constant takes.
     """
-    x2 = 2 * (n1 - n2) + (abs(m2 - s2) - abs(m2 + s2)) // 2
-    return 3 * n2x * x2 + m2 * s2
+    return 3 * n2x * _label_x2(s2, n1, n2, m2) + m2 * s2
 
 
 def _shift(unit: float, bracket, epsilon: float):

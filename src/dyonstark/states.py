@@ -329,8 +329,14 @@ def _label_beta(n2x: int, s2: int, n1, n2, m2, params: PhysicalParams, e0: float
     if e0 is None:
         e0 = energy_level(HalfInteger(n2x), params)
     kappa = math.sqrt(-2.0 * e0)
-    x2 = 2 * (n1 - n2) + abs((m2 - s2) // 2) - abs((m2 + s2) // 2)  # 2X, exact
-    return kappa * (x2 / 2.0)
+    return kappa * (_label_x2(s2, n1, n2, m2) / 2.0)
+
+
+def _label_x2(s2: int, n1, n2, m2):
+    """2X = 2 (n1 - n2) + |m - s| - |m + s| of the label (n1, n2, m2) at 2s = s2,
+    exact: ints, or int64 arrays for one per element.  m - s and m + s are
+    integers, so |2m - 2s| - |2m + 2s| is even."""
+    return 2 * (n1 - n2) + (abs(m2 - s2) - abs(m2 + s2)) // 2
 
 
 def radial_R(n, j, r, params: PhysicalParams):
@@ -414,9 +420,20 @@ def _moment_labels(p, q):
     return p, abs(q)
 
 
+def _phi_labels(p, q):
+    """(p, |q|) of one Phi_pq by ``_moment_labels``.  Unlike the closed-form
+    moments, a Phi takes one p and one q per call, so an array is refused."""
+    for name, v in (("p", p), ("q", q)):
+        if isinstance(v, np.ndarray):
+            raise ValueError(
+                f"{name} must be one number, as a Phi takes one p and one q per call; got an array of shape {v.shape}"
+            )
+    return _moment_labels(p, q)
+
+
 def _phi_axis(p, q, x, n, params: PhysicalParams):
     """Validated (|q|, z, e^{-z/2}, z^{|q|/2}) of Phi_pq at z = x/(a n)."""
-    aq = int(_moment_labels(p, q)[1])
+    aq = int(_phi_labels(p, q)[1])
     nf = float(n)
     if nf <= 0:
         raise ValueError(f"n must be positive, got {n}")
@@ -466,7 +483,7 @@ def phi_grams(p_max: int, q: int, n, params: PhysicalParams, powers) -> tuple[np
     2 p_max + |q| + max(powers)); an order past the rule cap raises
     ValueError before any Phi is evaluated.  The matrices depend on |q| alone.
     """
-    _, aq = _moment_labels(p_max, q)
+    _, aq = _phi_labels(p_max, q)
     rule = gauss_laguerre(_exact_order(2 * p_max + aq + max(powers)))
     scale = params.a * float(n)
     x, w = scale * rule.nodes, scale * rule.lifted_weights
@@ -480,12 +497,10 @@ def parabolic_psi(state: ParabolicState, point: ParabolicPoint, params: Physical
 
     psi = sqrt(2)/(n^2 a^{3/2}) Phi_{n1,m-s}(xi) Phi_{n2,m+s}(eta)
           e^{i m phi} / sqrt(2 pi),
-    unit-normalized under dV = (xi + eta)/4 dxi deta dphi.  Equal bit
-    for bit to the 1 x 1 case of ``psi_grid``.
+    unit-normalized under dV = (xi + eta)/4 dxi deta dphi.  This is the
+    1 x 1 case of ``psi_grid``.
     """
-    const, f1, f2, phase = _product_form(state, params)
-    # the grid's order of products; point.phi is reduced already
-    return const * f1(point.xi) * f2(point.eta) * phase(point.phi)
+    return complex(psi_grid(state, [point.xi], [point.eta], point.phi, params)[0, 0])
 
 
 def _product_form(state, params: PhysicalParams):
@@ -519,10 +534,12 @@ def psi_grid(state, c1, c2, phi, params: PhysicalParams) -> np.ndarray:
     (c1, c2) is (xi, eta) for a ``ParabolicState`` and (r, theta) for a
     ``SphericalState``.  Each 1-D factor is evaluated once per axis
     value, so a grid costs O(len(c1) + len(c2)) kernel calls and
-    O(len(c1) len(c2)) products.  Every entry has the bits of
-    ``parabolic_psi(state, ParabolicPoint(xi, eta, phi), params)`` or
-    ``spherical_psi(state, r, theta, phi, params)``; as there, the
-    parabolic phi is reduced mod 2 pi and the spherical one is not.
+    O(len(c1) len(c2)) products.  The parabolic phi is reduced mod 2 pi,
+    as by ``ParabolicPoint``, and ``parabolic_psi`` is the 1 x 1 case; the
+    spherical phi is not reduced, and every spherical entry has the bits
+    of ``spherical_psi(state, r, theta, phi, params)``.  Each kernel call
+    takes one axis value, so the 1F1 factors run ``specfun._laguerre`` on
+    Python floats.
     """
     const, f1, f2, phase = _product_form(state, params)
     if isinstance(state, ParabolicState):

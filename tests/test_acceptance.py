@@ -371,6 +371,11 @@ MUTANTS = {
             g * (1.0 + 1e-8) if k == 2 else g for k, g in zip(powers, f(p_max, q, n, params, powers))
         ),
     ),
+    # the one 1F1 recurrence: every wavefunction grid runs it too
+    "c02 1F1 recurrence's last degree 1e-6 high": (
+        "integral-closed-forms", 1, specfun, "_laguerre",
+        lambda f: lambda p, b, x: (lambda rows: rows[:-1] + [rows[-1] * (1.0 + 1e-6)])(f(p, b, x)),
+    ),
     # J's off-diagonals are -sqrt((p + 1)(p + |q| + 1))
     "c02 closed-form J off-diagonal sign flipped": (
         "integral-closed-forms", 1, verify, "_laguerre_jacobi", _jacobi_off_diagonals(np.negative)

@@ -302,6 +302,9 @@ def no_work(monkeypatch):
     for module, name in (
         (dyonstark.verify, "run_check"),
         (dyonstark.tables, "shifts_table"),
+        # shifts and dipole hold tables.shifts_table itself, so its work is
+        # refused one call in
+        (dyonstark.tables, "shift_columns"),
         (dyonstark.tables, "spectrum_table"),
         (dyonstark.stark, "shell_splitting"),
         (dyonstark.states, "psi_grid"),

@@ -183,6 +183,14 @@ class TestHyp1F1:
         scalars = np.array([[hyp1f1_poly(p, b, float(v))] for v in x[:, 0]])
         assert arr.tobytes() == scalars.tobytes()
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_degree_zero_is_one_at_inf_and_nan(self, x):
+        # row 0 is x**0.0, one expression for floats and arrays
+        assert hyp1f1_poly(0, 2.0, x) == 1.0
+        assert hyp1f1_poly(0, 2.0, np.array([x, 1.0])).tobytes() == np.ones(2).tobytes()
+        # 1F1(-2; 2; x) = 1 - x + x^2/6 grows without bound
+        assert hyp1f1_poly(2, 2.0, math.inf) == math.inf
+
     def test_values_digest(self):
         # sha256 recorded from a recurrence run on 0-d arrays
         h = hashlib.sha256()

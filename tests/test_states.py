@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from dyonstark import oracle, stark, states, tables
+from dyonstark import oracle, specfun, stark, states, tables
 from dyonstark.quadrature import gauss_laguerre, gauss_legendre, integrate_halfline
 from dyonstark.specfun import HalfInteger, half
 from dyonstark.stark import FieldConfig, integral_I, integral_II
@@ -53,6 +53,7 @@ from dyonstark.states import (
 P0 = PhysicalParams.atomic(0)
 PHALF = PhysicalParams.atomic(half("1/2"))
 P1 = PhysicalParams.atomic(1)
+ONE_LABEL = "one number, as a Phi takes one p and one q per call; got an array of shape"
 
 
 class TestPhysicalParams:
@@ -580,6 +581,12 @@ class TestPhiFactor:
             (1, 1, -2, "n must be positive, got -2"),
             (1, 1, math.nan, "n must be finite, got nan"),
             (1, 1, math.inf, "n must be finite, got inf"),
+            # integral_I and integral_II take label arrays; a Phi does not
+            (np.array([1]), 0, 2, f"p must be {ONE_LABEL} (1,)"),
+            (np.array([0, 1, 2]), 0, 2, f"p must be {ONE_LABEL} (3,)"),
+            (np.array(1), 0, 2, f"p must be {ONE_LABEL} ()"),
+            (1, np.array([0]), 2, f"q must be {ONE_LABEL} (1,)"),
+            (1, np.array([[0, -1], [2, 3]]), 2, f"q must be {ONE_LABEL} (2, 2)"),
         ],
     )
     def test_one_validation_for_both_forms(self, kernel, p, q, n, rule):
@@ -969,6 +976,29 @@ class TestPsiGrid:
     def test_state_params_mismatch_raises(self):
         with pytest.raises(ValueError, match="^s=0 disagrees with params.s=1$"):
             psi_grid(ParabolicState(0, 0, 0, 0), [1.0], [1.0], 0.0, P1)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, -1e-20])
+    def test_parabolic_psi_is_the_one_by_one_grid(self, phi):
+        # -1e-20 reduces to 2 pi as a float, and the grid reduces that to 0:
+        # psi's phase at a point whose azimuth rounds to 2 pi is the one at 0
+        state, params = self.PARABOLIC[0]
+        point = ParabolicPoint(1.3, 0.7, phi)
+        scalar = parabolic_psi(state, point, params)
+        assert type(scalar) is complex
+        assert _bits(scalar) == _bits(psi_grid(state, [1.3], [0.7], point.phi, params)[0, 0])
+        if phi < 0:
+            assert point.phi == 2.0 * math.pi
+            assert _bits(scalar) == _bits(parabolic_psi(state, ParabolicPoint(1.3, 0.7, 0.0), params))
+
+    @pytest.mark.parametrize("state, params", PARABOLIC[:1] + SPHERICAL[:1])
+    def test_grids_run_the_recurrence_c02_checks(self, monkeypatch, state, params):
+        # the 1F1 of every grid value comes from specfun._laguerre, one call
+        # per axis value on a Python float
+        laguerre, xs = specfun._laguerre, []
+        monkeypatch.setattr(specfun, "_laguerre", lambda p, b, x: xs.append(x) or laguerre(p, b, x))
+        psi_grid(state, [0.5, 1.5, 2.5], [0.25, 0.75], 0.0, params)
+        assert len(xs) == (5 if isinstance(state, ParabolicState) else 3)
+        assert all(type(x) is float for x in xs)
 
 
 class TestCoordinates:
